@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import inverse_density_weights, log_analytic_density
+from .geometry import log_analytic_density
 
 SAMPLER_KINDS = (
     "random",
@@ -46,8 +46,9 @@ def require_valid_kind(kind: str) -> str:
 class SamplingPMF:
     """K-bin histogram distribution over anchor-negative distance.
 
-    Bins partition [lambda_min, lambda_max] into equal widths; p holds one
-    probability per bin. Instances are immutable; updates build new ones.
+    Bins partition [lambda_min, lambda_max] into equal widths, whose K+1
+    edges are computed once; p holds one probability per bin. Instances are
+    immutable; updates build new ones.
     """
 
     lambda_min: float
@@ -68,14 +69,11 @@ class SamplingPMF:
         if abs(p.sum() - 1.0) > 1e-9:
             raise ValueError(f"bin probabilities must sum to 1, got {p.sum()!r}")
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "edges", np.linspace(self.lambda_min, self.lambda_max, p.size + 1))
 
     @property
     def k(self) -> int:
         return self.p.size
-
-    @property
-    def edges(self) -> np.ndarray:
-        return np.linspace(self.lambda_min, self.lambda_max, self.k + 1)
 
     @property
     def centers(self) -> np.ndarray:
@@ -161,82 +159,96 @@ def apply_action(pmf: SamplingPMF, multipliers: np.ndarray) -> SamplingPMF:
 
 
 # -------------------------
-# Per-anchor negative selection
+# Batched negative selection
 # -------------------------
+# Selectors pick one column per row of a candidate mask (row = anchor, column = batch
+# member): semihard by masked argmin, the others by draw_rows over weights zero off the mask.
 
-def sample_negative_random(candidates: np.ndarray, rng: np.random.Generator) -> int:
-    candidates = np.asarray(candidates)
-    if candidates.size == 0:
-        raise ValueError("no negative candidates")
-    return int(candidates[rng.integers(candidates.size)])
+def triplet_masks(labels: np.ndarray, self_reg: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """B x B (positive, negative candidate) masks; self_reg admits same-class negatives."""
+    same = labels[:, None] == labels[None, :]
+    not_self = ~np.eye(labels.size, dtype=bool)
+    return same & not_self, not_self if self_reg else ~same
 
 
-def sample_negative_semihard(d_ap: float, candidates: np.ndarray, d_an: np.ndarray) -> int:
-    """Closest negative farther than the positive; ties broken by lowest index.
+def draw_rows(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Per row, the first column whose running weight sum exceeds u * row total.
 
-    If every negative is closer than the positive, falls back to the
-    farthest negative (the least-violating choice).
+    A zero weight leaves the running sum unchanged, so it is never drawn;
+    u * total is held below total, which rounding can reach for a subnormal total.
     """
-    candidates = np.asarray(candidates)
-    d_an = np.asarray(d_an, dtype=np.float64)
-    if candidates.size == 0:
+    cdf = np.cumsum(weights, axis=1, dtype=np.float64)
+    total = cdf[:, -1]
+    if not (total > 0.0).all():
         raise ValueError("no negative candidates")
-    order = np.argsort(candidates, kind="stable")
-    cand, dist = candidates[order], d_an[order]
-    beyond = dist > d_ap
-    if beyond.any():
-        sub = np.where(beyond)[0]
-        return int(cand[sub[np.argmin(dist[sub])]])
-    return int(cand[np.argmax(dist)])
+    u = np.minimum(rng.random(total.size) * total, np.nextafter(total, 0.0))
+    return np.count_nonzero(cdf <= u[:, None], axis=1)
 
 
-def sample_negative_distweighted(
-    candidates: np.ndarray,
-    d_an: np.ndarray,
-    dim: int,
-    rng: np.random.Generator,
-    clip_lambda: float | None = None,
-) -> int:
-    """Categorical draw by inverse-density weights (flattens drawn distances)."""
-    candidates = np.asarray(candidates)
-    if candidates.size == 0:
+def _require_candidates(mask: np.ndarray) -> None:
+    if not np.all(mask.any(axis=1)):
         raise ValueError("no negative candidates")
-    w = inverse_density_weights(np.asarray(d_an, dtype=np.float64), dim, clip_lambda)
-    return int(candidates[rng.choice(candidates.size, p=w)])
 
 
-def sample_negative_adaptive(
-    pmf: SamplingPMF,
-    candidates: np.ndarray,
-    d_an: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[int, bool]:
-    """Draw a bin from the PMF restricted to bins occupied for this anchor,
-    then a uniform candidate within the bin.
-
-    Returns (chosen candidate, fallback flag). Candidates outside
-    [lambda_min, lambda_max] have probability zero. When no candidate is
-    in-range the draw falls back to a uniform choice over all candidates
-    and the flag is set so callers can count fallbacks.
-    """
-    candidates = np.asarray(candidates)
-    d_an = np.asarray(d_an, dtype=np.float64)
-    if candidates.size == 0:
-        raise ValueError("no negative candidates")
-    bins = pmf.bin_of(d_an)
-    occupied = np.unique(bins[bins >= 0])
-    if occupied.size == 0:
-        return int(candidates[rng.integers(candidates.size)]), True
-    mass = pmf.p[occupied]
-    total = mass.sum()
-    if total <= 0.0:
-        # all occupied bins carry zero probability; treat occupancy as uniform
-        mass = np.full(occupied.size, 1.0 / occupied.size)
+def distweighted_weights(mask, dist, dim: int, clip_lambda: float | None = None) -> np.ndarray:
+    """inverse_density_weights of each row's candidates, unnormalized; the
+    automatic cap is 4x the median over that row's candidates."""
+    _require_candidates(mask)
+    log_inv = -log_analytic_density(np.clip(dist, 1e-9, 2.0 - 1e-9), dim)
+    if clip_lambda is None:
+        # non-candidates sort last as +inf; the median averages the middle pair
+        ordered = np.sort(np.where(mask, log_inv, np.inf), axis=1)
+        n, rows = mask.sum(axis=1), np.arange(mask.shape[0])
+        median = 0.5 * (ordered[rows, (n - 1) // 2] + ordered[rows, n // 2])
+        log_cap = (math.log(4.0) + median)[:, None]
     else:
-        mass = mass / total
-    chosen_bin = occupied[rng.choice(occupied.size, p=mass)]
-    members = candidates[bins == chosen_bin]
-    return int(members[rng.integers(members.size)]), False
+        log_cap = math.log(clip_lambda)
+    log_w = np.where(mask, np.minimum(log_inv, log_cap), -np.inf)
+    return np.exp(log_w - log_w.max(axis=1, keepdims=True))
+
+
+def adaptive_weights(pmf: SamplingPMF, mask, dist) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized p[bin] / count_in_bin over in-range candidates, and fallback rows.
+
+    A row whose occupied bins all have zero mass is uniform over them; a
+    fallback row (no in-range candidate) is uniform over its candidates.
+    """
+    bins = np.where(mask, pmf.bin_of(dist), -1)
+    inside = bins >= 0
+    flat = np.arange(bins.shape[0])[:, None] * pmf.k + bins  # (row, bin) in a row-major table
+    counts = np.bincount(flat[inside], minlength=bins.shape[0] * pmf.k).reshape(-1, pmf.k)
+    mass = np.where(counts > 0, pmf.p, 0.0)
+    zero_mass = mass.sum(axis=1) == 0.0
+    mass[zero_mass] = counts[zero_mass] > 0
+    weights = np.where(inside, (mass / np.maximum(counts, 1)).ravel()[flat], 0.0)
+    fallback = ~inside.any(axis=1)
+    weights[fallback] = mask[fallback]
+    return weights, fallback
+
+
+def sample_negative_random(mask: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    return draw_rows(mask, rng)
+
+
+def sample_negative_semihard(d_ap: np.ndarray, mask: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Per row the closest candidate farther than the positive (d_ap), lowest
+    index on ties; if none is farther, the farthest candidate."""
+    _require_candidates(mask)
+    beyond = mask & (dist > np.asarray(d_ap)[:, None])
+    closest = np.argmin(np.where(beyond, dist, np.inf), axis=1)
+    farthest = np.argmax(np.where(mask, dist, -np.inf), axis=1)
+    return np.where(beyond.any(axis=1), closest, farthest)
+
+
+def sample_negative_distweighted(mask, dist, dim: int, rng, clip_lambda=None) -> np.ndarray:
+    """Categorical draw by inverse-density weights (flattens drawn distances)."""
+    return draw_rows(distweighted_weights(mask, dist, dim, clip_lambda), rng)
+
+
+def sample_negative_adaptive(pmf: SamplingPMF, mask, dist, rng) -> tuple[np.ndarray, int]:
+    """Draw per row by adaptive_weights; returns (columns, number of fallback rows)."""
+    weights, fallback = adaptive_weights(pmf, mask, dist)
+    return draw_rows(weights, rng), int(fallback.sum())
 
 
 # -------------------------

@@ -50,12 +50,14 @@ from .samplers import (
     SamplingPMF,
     apply_action,
     curriculum_pmf,
+    draw_rows,
     init_pmf,
     require_valid_kind,
     sample_negative_adaptive,
     sample_negative_distweighted,
     sample_negative_random,
     sample_negative_semihard,
+    triplet_masks,
 )
 
 CSV_HEADER = "episode,r1,r2,r4,nmi,intra,inter,reward"
@@ -227,46 +229,29 @@ class TrainLoop:
             rows.append(idx[pick])
         return np.concatenate(rows)
 
-    def _pick_negative(self, i: int, pos: int, labels: np.ndarray, dist: np.ndarray) -> int:
-        cfg = self.cfg
-        adaptive = self.kind in PMF_SAMPLER_KINDS
-        if adaptive and cfg.sampler.self_reg:
-            cand = np.delete(np.arange(labels.size), i)
-        else:
-            cand = np.where(labels != labels[i])[0]
-        d_an = dist[i, cand]
-        if self.kind == "random":
-            return sample_negative_random(cand, self.rng_negative)
-        if self.kind == "semihard":
-            return sample_negative_semihard(dist[i, pos], cand, d_an)
-        if self.kind == "distweighted":
-            clip = cfg.sampler.clip_lambda if cfg.sampler.clip_lambda > 0 else None
-            return sample_negative_distweighted(
-                cand, d_an, cfg.model.embedding_dim, self.rng_negative, clip
-            )
-        neg, fell_back = sample_negative_adaptive(self.pmf, cand, d_an, self.rng_negative)
-        self.fallbacks += int(fell_back)
-        return neg
-
     def _train_step(self):
         cfg = self.cfg
         batch_rows = self._build_batch()
-        feats = self.dataset.features[batch_rows]
         labels = self.dataset.labels[batch_rows]
-        emb, cache = self.model.forward(feats)
-        ebatch = EmbeddingBatch(emb, labels)
-        dist = pairwise_distances(ebatch)
-        triplets = []
-        for i in range(labels.size):
-            same = np.where(labels == labels[i])[0]
-            same = same[same != i]
-            pos = int(same[self.rng_batch.integers(same.size)])
-            neg = self._pick_negative(i, pos, labels, dist)
-            triplets.append((i, pos, neg))
-        triplets = np.asarray(triplets)
-        boundaries = None
-        if self.beta_class is not None:
-            boundaries = self.beta_class[labels[triplets[:, 0]]]
+        emb, cache = self.model.forward(self.dataset.features[batch_rows])
+        dist = pairwise_distances(EmbeddingBatch(emb, labels))
+        same, cand = triplet_masks(labels, self.kind in PMF_SAMPLER_KINDS and cfg.sampler.self_reg)
+        anchors = np.arange(labels.size)
+        pos = draw_rows(same, self.rng_batch)
+        if self.kind == "random":
+            neg = sample_negative_random(cand, self.rng_negative)
+        elif self.kind == "semihard":
+            neg = sample_negative_semihard(dist[anchors, pos], cand, dist)
+        elif self.kind == "distweighted":
+            clip = cfg.sampler.clip_lambda if cfg.sampler.clip_lambda > 0 else None
+            neg = sample_negative_distweighted(
+                cand, dist, cfg.model.embedding_dim, self.rng_negative, clip
+            )
+        else:
+            neg, n_fallbacks = sample_negative_adaptive(self.pmf, cand, dist, self.rng_negative)
+            self.fallbacks += n_fallbacks
+        triplets = np.stack([anchors, pos, neg], axis=1)
+        boundaries = None if self.beta_class is None else self.beta_class[labels]
         losses = triplet_losses(emb, triplets, cfg.loss, boundaries)
         if not np.all(np.isfinite(losses)):
             raise RuntimeError("non-finite loss; aborting run")
@@ -275,7 +260,7 @@ class TrainLoop:
         if self.beta_class is not None:
             per_triplet = margin_boundary_grads(emb, triplets, cfg.loss, boundaries)
             class_grad = np.zeros_like(self.beta_class)
-            np.add.at(class_grad, labels[triplets[:, 0]], per_triplet)
+            np.add.at(class_grad, labels, per_triplet)
             self.beta_class = np.maximum(self.beta_class - cfg.loss.beta_lr * class_grad, 1e-3)
 
     # ---- evaluation ----

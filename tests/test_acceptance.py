@@ -190,7 +190,9 @@ def test_03_oracle_equivalence():
             if cand.size:
                 d_ap = float(rng.uniform(0.0, 2.0))
                 d_an = dist[anchor, cand]
-                got = sample_negative_semihard(d_ap, cand, d_an)
+                got = sample_negative_semihard(
+                    np.array([d_ap]), (labels != labels[anchor])[None, :], dist[anchor][None, :]
+                )[0]
                 beyond = [(d, c) for c, d in zip(cand, d_an) if d > d_ap]
                 want = (
                     min(beyond, key=lambda t: (t[0], t[1]))

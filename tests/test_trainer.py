@@ -5,6 +5,7 @@ import pytest
 
 from tripletlab.config import config_from_flat, config_to_flat, parse_kv_lines
 from tripletlab.data import generate_synthetic
+from tripletlab.samplers import SAMPLER_KINDS
 from tripletlab.trainer import CSV_HEADER, TrainLoop, split_validation, train
 
 
@@ -152,12 +153,15 @@ class TestEpisodeMechanics:
 
 
 class TestDeterminismAndReduction:
-    def test_rerun_is_byte_identical(self, tmp_path):
-        cfg = small_flat()
+    @pytest.mark.parametrize("kind", SAMPLER_KINDS)
+    def test_rerun_is_byte_identical(self, tmp_path, kind):
+        cfg = small_flat(**{"sampler.kind": kind})
         train(cfg, tmp_path / "a")
         train(cfg, tmp_path / "b")
         for name in ("metrics.csv", "pmf.jsonl", "transitions.jsonl", "model.json", "config.resolved"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+            assert (tmp_path / "a" / name).exists() == (tmp_path / "b" / name).exists()
+            if (tmp_path / "a" / name).exists():
+                assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_different_seed_differs(self, tmp_path):
         train(small_flat(), tmp_path / "a")
@@ -219,6 +223,13 @@ class TestVariants:
         assert loop.beta_class.shape == (4,)
         assert np.all(loop.beta_class >= 1e-3)
         assert not np.allclose(loop.beta_class, 1.2)  # boundaries actually trained
+
+    def test_fallbacks_count_anchors_not_steps(self, tmp_path):
+        # no batch distance reaches a PMF support this close to 0, so every anchor falls back
+        cfg = small_flat(**{"pmf.lambda_min": 0.0, "pmf.lambda_max": 1e-6})
+        summary = train(cfg, tmp_path / "run")
+        anchors = cfg.train.classes_per_batch * cfg.train.samples_per_class
+        assert summary["adaptive_fallbacks"] == cfg.train.total_iterations * anchors
 
     def test_self_reg_includes_same_class_candidates(self, tmp_path):
         summary = train(small_flat(**{"sampler.self_reg": "true"}), tmp_path / "run")
