@@ -1,8 +1,9 @@
 """Retrieval and clustering quality measures on embedding batches.
 
-Everything is computed from pairwise distances of unit vectors. Ties in
-nearest-neighbor ranking are broken by the smaller index so results do not
-depend on sort implementation details.
+Everything is computed from pairwise distances of unit vectors; `evaluate`
+builds the distance matrix once and shares it. Nearest-neighbor ranking is
+by (distance, index), so ties go to the smaller index, and it is computed
+by counting rather than sorting.
 """
 
 from __future__ import annotations
@@ -89,51 +90,46 @@ def update_tracks(tracks: RunningTracks, report: EvalReport) -> RunningTracks:
     return tracks.append(report.as_vector())
 
 
-def recall_at_k(batch: EmbeddingBatch, ks=(1, 2, 4)) -> dict:
+def recall_at_k(batch: EmbeddingBatch, ks=(1, 2, 4), dist: np.ndarray | None = None) -> dict:
     """Fraction of points whose k nearest others contain a same-label point.
 
-    Self-matches are excluded by pushing the diagonal to +inf. argsort is
-    stable, so equal distances rank by index.
+    Others rank by (distance, index), computed without a sort: the nearest
+    same-label j* (first index among ties) has rank #{d < d*} + #{d == d*,
+    index < j*} less the row's own diagonal entry, and a row hits at k iff j*
+    exists and rank < min(k, n-1). A given `dist` matrix is not modified.
     """
     ks = tuple(int(k) for k in ks)
     if any(k < 1 for k in ks):
         raise ValueError("recall cutoffs must be >= 1")
-    dist = pairwise_distances(batch)
-    np.fill_diagonal(dist, np.inf)
-    order = np.argsort(dist, axis=1, kind="stable")
-    labels = batch.labels
-    hits = labels[order] == labels[:, None]
-    out = {}
-    for k in ks:
-        kk = min(k, batch.n - 1)
-        out[k] = float(np.mean(np.any(hits[:, :kk], axis=1))) if kk > 0 else 0.0
-    return out
+    if dist is None:
+        dist = pairwise_distances(batch)
+    rows = np.arange(batch.n)
+    same = batch.labels[:, None] == batch.labels[None, :]
+    np.fill_diagonal(same, False)
+    nearest = np.where(same, dist, np.inf).argmin(axis=1)
+    d_star = dist[rows, nearest][:, None]
+    ahead = (dist < d_star) | ((dist == d_star) & (rows < nearest[:, None]))
+    rank = np.count_nonzero(ahead, axis=1) - ahead[rows, rows]
+    found = same[rows, nearest]
+    return {k: float(np.mean(found & (rank < min(k, batch.n - 1)))) for k in ks}
 
 
-def class_distance_stats(batch: EmbeddingBatch) -> tuple[float, float]:
+def class_distance_stats(batch: EmbeddingBatch, dist: np.ndarray | None = None) -> tuple[float, float]:
     """(mean intra-class distance, mean inter-class distance) over unordered pairs.
 
-    A side with no pairs (all-singleton classes, or a single class) is
-    reported as 0.0 with a warning rather than NaN.
+    A given `dist` matrix is not modified. A side with no pairs (all-singleton
+    classes, or a single class) is reported as 0.0 with a warning rather than NaN.
     """
-    dist = pairwise_distances(batch)
+    if dist is None:
+        dist = pairwise_distances(batch)
+    upper = ~np.tri(batch.n, dtype=bool)
     same = batch.labels[:, None] == batch.labels[None, :]
-    iu = np.triu_indices(batch.n, k=1)
-    same_u = same[iu]
-    vals = dist[iu]
-    intra_vals = vals[same_u]
-    inter_vals = vals[~same_u]
-    if intra_vals.size == 0:
-        warnings.warn("no intra-class pairs; reporting intra distance as 0.0", stacklevel=2)
-        intra = 0.0
-    else:
-        intra = float(intra_vals.mean())
-    if inter_vals.size == 0:
-        warnings.warn("no inter-class pairs; reporting inter distance as 0.0", stacklevel=2)
-        inter = 0.0
-    else:
-        inter = float(inter_vals.mean())
-    return intra, inter
+    out = []
+    for side, vals in (("intra", dist[upper & same]), ("inter", dist[upper & ~same])):
+        if vals.size == 0:
+            warnings.warn(f"no {side}-class pairs; reporting {side} distance as 0.0", stacklevel=2)
+        out.append(float(vals.mean()) if vals.size else 0.0)
+    return out[0], out[1]
 
 
 # -------------------------
@@ -160,27 +156,29 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 
 
 def kmeans(x: np.ndarray, k: int, rng: np.random.Generator, max_iter: int = 300) -> np.ndarray:
-    """Lloyd iterations from a k-means++ start; returns hard assignments."""
+    """Lloyd iterations on Gram-form distances from a k-means++ start; returns hard assignments."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     centers = _kmeans_pp_init(x, k, rng)
+    x_sq = np.einsum("ij,ij->i", x, x)[:, None]
+    coords = np.arange(x.shape[1])
     assign = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iter):
-        d2 = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    for iteration in range(max_iter):
+        d2 = x_sq - 2.0 * (x @ centers.T) + np.einsum("ij,ij->i", centers, centers)
         new_assign = np.argmin(d2, axis=1)
-        if np.array_equal(new_assign, assign) and _ > 0:
+        if iteration > 0 and np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for j in range(k):
-            members = x[assign == j]
-            if members.shape[0] > 0:
-                centers[j] = members.mean(axis=0)
-            else:
-                # re-seed an empty cluster at the point farthest from its center
-                far = int(np.argmax(np.min(d2, axis=1)))
-                centers[j] = x[far]
+        # every (cluster, coordinate) member sum from one bincount pass in point order
+        bins = (assign[:, None] * x.shape[1] + coords).ravel()
+        sums = np.bincount(bins, weights=x.ravel(), minlength=centers.size).reshape(centers.shape)
+        counts = np.bincount(assign, minlength=k)
+        filled = counts > 0
+        centers[filled] = sums[filled] / counts[filled, None]
+        # re-seed an empty cluster at the point farthest from its center
+        centers[~filled] = x[int(np.argmax(np.min(d2, axis=1)))]
     return assign
 
 
@@ -233,10 +231,11 @@ def clustering_nmi(batch: EmbeddingBatch, seed: int, max_iter: int = 300) -> flo
 
 
 def evaluate(batch: EmbeddingBatch, ks=(1, 2, 4), kmeans_seed: int = 0) -> EvalReport:
-    """Full evaluation bundle used after every training episode."""
-    rec = recall_at_k(batch, ks)
+    """Full evaluation bundle used after every training episode, on one distance matrix."""
+    dist = pairwise_distances(batch)
+    rec = recall_at_k(batch, ks, dist=dist)
     score_nmi = clustering_nmi(batch, seed=kmeans_seed)
-    intra, inter = class_distance_stats(batch)
+    intra, inter = class_distance_stats(batch, dist=dist)
     return EvalReport(recall_at=rec, nmi=score_nmi, intra=intra, inter=inter)
 
 

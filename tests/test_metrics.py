@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tripletlab.metrics as metrics
 from tripletlab.geometry import EmbeddingBatch, pairwise_distances
 from tripletlab.metrics import (
     METRIC_FIELDS,
@@ -53,11 +54,26 @@ def recall_oracle(batch, ks):
     return out
 
 
+def tie_heavy_batch(rng):
+    """Rows drawn from a small unit-vector codebook, so zero and equal distances
+    occur within and across classes; the labels include some singleton classes."""
+    n = int(rng.integers(8, 41))
+    codebook = unit_rows(rng, int(rng.integers(2, 5)), 4)
+    vectors = codebook[rng.integers(0, codebook.shape[0], size=n)]
+    labels = random_labels(rng, n, 3)
+    singletons = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
+    labels[singletons] = 100 + np.arange(singletons.size)
+    return EmbeddingBatch(vectors, labels)
+
+
 class TestRecall:
     def test_matches_oracle(self, rng):
-        for _ in range(30):
-            n = int(rng.integers(5, 25))
-            batch = EmbeddingBatch(unit_rows(rng, n, 5), random_labels(rng, n, 3))
+        for trial in range(60):
+            if trial < 30:
+                n = int(rng.integers(5, 25))
+                batch = EmbeddingBatch(unit_rows(rng, n, 5), random_labels(rng, n, 3))
+            else:
+                batch = tie_heavy_batch(rng)
             got = recall_at_k(batch, ks=(1, 2, 4))
             want = recall_oracle(batch, (1, 2, 4))
             for k in (1, 2, 4):
@@ -218,6 +234,22 @@ class TestKMeans:
         with pytest.raises(ValueError, match="1 <= k <= n"):
             kmeans(x, 6, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("unit_norm", [True, False])
+    def test_converged_assignment_is_lloyd_fixed_point(self, seed, unit_norm):
+        # at convergence every point's own cluster mean is its nearest one, by
+        # explicit squared differences rather than the Gram form kmeans uses
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((60, 5))
+        if unit_norm:
+            x = unit_norm_rows(x)
+        assign = kmeans(x, 4, np.random.default_rng(seed + 10))
+        used = np.unique(assign)
+        centers = np.stack([x[assign == j].mean(axis=0) for j in used])
+        d2 = np.stack([np.sum((x - c) ** 2, axis=1) for c in centers], axis=1)
+        own = d2[np.arange(len(x)), np.searchsorted(used, assign)]
+        assert np.all(own <= d2.min(axis=1) + 1e-9)
+
     def test_clustering_nmi_on_blobs(self, rng):
         batch = blob_batch(rng, n_per_class=10)
         assert clustering_nmi(batch, seed=3) == pytest.approx(1.0, abs=1e-9)
@@ -296,3 +328,21 @@ class TestEvalReport:
         assert report.nmi == pytest.approx(1.0, abs=1e-9)
         assert report.inter > report.intra
         assert eval_score(report) == pytest.approx(report.recall_at[1] + report.nmi)
+
+    def test_evaluate_shares_one_distance_matrix(self, rng, monkeypatch):
+        batch = tie_heavy_batch(rng)
+        handed_out = []
+
+        def counted(b):
+            handed_out.append(pairwise_distances(b))
+            return handed_out[-1]
+
+        monkeypatch.setattr(metrics, "pairwise_distances", counted)
+        report = evaluate(batch, kmeans_seed=5)
+        monkeypatch.undo()
+        assert len(handed_out) == 1
+        assert np.array_equal(handed_out[0], pairwise_distances(batch))
+        intra, inter = class_distance_stats(batch)
+        assert report.recall_at == recall_at_k(batch)
+        assert report.nmi == clustering_nmi(batch, seed=5)
+        assert (report.intra, report.inter) == (intra, inter)
