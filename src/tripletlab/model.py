@@ -76,12 +76,74 @@ class ForwardCache:
     version: int
 
 
-class EmbeddingModel:
+def layer_views(flat: np.ndarray, dims) -> tuple[list, list]:
+    """(weights, biases) of an MLP with layer widths dims, as views into flat.
+
+    The layout is w_0, b_0, w_1, b_1, ... with each w_l of shape
+    (dims[l], dims[l+1]) in row-major order; flat must hold exactly that many
+    values. Writing a view writes flat, and the other way round.
+    """
+    weights, biases = [], []
+    offset = 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
+        offset += fan_in * fan_out
+        biases.append(flat[offset : offset + fan_out])
+        offset += fan_out
+    if offset != flat.size:
+        raise ValueError(f"expected {offset} parameters, got {flat.size}")
+    return weights, biases
+
+
+class FlatParams:
+    """Parameters held in one flat float64 buffer, `params`.
+
+    Subclasses keep their per-layer arrays as views of the buffer (see
+    layer_views), so an in-place write to the buffer is seen by every layer
+    and no step copies parameters between layouts. Every write through
+    set_params or step bumps a version counter, so caches taken before it
+    are rejected.
+    """
+
+    dims: tuple
+    params: np.ndarray
+    _version: int
+
+    def _allocate(self, dims) -> tuple[list, list]:
+        """Zeroed buffer for an MLP with layer widths dims; returns its (weights, biases) views."""
+        self.dims = tuple(dims)
+        widths = zip(self.dims[:-1], self.dims[1:])
+        self.params = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in widths))
+        self._version = 0
+        return layer_views(self.params, self.dims)
+
+    @property
+    def n_params(self) -> int:
+        return self.params.size
+
+    def get_params(self) -> np.ndarray:
+        """A copy of the flat parameter vector."""
+        return self.params.copy()
+
+    def set_params(self, flat: np.ndarray) -> None:
+        flat = np.asarray(flat, dtype=np.float64)
+        if flat.shape != self.params.shape:
+            raise ValueError(f"expected {self.n_params} parameters, got {flat.shape}")
+        self.params[...] = flat
+        self._version += 1
+
+    def step(self, opt: "Adam", grads: np.ndarray) -> None:
+        """One optimizer step, applied in place to the parameter buffer."""
+        opt.step(self.params, grads)
+        self._version += 1
+
+
+class EmbeddingModel(FlatParams):
     """MLP input_dim -> hidden... -> embedding_dim with unit-norm output rows.
 
-    Parameters live in per-layer arrays; get_params/set_params expose the
-    flattened view used by the optimizer and gradient checks. set_params
-    bumps a version counter so stale forward caches are rejected.
+    weights[l] and biases[l] are views of the flat buffer `params`;
+    get_params returns a copy of it. backward_from_embedding_grads writes
+    into a second flat buffer of the same layout, which it returns.
     """
 
     def __init__(self, input_dim: int, hidden, embedding_dim: int, rng: np.random.Generator):
@@ -90,39 +152,20 @@ class EmbeddingModel:
         self.input_dim = int(input_dim)
         self.hidden = tuple(int(h) for h in hidden)
         self.embedding_dim = int(embedding_dim)
-        dims = [self.input_dim, *self.hidden, self.embedding_dim]
-        self.weights = []
-        self.biases = []
-        for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-            scale = np.sqrt(2.0 / fan_in) if i < len(dims) - 2 else np.sqrt(1.0 / fan_in)
-            self.weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
+        self._bind_buffers()
+        for i, w in enumerate(self.weights):
+            fan_in = w.shape[0]
+            scale = np.sqrt(2.0 / fan_in) if i < len(self.weights) - 1 else np.sqrt(1.0 / fan_in)
+            w[...] = rng.normal(0.0, scale, size=w.shape)
         # tiny random output bias keeps the pre-norm row away from exact 0
-        self.biases[-1] = rng.uniform(-0.01, 0.01, size=self.embedding_dim)
-        self._version = 0
+        self.biases[-1][...] = rng.uniform(-0.01, 0.01, size=self.embedding_dim)
 
-    @property
-    def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
-    def get_params(self) -> np.ndarray:
-        chunks = []
-        for w, b in zip(self.weights, self.biases):
-            chunks.append(w.ravel())
-            chunks.append(b.ravel())
-        return np.concatenate(chunks)
-
-    def set_params(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.n_params,):
-            raise ValueError(f"expected {self.n_params} parameters, got {flat.shape}")
-        offset = 0
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = flat[offset : offset + w.size].reshape(w.shape).copy()
-            offset += w.size
-            self.biases[i] = flat[offset : offset + b.size].copy()
-            offset += b.size
-        self._version += 1
+    def _bind_buffers(self) -> None:
+        """Zeroed parameter and gradient buffers, with the per-layer views of each."""
+        dims = (self.input_dim, *self.hidden, self.embedding_dim)
+        self.weights, self.biases = self._allocate(dims)
+        self._grad = np.zeros_like(self.params)
+        self._grad_w, self._grad_b = layer_views(self._grad, dims)
 
     def forward(self, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
         """Embed a batch of raw feature rows; returns (embeddings, cache)."""
@@ -143,30 +186,24 @@ class EmbeddingModel:
         return emb, cache
 
     def backward_from_embedding_grads(self, cache: ForwardCache, d_emb: np.ndarray) -> np.ndarray:
-        """Backprop upstream gradients w.r.t. the embeddings down to a flat parameter gradient."""
+        """Backprop upstream gradients w.r.t. the embeddings down to a flat parameter gradient.
+
+        The result is the model's gradient buffer, which the next call
+        overwrites; copy it to keep it.
+        """
         if cache.version != self._version:
             raise ValueError("stale cache: parameters changed since the forward pass")
         emb = cache.embeddings
-        # normalization: emb = y / |y|, so dy = (I - emb emb^T) d_emb / |y| rowwise
-        dy = (d_emb - np.sum(d_emb * emb, axis=1, keepdims=True) * emb) / cache.norms
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
-        a_prev = cache.acts[-1] if cache.acts else cache.inputs
-        grads_w[-1] = a_prev.T @ dy
-        grads_b[-1] = dy.sum(axis=0)
-        da = dy @ self.weights[-1].T
-        for layer in range(len(self.hidden) - 1, -1, -1):
-            dz = da * (cache.pre_acts[layer] > 0.0)
+        # normalization: emb = y / |y|, so the output layer's dz = dy = (I - emb emb^T) d_emb / |y| rowwise
+        dz = (d_emb - np.sum(d_emb * emb, axis=1, keepdims=True) * emb) / cache.norms
+        for layer in range(len(self.weights) - 1, -1, -1):
             a_prev = cache.acts[layer - 1] if layer > 0 else cache.inputs
-            grads_w[layer] = a_prev.T @ dz
-            grads_b[layer] = dz.sum(axis=0)
+            np.matmul(a_prev.T, dz, out=self._grad_w[layer])
+            dz.sum(axis=0, out=self._grad_b[layer])
             if layer > 0:
                 da = dz @ self.weights[layer].T
-        chunks = []
-        for gw, gb in zip(grads_w, grads_b):
-            chunks.append(gw.ravel())
-            chunks.append(gb.ravel())
-        return np.concatenate(chunks)
+                dz = da * (cache.pre_acts[layer - 1] > 0.0)
+        return self._grad
 
     # ---- checkpointing ----
 
@@ -189,9 +226,20 @@ class EmbeddingModel:
         model.input_dim = int(payload["input_dim"])
         model.hidden = tuple(int(h) for h in payload["hidden"])
         model.embedding_dim = int(payload["embedding_dim"])
-        model.weights = [np.asarray(layer["w"], dtype=np.float64) for layer in payload["layers"]]
-        model.biases = [np.asarray(layer["b"], dtype=np.float64) for layer in payload["layers"]]
-        model._version = 0
+        model._bind_buffers()
+        layers = payload["layers"]
+        if len(layers) != len(model.weights):
+            raise ValueError(
+                f"checkpoint has {len(layers)} layers, its dimensions need {len(model.weights)}"
+            )
+        for i, (layer, w, b) in enumerate(zip(layers, model.weights, model.biases)):
+            for key, dest in (("w", w), ("b", b)):
+                value = np.asarray(layer[key], dtype=np.float64)
+                if value.shape != dest.shape:
+                    raise ValueError(
+                        f"checkpoint layer {i} {key!r} has shape {value.shape}, expected {dest.shape}"
+                    )
+                dest[...] = value
         return model
 
 
@@ -213,36 +261,27 @@ def triplet_losses(
     return margin_loss(d_ap, d_an, loss.gamma, beta)
 
 
-def backward(
-    model: EmbeddingModel,
-    cache: ForwardCache,
-    triplets: np.ndarray,
-    loss: LossConfig,
-    boundaries: np.ndarray | None = None,
+def embedding_grads(
+    emb: np.ndarray, triplets: np.ndarray, loss: LossConfig, boundaries: np.ndarray | None = None
 ) -> np.ndarray:
-    """Gradient over the flattened parameters of the mean loss over triplets.
+    """Gradient of the mean loss over non-empty triplets w.r.t. the embedding rows.
 
     Inactive hinges contribute exactly zero; hinge boundaries use the
-    inactive branch. boundaries optionally overrides the margin-loss
-    beta per triplet (used with per-class learnable boundaries).
+    inactive branch. boundaries optionally overrides the margin-loss beta
+    per triplet. The anchor, positive and negative blocks are summed into
+    their rows by one bincount over the indices (a, p, n), which adds in the
+    same order as three sequential np.add.at calls from zero.
     """
-    triplets = np.asarray(triplets)
-    if triplets.size == 0:
-        return np.zeros(model.n_params)
-    emb = cache.embeddings
     a, p, n = triplets[:, 0], triplets[:, 1], triplets[:, 2]
     diff_ap = emb[a] - emb[p]
     diff_an = emb[a] - emb[n]
-    d_emb = np.zeros_like(emb)
     t = triplets.shape[0]
     if loss.kind == "triplet":
         d_ap2 = np.sum(diff_ap**2, axis=1)
         d_an2 = np.sum(diff_an**2, axis=1)
         active = (d_ap2 - d_an2 + loss.gamma) > 0.0
         scale = np.where(active, 2.0 / t, 0.0)[:, None]
-        np.add.at(d_emb, a, scale * (diff_ap - diff_an))
-        np.add.at(d_emb, p, -scale * diff_ap)
-        np.add.at(d_emb, n, scale * diff_an)
+        blocks = (scale * (diff_ap - diff_an), -scale * diff_ap, scale * diff_an)
     else:
         beta = np.broadcast_to(
             loss.beta_margin if boundaries is None else boundaries, (t,)
@@ -255,9 +294,29 @@ def backward(
         unit_an = diff_an / d_an[:, None]
         pos_scale = np.where(pos_active, 1.0 / t, 0.0)[:, None]
         neg_scale = np.where(neg_active, 1.0 / t, 0.0)[:, None]
-        np.add.at(d_emb, a, pos_scale * unit_ap - neg_scale * unit_an)
-        np.add.at(d_emb, p, -pos_scale * unit_ap)
-        np.add.at(d_emb, n, neg_scale * unit_an)
+        blocks = (pos_scale * unit_ap - neg_scale * unit_an, -pos_scale * unit_ap, neg_scale * unit_an)
+    dim = emb.shape[1]
+    cells = (triplets.T.ravel()[:, None] * dim + np.arange(dim)).ravel()
+    sums = np.bincount(cells, weights=np.concatenate(blocks).ravel(), minlength=emb.size)
+    return sums.reshape(emb.shape)
+
+
+def backward(
+    model: EmbeddingModel,
+    cache: ForwardCache,
+    triplets: np.ndarray,
+    loss: LossConfig,
+    boundaries: np.ndarray | None = None,
+) -> np.ndarray:
+    """Gradient over the flattened parameters of the mean loss over triplets.
+
+    See embedding_grads for the loss side; an empty triplet set gives a
+    zero gradient.
+    """
+    triplets = np.asarray(triplets)
+    if triplets.size == 0:
+        return np.zeros(model.n_params)
+    d_emb = embedding_grads(cache.embeddings, triplets, loss, boundaries)
     return model.backward_from_embedding_grads(cache, d_emb)
 
 
@@ -290,8 +349,16 @@ class Adam:
     t: int = 0
     m: np.ndarray | None = field(default=None, repr=False)
     v: np.ndarray | None = field(default=None, repr=False)
+    _scratch: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
+        """Update params in place and return it; grads is left unchanged.
+
+        Each ufunc runs in the order of the expressions
+        m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*g**2 and
+        params - (lr*m_hat) / (sqrt(v_hat) + eps), so the result is
+        bit-identical to evaluating them with temporaries.
+        """
         grads = np.asarray(grads, dtype=np.float64)
         if params.shape != grads.shape:
             raise ValueError("parameter/gradient shape mismatch")
@@ -300,9 +367,22 @@ class Adam:
         if self.m is None:
             self.m = np.zeros_like(params)
             self.v = np.zeros_like(params)
+        if self._scratch is None:
+            self._scratch = np.empty((2, *params.shape))
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grads
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grads**2
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        s, u = self._scratch
+        np.multiply(1.0 - self.beta1, grads, out=s)
+        np.multiply(self.beta1, self.m, out=self.m)
+        np.add(self.m, s, out=self.m)
+        np.square(grads, out=s)
+        np.multiply(1.0 - self.beta2, s, out=s)
+        np.multiply(self.beta2, self.v, out=self.v)
+        np.add(self.v, s, out=self.v)
+        np.divide(self.m, 1.0 - self.beta1**self.t, out=s)  # m_hat
+        np.multiply(self.lr, s, out=s)
+        np.divide(self.v, 1.0 - self.beta2**self.t, out=u)  # v_hat
+        np.sqrt(u, out=u)
+        np.add(u, self.eps, out=u)
+        np.divide(s, u, out=s)
+        np.subtract(params, s, out=params)
+        return params

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metrics import METRIC_FIELDS, RunningTracks
-from .model import Adam
+from .model import Adam, FlatParams, layer_views
 
 RL_ALGORITHMS = ("reinforce", "reinforce-ema", "a2c", "ppo-ema", "ppo-a2c")
 
@@ -87,8 +87,11 @@ class PolicyCache:
     version: int
 
 
-class PolicyNetwork:
-    """state -> 128 -> 128 (ReLU) -> K*3 logits, plus optional value scalar."""
+class PolicyNetwork(FlatParams):
+    """state -> 128 -> 128 (ReLU) -> K*3 logits, plus optional value scalar.
+
+    w1..b3 are views of the flat buffer `params` (see FlatParams).
+    """
 
     def __init__(
         self,
@@ -105,74 +108,59 @@ class PolicyNetwork:
         self.has_value = bool(has_value)
         self.hidden = int(hidden)
         n_out = 3 * self.k_bins + (1 if self.has_value else 0)
-        self.w1 = rng.normal(0.0, np.sqrt(2.0 / self.state_dim), size=(self.state_dim, self.hidden))
-        self.b1 = np.zeros(self.hidden)
-        self.w2 = rng.normal(0.0, np.sqrt(2.0 / self.hidden), size=(self.hidden, self.hidden))
-        self.b2 = np.zeros(self.hidden)
-        self.w3 = rng.normal(0.0, 0.01 * np.sqrt(1.0 / self.hidden), size=(self.hidden, n_out))
-        self.b3 = np.zeros(n_out)
-        self._version = 0
+        (self.w1, self.w2, self.w3), (self.b1, self.b2, self.b3) = self._allocate(
+            (self.state_dim, self.hidden, self.hidden, n_out)
+        )
+        self.w1[...] = rng.normal(0.0, np.sqrt(2.0 / self.state_dim), size=self.w1.shape)
+        self.w2[...] = rng.normal(0.0, np.sqrt(2.0 / self.hidden), size=self.w2.shape)
+        self.w3[...] = rng.normal(0.0, 0.01 * np.sqrt(1.0 / self.hidden), size=self.w3.shape)
 
     @property
     def n_out(self) -> int:
         return self.b3.size
 
-    @property
-    def n_params(self) -> int:
-        return self.w1.size + self.b1.size + self.w2.size + self.b2.size + self.w3.size + self.b3.size
+    def forward(self, state: np.ndarray, params: np.ndarray | None = None) -> PolicyCache:
+        """Logits and value at state.
 
-    def get_params(self) -> np.ndarray:
-        return np.concatenate(
-            [self.w1.ravel(), self.b1, self.w2.ravel(), self.b2, self.w3.ravel(), self.b3]
-        )
-
-    def set_params(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.n_params,):
-            raise ValueError(f"expected {self.n_params} parameters, got {flat.shape}")
-        pieces = [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
-        offset = 0
-        out = []
-        for piece in pieces:
-            out.append(flat[offset : offset + piece.size].reshape(piece.shape).copy())
-            offset += piece.size
-        self.w1, self.b1, self.w2, self.b2, self.w3, self.b3 = out
-        self._version += 1
-
-    def forward(self, state: np.ndarray) -> PolicyCache:
+        params, a flat vector laid out like get_params(), evaluates that
+        parameter set instead of the network's own (e.g. a lagged reference
+        copy) without touching them; its cache cannot be backpropagated.
+        """
         s = np.asarray(state, dtype=np.float64)
         if s.shape != (self.state_dim,):
             raise ValueError(f"state dimension mismatch: expected {self.state_dim}, got {s.shape}")
-        z1 = s @ self.w1 + self.b1
+        flat = self.params if params is None else np.asarray(params, dtype=np.float64)
+        (w1, w2, w3), (b1, b2, b3) = layer_views(flat, self.dims)
+        version = self._version if params is None else -1
+        z1 = s @ w1 + b1
         a1 = np.maximum(z1, 0.0)
-        z2 = a1 @ self.w2 + self.b2
+        z2 = a1 @ w2 + b2
         a2 = np.maximum(z2, 0.0)
-        out = a2 @ self.w3 + self.b3
+        out = a2 @ w3 + b3
         logits = out[: 3 * self.k_bins].reshape(self.k_bins, 3)
         value = float(out[-1]) if self.has_value else None
-        return PolicyCache(s, z1, a1, z2, a2, logits, value, self._version)
+        return PolicyCache(s, z1, a1, z2, a2, logits, value, version)
 
     def backward(self, cache: PolicyCache, d_logits: np.ndarray, d_value: float = 0.0) -> np.ndarray:
-        """Flat parameter gradient given output-side gradients."""
+        """Flat parameter gradient given output-side gradients (a new array)."""
         if cache.version != self._version:
             raise ValueError("stale cache: parameters changed since the forward pass")
-        d_out = np.zeros(self.n_out)
+        grad = np.empty(self.n_params)
+        (g_w1, g_w2, g_w3), (g_b1, g_b2, g_b3) = layer_views(grad, self.dims)
+        d_out = g_b3
         d_out[: 3 * self.k_bins] = np.asarray(d_logits, dtype=np.float64).ravel()
         if self.has_value:
             d_out[-1] = d_value
         elif d_value != 0.0:
             raise ValueError("value gradient supplied but the network has no value head")
-        g_w3 = np.outer(cache.a2, d_out)
-        g_b3 = d_out
+        np.outer(cache.a2, d_out, out=g_w3)
         da2 = self.w3 @ d_out
-        dz2 = da2 * (cache.z2 > 0.0)
-        g_w2 = np.outer(cache.a1, dz2)
-        g_b2 = dz2
-        da1 = self.w2 @ dz2
-        dz1 = da1 * (cache.z1 > 0.0)
-        g_w1 = np.outer(cache.state, dz1)
-        g_b1 = dz1
-        return np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2, g_w3.ravel(), g_b3])
+        np.multiply(da2, cache.z2 > 0.0, out=g_b2)
+        np.outer(cache.a1, g_b2, out=g_w2)
+        da1 = self.w2 @ g_b2
+        np.multiply(da1, cache.z1 > 0.0, out=g_b1)
+        np.outer(cache.state, g_b1, out=g_w1)
+        return grad
 
     # ---- probability helpers ----
 
@@ -340,13 +328,7 @@ class PolicyUpdater:
         return self.algorithm in ("reinforce-ema", "ppo-ema")
 
     def _old_log_prob(self, state: np.ndarray, trits: np.ndarray) -> float:
-        saved = self.policy.get_params()
-        self.policy.set_params(self.old_params)
-        try:
-            cache = self.policy.forward(state)
-            return self.policy.log_prob(cache, trits)
-        finally:
-            self.policy.set_params(saved)
+        return self.policy.log_prob(self.policy.forward(state, self.old_params), trits)
 
     def update(self, transitions: list) -> dict:
         """One optimizer step over the given transitions (usually one)."""
@@ -355,8 +337,6 @@ class PolicyUpdater:
         grad = np.zeros(self.policy.n_params)
         diag = {"coef": [], "ratio": [], "advantage": []}
         for tr in transitions:
-            # reference log-prob first: it swaps parameters in and out,
-            # which would invalidate a cache taken beforehand
             lp_old = self._old_log_prob(tr.state, tr.trits) if self.uses_ppo else 0.0
             cache = self.policy.forward(tr.state)
             logsm = self.policy.log_softmax(cache.logits)
@@ -388,7 +368,7 @@ class PolicyUpdater:
             diag["ratio"].append(ratio)
             diag["advantage"].append(float(advantage))
         grad /= len(transitions)
-        self.policy.set_params(self.adam.step(self.policy.get_params(), grad))
+        self.policy.step(self.adam, grad)
         if self.uses_ema:
             rewards = float(np.mean([tr.reward for tr in transitions]))
             self.ema_baseline = self.ema_decay * self.ema_baseline + (1.0 - self.ema_decay) * rewards

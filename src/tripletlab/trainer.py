@@ -256,7 +256,7 @@ class TrainLoop:
         if not np.all(np.isfinite(losses)):
             raise RuntimeError("non-finite loss; aborting run")
         grad = backward(self.model, cache, triplets, cfg.loss, boundaries)
-        self.model.set_params(self.opt.step(self.model.get_params(), grad))
+        self.model.step(self.opt, grad)
         if self.beta_class is not None:
             per_triplet = margin_boundary_grads(emb, triplets, cfg.loss, boundaries)
             class_grad = np.zeros_like(self.beta_class)

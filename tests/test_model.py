@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from tripletlab.model import (
     EmbeddingModel,
     LossConfig,
     backward,
+    embedding_grads,
     margin_boundary_grads,
     margin_loss,
     triplet_loss,
@@ -29,6 +32,15 @@ def fd_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / np.maximum(np.abs(a) + np.abs(b), 1e-7)))
+
+
+def assert_bound_to_buffer(model: EmbeddingModel) -> None:
+    """Every layer array is a view of the flat buffer, and together they tile it."""
+    assert all(np.shares_memory(layer, model.params) for layer in [*model.weights, *model.biases])
+    assert np.array_equal(
+        np.concatenate([np.concatenate([w.ravel(), b]) for w, b in zip(model.weights, model.biases)]),
+        model.params,
+    )
 
 
 def make_setup(seed: int, loss_kind: str = "triplet"):
@@ -116,6 +128,83 @@ class TestForward:
         assert np.array_equal(model.forward(x)[0], clone.forward(x)[0])
 
 
+class TestFlatBuffer:
+    def test_layers_are_views_of_the_buffer(self, rng):
+        model = EmbeddingModel(6, (12, 10), 4, rng)
+        assert_bound_to_buffer(model)
+        model.set_params(rng.normal(size=model.n_params))
+        assert_bound_to_buffer(model)
+        clone = EmbeddingModel.from_dict(model.to_dict())
+        assert_bound_to_buffer(clone)
+        assert np.array_equal(clone.params, model.params)
+
+    def test_step_updates_the_buffer_in_place_and_bumps_the_version(self, rng):
+        model = EmbeddingModel(6, (12,), 4, rng)
+        buffer, before = model.params, model.get_params()
+        _, cache = model.forward(rng.normal(size=(3, 6)))
+        model.step(Adam(lr=0.01), rng.normal(size=model.n_params))
+        assert model.params is buffer
+        assert_bound_to_buffer(model)
+        assert not np.array_equal(model.params, before)
+        with pytest.raises(ValueError, match="stale cache"):
+            model.backward_from_embedding_grads(cache, np.zeros((3, 4)))
+
+    def test_get_params_is_a_copy(self, rng):
+        model = EmbeddingModel(5, (8,), 3, rng)
+        x = rng.normal(size=(4, 5))
+        emb_before = model.forward(x)[0]
+        flat = model.get_params()
+        assert not np.shares_memory(flat, model.params)
+        flat += 1.0
+        assert np.array_equal(model.forward(x)[0], emb_before)
+
+    def test_set_params_rejects_wrong_size(self, rng):
+        model = EmbeddingModel(5, (8,), 3, rng)
+        with pytest.raises(ValueError, match="parameters"):
+            model.set_params(np.zeros(model.n_params + 1))
+        with pytest.raises(ValueError, match="parameters"):
+            model.set_params(np.zeros((1, model.n_params)))
+
+    def test_backward_writes_its_gradient_buffer(self, rng):
+        model, x, triplets, loss = make_setup(3)
+        _, cache = model.forward(x)
+        first = backward(model, cache, triplets, loss)
+        kept = first.copy()
+        assert not np.shares_memory(first, model.params)
+        again = backward(model, cache, triplets, loss)
+        assert again is first
+        assert np.array_equal(again, kept)
+
+
+#: (edit of the checkpoint's layer list, expected error) for layers that do not fit the dimensions
+MALFORMED_LAYERS = [
+    (lambda layers: layers.pop(), "2 layers"),
+    (lambda layers: layers.append(layers[-1]), "4 layers"),
+    (lambda layers: layers[1].update(w=layers[1]["w"][:1]), "layer 1 'w'"),
+    (lambda layers: layers[1].update(w=np.asarray(layers[1]["w"]).T.tolist()), "layer 1 'w'"),
+    (lambda layers: layers[0].update(b=layers[0]["b"][:1]), "layer 0 'b'"),
+    (lambda layers: layers[2].update(b=0.5), "layer 2 'b'"),
+    (lambda layers: layers[2].update(b=[layers[2]["b"]]), "layer 2 'b'"),
+]
+
+
+class TestCheckpointShapes:
+    @pytest.mark.parametrize("edit,message", MALFORMED_LAYERS)
+    def test_malformed_layers_rejected_by_name(self, rng, edit, message):
+        payload = EmbeddingModel(6, (12, 10), 4, rng).to_dict()
+        layers = [dict(layer) for layer in payload["layers"]]
+        edit(layers)
+        with pytest.raises(ValueError, match=message):
+            EmbeddingModel.from_dict({**payload, "layers": layers})
+
+    def test_dimension_fields_must_match_layers(self, rng):
+        payload = EmbeddingModel(6, (12, 10), 4, rng).to_dict()
+        with pytest.raises(ValueError, match="layer 0 'w'"):
+            EmbeddingModel.from_dict({**payload, "input_dim": 5})
+        with pytest.raises(ValueError, match="layers"):
+            EmbeddingModel.from_dict({**payload, "hidden": [12]})
+
+
 class TestGradients:
     @pytest.mark.parametrize("loss_kind", ["triplet", "margin"])
     def test_matches_finite_differences(self, loss_kind):
@@ -168,7 +257,111 @@ class TestGradients:
         assert rel_err(grad, fd_grad(objective, beta)) < 1e-4
 
 
+@dataclass
+class ExpressionAdam:
+    """Adam written as whole-array expressions: the reference for the in-place step."""
+
+    lr: float = 1e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    t: int = 0
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+
+    def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
+        if self.m is None:
+            self.m = np.zeros_like(params)
+            self.v = np.zeros_like(params)
+        self.t += 1
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grads
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grads**2
+        m_hat = self.m / (1.0 - self.beta1**self.t)
+        v_hat = self.v / (1.0 - self.beta2**self.t)
+        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def reference_embedding_grads(emb, triplets, loss: LossConfig, boundaries=None) -> np.ndarray:
+    """Embedding gradient scattered by three sequential np.add.at calls (anchor, positive, negative)."""
+    a, p, n = triplets[:, 0], triplets[:, 1], triplets[:, 2]
+    diff_ap = emb[a] - emb[p]
+    diff_an = emb[a] - emb[n]
+    d_emb = np.zeros_like(emb)
+    t = triplets.shape[0]
+    if loss.kind == "triplet":
+        d_ap2 = np.sum(diff_ap**2, axis=1)
+        d_an2 = np.sum(diff_an**2, axis=1)
+        active = (d_ap2 - d_an2 + loss.gamma) > 0.0
+        scale = np.where(active, 2.0 / t, 0.0)[:, None]
+        np.add.at(d_emb, a, scale * (diff_ap - diff_an))
+        np.add.at(d_emb, p, -scale * diff_ap)
+        np.add.at(d_emb, n, scale * diff_an)
+    else:
+        beta = np.broadcast_to(loss.beta_margin if boundaries is None else boundaries, (t,))
+        d_ap = np.maximum(np.linalg.norm(diff_ap, axis=1), 1e-30)
+        d_an = np.maximum(np.linalg.norm(diff_an, axis=1), 1e-30)
+        pos_active = (loss.gamma + d_ap - beta) > 0.0
+        neg_active = (loss.gamma - d_an + beta) > 0.0
+        unit_ap = diff_ap / d_ap[:, None]
+        unit_an = diff_an / d_an[:, None]
+        pos_scale = np.where(pos_active, 1.0 / t, 0.0)[:, None]
+        neg_scale = np.where(neg_active, 1.0 / t, 0.0)[:, None]
+        np.add.at(d_emb, a, pos_scale * unit_ap - neg_scale * unit_an)
+        np.add.at(d_emb, p, -pos_scale * unit_ap)
+        np.add.at(d_emb, n, neg_scale * unit_an)
+    return d_emb
+
+
+@pytest.mark.parametrize("loss_kind", ["triplet", "margin"])
+@settings(max_examples=60, deadline=None)
+@given(
+    n_rows=st.integers(1, 9),
+    dim=st.integers(2, 5),
+    index_seed=st.integers(0, 2**32 - 1),
+    n_triplets=st.integers(1, 30),
+    gamma=st.floats(0.05, 1.0),
+    beta=st.floats(0.5, 1.5),
+    per_triplet_beta=st.booleans(),
+)
+def test_embedding_grads_match_add_at_reference(
+    loss_kind, n_rows, dim, index_seed, n_triplets, gamma, beta, per_triplet_beta
+):
+    rng = np.random.default_rng(index_seed)
+    emb = rng.normal(size=(n_rows, dim))
+    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+    # few rows and many triplets: every index repeats, within and across the three columns
+    triplets = rng.integers(0, n_rows, size=(n_triplets, 3))
+    loss = LossConfig(kind=loss_kind, gamma=gamma, beta_margin=beta)
+    boundaries = None
+    if loss_kind == "margin" and per_triplet_beta:
+        boundaries = rng.uniform(0.5, 1.5, size=n_triplets)
+    want = reference_embedding_grads(emb, triplets, loss, boundaries)
+    got = embedding_grads(emb, triplets, loss, boundaries)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 class TestAdam:
+    @pytest.mark.parametrize("lr", [1e-3, 0.05, 0.0])
+    def test_in_place_step_is_bit_identical_to_expressions(self, lr):
+        rng = np.random.default_rng(17)
+        opt, ref = Adam(lr=lr), ExpressionAdam(lr=lr)
+        params = rng.normal(size=257)
+        want = params.copy()
+        for _ in range(250):
+            grads = rng.normal(size=params.size) * 10.0 ** rng.uniform(-8, 3, size=params.size)
+            grads[rng.random(params.size) < 0.05] = 0.0
+            grads_before = grads.copy()
+            out = opt.step(params, grads)
+            want = ref.step(want, grads)
+            assert out is params
+            assert grads.tobytes() == grads_before.tobytes()
+            assert params.tobytes() == want.tobytes()
+            assert opt.m.tobytes() == ref.m.tobytes()
+            assert opt.v.tobytes() == ref.v.tobytes()
+        assert opt.t == ref.t == 250
+
+
     def test_first_step_magnitude_is_lr(self):
         opt = Adam(lr=0.01)
         params = np.zeros(3)

@@ -172,6 +172,54 @@ class TestPolicyNetwork:
         s = rng.standard_normal(policy.state_dim)
         assert np.array_equal(clone.forward(s).logits, policy.forward(s).logits)
 
+    def test_layers_are_views_of_the_buffer(self, rng):
+        policy = make_policy(seed=12, has_value=True)
+
+        def bound(net):
+            layers = [net.w1, net.b1, net.w2, net.b2, net.w3, net.b3]
+            flat = np.concatenate([layer.ravel() for layer in layers])
+            return all(np.shares_memory(layer, net.params) for layer in layers) and np.array_equal(
+                flat, net.params
+            )
+
+        assert bound(policy)
+        policy.set_params(rng.normal(size=policy.n_params))
+        assert bound(policy)
+        assert bound(PolicyNetwork.from_dict(policy.to_dict()))
+        updater = PolicyUpdater(policy, "a2c", lr=1e-3)
+        buffer = policy.params
+        updater.update([make_transition(policy, rng.standard_normal(policy.state_dim), rng, reward=1)])
+        assert policy.params is buffer
+        assert bound(policy)
+
+    def test_get_params_is_a_copy(self, rng):
+        policy = make_policy(seed=13)
+        s = rng.standard_normal(policy.state_dim)
+        logits = policy.forward(s).logits
+        theta = policy.get_params()
+        theta += 1.0
+        assert np.array_equal(policy.forward(s).logits, logits)
+
+    def test_forward_with_explicit_params(self, rng):
+        policy = make_policy(seed=14, has_value=True)
+        s = rng.standard_normal(policy.state_dim)
+        theta = rng.normal(size=policy.n_params) * 0.1
+        before = policy.get_params()
+        live = policy.forward(s)
+        other = policy.forward(s, theta)
+        probe = make_policy(seed=14, has_value=True)
+        probe.set_params(theta)
+        want = probe.forward(s)
+        assert np.array_equal(other.logits, want.logits)
+        assert other.value == want.value
+        # the live parameters are untouched and a cache taken before stays valid
+        assert np.array_equal(policy.get_params(), before)
+        policy.backward(live, np.zeros((policy.k_bins, 3)))
+        with pytest.raises(ValueError, match="stale cache"):
+            policy.backward(other, np.zeros((policy.k_bins, 3)))
+        with pytest.raises(ValueError, match="parameters"):
+            policy.forward(s, theta[:-1])
+
     def test_checkpoint_kind_rejected(self):
         with pytest.raises(ValueError, match="unsupported checkpoint kind"):
             PolicyNetwork.from_dict({"kind": "mlp-unit-norm"})

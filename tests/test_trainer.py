@@ -97,6 +97,20 @@ class TestEpisodeMechanics:
         loop.run()
         assert loop.opt.t == 1
 
+    def test_train_step_updates_the_buffer_in_place(self, tmp_path):
+        loop = TrainLoop(small_flat(**{"sampler.kind": "random"}), tmp_path / "run")
+        model = loop.model
+        buffer, before = model.params, model.get_params()
+        x = loop.dataset.features[:4]
+        _, cache = model.forward(x)
+        loop._train_step()
+        assert model.params is buffer
+        assert all(np.shares_memory(layer, buffer) for layer in [*model.weights, *model.biases])
+        assert not np.array_equal(buffer, before)
+        # the in-place update still bumps the version: the earlier cache is stale
+        with pytest.raises(ValueError, match="stale cache"):
+            model.backward_from_embedding_grads(cache, np.zeros((4, model.embedding_dim)))
+
     def test_zero_learning_rate_gives_zero_rewards(self, tmp_path):
         cfg = small_flat(**{"sampler.kind": "random", "model.lr": 0.0})
         train(cfg, tmp_path / "run")
