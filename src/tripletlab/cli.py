@@ -18,9 +18,8 @@ import statistics
 import sys
 from pathlib import Path
 
-from .config import ConfigError, config_from_flat, config_to_flat, parse_kv_file
+from .config import ConfigError, config_from_flat, config_to_flat, load_config
 from .data import generate_synthetic, save_dataset
-from .samplers import SAMPLER_KINDS
 from .trainer import train
 
 
@@ -35,14 +34,14 @@ def _overrides_from_args(pairs) -> dict:
 
 
 def _build_config(args):
-    flat = parse_kv_file(args.config) if args.config else {}
-    flat.update(_overrides_from_args(getattr(args, "set", None)))
-    if getattr(args, "seed", None) is not None:
-        flat["seed"] = str(args.seed)
-    cfg, warns = config_from_flat(flat)
+    overrides = _overrides_from_args(args.set)
+    if args.seed is not None:
+        overrides["seed"] = str(args.seed)
+    cfg, warns = load_config(args.config, overrides)
     for w in warns:
         print(f"warning: {w}", file=sys.stderr)
     return cfg
+
 
 def _with_overrides(cfg, **kv):
     flat = config_to_flat(cfg)
@@ -72,25 +71,23 @@ def cmd_compare(args) -> int:
     samplers = [s.strip() for s in args.samplers.split(",") if s.strip()]
     if len(samplers) < 2:
         raise ConfigError(["compare needs at least 2 sampler kinds"])
-    for s in samplers:
-        if s not in SAMPLER_KINDS:
-            raise ConfigError(
-                [f"unknown sampler kind {s!r}; valid kinds: {', '.join(SAMPLER_KINDS)}"]
-            )
     if args.seeds < 1:
         raise ConfigError(["compare needs at least 1 seed"])
+    # every run config is built, and so validated, before the first run trains
+    runs = [
+        (sampler, seed, _with_overrides(cfg, **{"sampler.kind": sampler, "seed": seed}))
+        for sampler in samplers
+        for seed in range(cfg.seed, cfg.seed + args.seeds)
+    ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = ["sampler,seed,final_r1,final_nmi"]
     finals: dict = {s: [] for s in samplers}
-    for sampler in samplers:
-        for offset in range(args.seeds):
-            seed = cfg.seed + offset
-            run_cfg = _with_overrides(cfg, **{"sampler.kind": sampler, "seed": seed})
-            summary = train(run_cfg, out / _run_dir_name(sampler, seed))
-            r1, nmi = _final_metrics(summary)
-            finals[sampler].append((r1, nmi))
-            rows.append(f"{sampler},{seed},{r1!r},{nmi!r}")
+    for sampler, seed, run_cfg in runs:
+        summary = train(run_cfg, out / _run_dir_name(sampler, seed))
+        r1, nmi = _final_metrics(summary)
+        finals[sampler].append((r1, nmi))
+        rows.append(f"{sampler},{seed},{r1!r},{nmi!r}")
     for sampler in samplers:
         med_r1 = statistics.median(v[0] for v in finals[sampler])
         med_nmi = statistics.median(v[1] for v in finals[sampler])
@@ -108,15 +105,19 @@ def cmd_sweep(args) -> int:
         raise ConfigError(["sweep needs at least one value"])
     if args.seeds < 1:
         raise ConfigError(["sweep needs at least 1 seed"])
+    seeds = range(cfg.seed, cfg.seed + args.seeds)
+    # every run config is built, and so validated, before the first run trains
+    runs = [
+        (value, [(s, _with_overrides(cfg, **{args.param: value, "seed": s})) for s in seeds])
+        for value in values
+    ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = [f"{args.param},seed,final_r1,final_nmi"]
-    for value in values:
+    for value, value_runs in runs:
+        tag = value.replace("/", "_").replace(":", "_").replace(",", "+")
         per_value = []
-        for offset in range(args.seeds):
-            seed = cfg.seed + offset
-            run_cfg = _with_overrides(cfg, **{args.param: value, "seed": seed})
-            tag = value.replace("/", "_").replace(":", "_").replace(",", "+")
+        for seed, run_cfg in value_runs:
             summary = train(run_cfg, out / f"{args.param}={tag}-s{seed}")
             r1, nmi = _final_metrics(summary)
             per_value.append((r1, nmi))

@@ -2,19 +2,20 @@
 
 A config file is plain `key = value` lines (# comments allowed). Every
 hyperparameter is a named key with a default; unknown keys are rejected.
-The resolved form written next to run artifacts echoes every key in sorted
-order and reproduces the run exactly when fed back in.
+The section dataclasses below are the schema: each field is the key
+`<section>.<field>`, its default is the key's default and its type decides
+how the value is parsed. The resolved form written next to run artifacts
+echoes every key in sorted order and reproduces the run exactly when fed
+back in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, fields, is_dataclass
 
 from .model import LossConfig
 from .rl import RL_ALGORITHMS
-from .samplers import SAMPLER_KINDS, init_pmf
+from .samplers import _check_bins, init_pmf, require_valid_kind
 
 #: accepted rl.algorithm values; frozen-identity is a diagnostic mode that
 #: always emits the maintain action and never updates (reduction testing)
@@ -121,76 +122,33 @@ class RunConfig:
         return self.train.total_iterations // self.train.m
 
 
-# key -> (type tag, default). Type tags: int, float, str, bool, ints.
-SCHEMA = {
-    "seed": ("int", 0),
-    "data.path": ("str", ""),
-    "data.n_classes": ("int", 8),
-    "data.per_class": ("int", 200),
-    "data.input_dim": ("int", 20),
-    "data.center_spread": ("float", 1.0),
-    "data.within_std": ("float", 1.0),
-    "data.seed": ("int", 0),
-    "model.hidden": ("ints", (64, 64)),
-    "model.embedding_dim": ("int", 32),
-    "model.lr": ("float", 1e-3),
-    "loss.kind": ("str", "triplet"),
-    "loss.gamma": ("float", 0.2),
-    "loss.beta_margin": ("float", 1.2),
-    "loss.learnable_beta": ("bool", False),
-    "loss.beta_lr": ("float", 5e-4),
-    "sampler.kind": ("str", "pads"),
-    "sampler.clip_lambda": ("float", 0.0),
-    "sampler.self_reg": ("bool", False),
-    "pmf.lambda_min": ("float", 0.1),
-    "pmf.lambda_max": ("float", 1.4),
-    "pmf.k": ("int", 30),
-    "pmf.init": ("str", "uniform"),
-    "pmf.alpha": ("float", 0.8),
-    "pmf.beta": ("float", 1.25),
-    "rl.algorithm": ("str", "ppo-a2c"),
-    "rl.lr": ("float", 1e-4),
-    "rl.ema_decay": ("float", 0.9),
-    "rl.value_coef": ("float", 0.5),
-    "rl.hidden": ("int", 128),
-    "rl.state_recalls": ("ints", (1, 2, 4)),
-    "ppo.epsilon": ("float", 0.2),
-    "ppo.old_refresh": ("int", 5),
-    "train.m": ("int", 30),
-    "train.total_iterations": ("int", 4500),
-    "train.classes_per_batch": ("int", 4),
-    "train.samples_per_class": ("int", 4),
-    "train.val_fraction": ("float", 0.15),
-    "train.split_mode": ("str", "per-class"),
-    "train.running_averages": ("ints", (2, 8, 16, 32)),
-    "train.history": ("int", 20),
-    "train.log_transitions": ("bool", True),
-    "transfer.mode": ("str", "none"),
-    "transfer.policy_path": ("str", ""),
-    "transfer.pmf_path": ("str", ""),
-}
+def _leaves(obj, prefix=""):
+    """(flat key, value) for every field, sections walked in declaration order."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, value
 
 
-def _parse_value(tag: str, raw: str):
+#: flat key -> default; the section dataclasses are the only schema
+SCHEMA = dict(_leaves(RunConfig()))
+
+
+def _parse_value(default, raw: str):
+    """Parse raw as the type of default; tuples are comma-separated ints."""
     raw = raw.strip()
-    if tag == "int":
-        return int(raw)
-    if tag == "float":
-        return float(raw)
-    if tag == "str":
-        return raw
-    if tag == "bool":
+    if isinstance(default, bool):
         lowered = raw.lower()
         if lowered in ("true", "1", "yes"):
             return True
         if lowered in ("false", "0", "no"):
             return False
         raise ValueError(f"not a boolean: {raw!r}")
-    if tag == "ints":
-        if not raw:
-            return ()
-        return tuple(int(x) for x in raw.split(","))
-    raise AssertionError(f"unhandled type tag {tag}")
+    if isinstance(default, tuple):
+        return tuple(int(x) for x in raw.split(",")) if raw else ()
+    return type(default)(raw)
 
 
 def _format_value(value) -> str:
@@ -222,6 +180,26 @@ def parse_kv_file(path) -> dict:
         return parse_kv_lines(fh, source=str(path))
 
 
+def _raised(check, *args) -> list:
+    """The problems check reports through its ValueError, one per line."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc).splitlines()
+    return []
+
+
+def _build(cls, values: dict, prefix: str = ""):
+    """Instantiate cls from the flat values, nested sections included."""
+    kwargs = {}
+    for f in fields(cls):
+        if is_dataclass(f.default):
+            kwargs[f.name] = _build(type(f.default), values, f"{prefix}{f.name}.")
+        else:
+            kwargs[f.name] = values[prefix + f.name]
+    return cls(**kwargs)
+
+
 def _validate(values: dict) -> tuple[list, list]:
     errors, warnings_ = [], []
 
@@ -229,33 +207,21 @@ def _validate(values: dict) -> tuple[list, list]:
         if not cond:
             errors.append(msg)
 
-    need(values["loss.kind"] in ("triplet", "margin"), "loss.kind must be triplet or margin")
-    need(values["loss.gamma"] > 0, "loss.gamma must be positive")
-    need(values["loss.beta_margin"] > 0, "loss.beta_margin must be positive")
-    need(values["loss.beta_lr"] >= 0, "loss.beta_lr must be nonnegative")
-    if values["sampler.kind"] not in SAMPLER_KINDS:
-        errors.append(
-            f"unknown sampler kind {values['sampler.kind']!r}; "
-            f"valid kinds: {', '.join(SAMPLER_KINDS)}"
-        )
+    errors += _raised(_build, LossConfig, values, "loss.")
+    errors += _raised(require_valid_kind, values["sampler.kind"])
     if values["rl.algorithm"] not in ALGORITHM_CHOICES:
         errors.append(
             f"unknown rl algorithm {values['rl.algorithm']!r}; "
             f"valid algorithms: {', '.join(ALGORITHM_CHOICES)}"
         )
     need(values["sampler.clip_lambda"] >= 0, "sampler.clip_lambda must be nonnegative (0 = auto)")
-    need(
-        0.0 <= values["pmf.lambda_min"] < values["pmf.lambda_max"] <= 2.0,
-        "pmf interval must satisfy 0 <= lambda_min < lambda_max <= 2",
-    )
-    need(values["pmf.k"] >= 2, "pmf.k must be >= 2")
+    bins = (values["pmf.lambda_min"], values["pmf.lambda_max"], values["pmf.k"])
+    bin_errors = _raised(_check_bins, *bins)
+    errors += bin_errors
+    if not bin_errors:
+        errors += [f"pmf.init: {e}" for e in _raised(init_pmf, *bins, values["pmf.init"])]
     need(0.0 < values["pmf.alpha"] < 1.0, "pmf.alpha must lie in (0, 1)")
     need(values["pmf.beta"] > 1.0, "pmf.beta must exceed 1")
-    if not errors:
-        try:
-            init_pmf(values["pmf.lambda_min"], values["pmf.lambda_max"], values["pmf.k"], values["pmf.init"])
-        except ValueError as exc:
-            errors.append(f"pmf.init: {exc}")
     if (
         0.0 < values["pmf.alpha"] < 1.0
         and values["pmf.beta"] > 1.0
@@ -331,65 +297,23 @@ def config_from_flat(flat: dict) -> tuple["RunConfig", list]:
     Raises ConfigError listing every problem at once; returns the config
     plus non-fatal lint warnings otherwise.
     """
-    errors = []
-    unknown = sorted(set(flat) - set(SCHEMA))
-    errors.extend(f"unknown config key {k!r}" for k in unknown)
+    errors = [f"unknown config key {k!r}" for k in sorted(set(flat) - set(SCHEMA))]
     values = {}
-    for key, (tag, default) in SCHEMA.items():
-        if key in flat:
-            try:
-                values[key] = _parse_value(tag, flat[key])
-            except ValueError as exc:
-                errors.append(f"{key}: {exc}")
-        else:
-            values[key] = default
+    for key, default in SCHEMA.items():
+        try:
+            values[key] = _parse_value(default, flat[key]) if key in flat else default
+        except ValueError as exc:
+            errors.append(f"{key}: {exc}")
     if errors:
         raise ConfigError(errors)
     sem_errors, warnings_ = _validate(values)
     if sem_errors:
         raise ConfigError(sem_errors)
-
-    def section(prefix, cls, **renames):
-        kwargs = {}
-        for key, value in values.items():
-            if key.startswith(prefix + "."):
-                field_name = key[len(prefix) + 1 :]
-                kwargs[renames.get(field_name, field_name)] = value
-        return cls(**kwargs)
-
-    cfg = RunConfig(
-        seed=values["seed"],
-        data=section("data", DataConfig),
-        model=section("model", ModelConfig),
-        loss=section("loss", LossConfig),
-        sampler=section("sampler", SamplerConfig),
-        pmf=section("pmf", PMFConfig),
-        rl=section("rl", RLConfig),
-        ppo=section("ppo", PPOConfig),
-        train=section("train", TrainConfig),
-        transfer=section("transfer", TransferConfig),
-    )
-    return cfg, warnings_
+    return _build(RunConfig, values), warnings_
 
 
 def config_to_flat(cfg: RunConfig) -> dict:
-    sections = {
-        "data": cfg.data,
-        "model": cfg.model,
-        "loss": cfg.loss,
-        "sampler": cfg.sampler,
-        "pmf": cfg.pmf,
-        "rl": cfg.rl,
-        "ppo": cfg.ppo,
-        "train": cfg.train,
-        "transfer": cfg.transfer,
-    }
-    flat = {"seed": _format_value(cfg.seed)}
-    for prefix, obj in sections.items():
-        for key in SCHEMA:
-            if key.startswith(prefix + "."):
-                flat[key] = _format_value(getattr(obj, key[len(prefix) + 1 :]))
-    return flat
+    return {key: _format_value(value) for key, value in _leaves(cfg)}
 
 
 def resolved_lines(cfg: RunConfig) -> list:

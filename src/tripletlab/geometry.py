@@ -66,12 +66,13 @@ def pairwise_distances(batch: EmbeddingBatch) -> np.ndarray:
     """All-pairs Euclidean distances via d^2 = 2 - 2<x, y> for unit vectors.
 
     The Gram form is one matmul instead of N^2 norms; tiny negative d^2
-    from rounding is clamped to 0 before the sqrt, and the result is
-    symmetrized so the matrix is exactly symmetric with a zero diagonal.
+    from rounding is clamped to 0 before the sqrt, and the diagonal is set
+    to exactly 0. The matrix is exactly symmetric without a transposed
+    add: numpy computes v @ v.T as one symmetric rank-k update (BLAS syrk)
+    that fills one triangle and mirrors it.
     """
     v = batch.vectors
     d2 = 2.0 - 2.0 * (v @ v.T)
-    d2 = 0.5 * (d2 + d2.T)
     np.clip(d2, 0.0, 4.0, out=d2)
     np.fill_diagonal(d2, 0.0)
     return np.sqrt(d2)

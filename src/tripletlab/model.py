@@ -27,6 +27,9 @@ class LossConfig:
     beta_margin may optionally be learned per anchor class (see trainer);
     the loss functions here take the effective boundary as an argument and
     beta_lr is the plain gradient step applied to it.
+
+    Construction raises one ValueError that lists every invalid field, one
+    per line, named by its flat config key.
     """
 
     kind: str = "triplet"
@@ -36,12 +39,17 @@ class LossConfig:
     beta_lr: float = 5e-4
 
     def __post_init__(self):
+        problems = []
         if self.kind not in ("triplet", "margin"):
-            raise ValueError(f"unknown loss kind {self.kind!r}")
+            problems.append(f"unknown loss kind {self.kind!r}; loss.kind must be triplet or margin")
         if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.kind == "margin" and self.beta_margin <= 0:
-            raise ValueError("beta_margin must be positive")
+            problems.append("loss.gamma must be positive")
+        if self.beta_margin <= 0:
+            problems.append("loss.beta_margin must be positive")
+        if self.beta_lr < 0:
+            problems.append("loss.beta_lr must be nonnegative")
+        if problems:
+            raise ValueError("\n".join(problems))
 
 
 def triplet_loss(d_ap, d_an, gamma: float):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import log_analytic_density
+from .geometry import inverse_density_weights, log_analytic_density
 
 SAMPLER_KINDS = (
     "random",
@@ -42,6 +42,20 @@ def require_valid_kind(kind: str) -> str:
 # Discretized distance PMF
 # -------------------------
 
+def _check_bins(lambda_min: float, lambda_max: float, k: int) -> None:
+    """Raise one ValueError listing every problem of a K-bin interval, one per line."""
+    problems = []
+    if k < 2:
+        problems.append(f"pmf.k must be >= 2, got {k}")
+    if not (0.0 <= lambda_min < lambda_max <= 2.0):
+        problems.append(
+            "pmf interval must satisfy 0 <= lambda_min < lambda_max <= 2, "
+            f"got [{lambda_min}, {lambda_max}]"
+        )
+    if problems:
+        raise ValueError("\n".join(problems))
+
+
 @dataclass(frozen=True)
 class SamplingPMF:
     """K-bin histogram distribution over anchor-negative distance.
@@ -57,13 +71,9 @@ class SamplingPMF:
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=np.float64)
-        if p.ndim != 1 or p.size < 2:
-            raise ValueError("need at least 2 bins")
-        if not (0.0 <= self.lambda_min < self.lambda_max <= 2.0):
-            raise ValueError(
-                f"need 0 <= lambda_min < lambda_max <= 2, got "
-                f"[{self.lambda_min}, {self.lambda_max}]"
-            )
+        if p.ndim != 1:
+            raise ValueError(f"bin probabilities must be one-dimensional, got shape {p.shape}")
+        _check_bins(self.lambda_min, self.lambda_max, p.size)
         if np.any(p < 0.0):
             raise ValueError("bin probabilities must be nonnegative")
         if abs(p.sum() - 1.0) > 1e-9:
@@ -102,12 +112,7 @@ def init_pmf(lambda_min: float, lambda_max: float, k: int, init: str = "uniform"
                                 epsilon mass elsewhere
       "gaussian:<mu>:<sigma>"   bell curve evaluated at bin centers
     """
-    if k < 2:
-        raise ValueError(f"need k >= 2 bins, got {k}")
-    if not (0.0 <= lambda_min < lambda_max <= 2.0):
-        raise ValueError(
-            f"need 0 <= lambda_min < lambda_max <= 2, got [{lambda_min}, {lambda_max}]"
-        )
+    _check_bins(lambda_min, lambda_max, k)
     edges = np.linspace(lambda_min, lambda_max, k + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     parts = init.split(":")
@@ -275,8 +280,7 @@ def curriculum_pmf(
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"progress must lie in [0, 1], got {t}")
-    if k < 2:
-        raise ValueError(f"need k >= 2 bins, got {k}")
+    _check_bins(lambda_min, lambda_max, k)
     edges = np.linspace(lambda_min, lambda_max, k + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     if kind == "linear":
@@ -285,13 +289,8 @@ def curriculum_pmf(
         hi = lo + width
         inside = (edges[1:] > lo) & (edges[:-1] < hi)
         p = inside.astype(np.float64)
-        p = p / p.sum()
     elif kind == "nonlinear":
-        log_w = -log_analytic_density(np.clip(centers, 1e-9, 2.0 - 1e-9), dim)
-        log_cap = math.log(4.0) + np.median(log_w)
-        log_w = np.minimum(log_w, log_cap) - 4.0 * t * (centers - lambda_min)
-        p = np.exp(log_w - np.max(log_w))
-        p = p / p.sum()
+        p = inverse_density_weights(centers, dim) * np.exp(-4.0 * t * (centers - lambda_min))
     else:
         raise ValueError(f"unknown curriculum kind {kind!r}; valid kinds: linear, nonlinear")
-    return SamplingPMF(lambda_min, lambda_max, p)
+    return SamplingPMF(lambda_min, lambda_max, p / p.sum())

@@ -164,9 +164,9 @@ class TrainLoop:
         self.frozen_policy = False
         if self.kind in PMF_SAMPLER_KINDS:
             self.pmf = init_pmf(cfg.pmf.lambda_min, cfg.pmf.lambda_max, cfg.pmf.k, cfg.pmf.init)
+        self.tracks = RunningTracks(cfg.train.running_averages, cfg.train.history)
         if self.kind == "pads":
             self._setup_policy()
-        self.tracks = RunningTracks(cfg.train.running_averages, cfg.train.history)
         self.fallbacks = 0
 
     def _setup_policy(self):
@@ -181,7 +181,7 @@ class TrainLoop:
             # diagnostic mode: the maintain action every episode, no updates
             self.frozen_policy = True
             return
-        sdim = state_dim(cfg.pmf.k, self.tracks_template(), cfg.rl.state_recalls)
+        sdim = state_dim(cfg.pmf.k, self.tracks, cfg.rl.state_recalls)
         if mode == "fixed-policy":
             payload = json.loads(Path(cfg.transfer.policy_path).read_text())
             self.policy = PolicyNetwork.from_dict(payload)
@@ -208,9 +208,6 @@ class TrainLoop:
             ema_decay=cfg.rl.ema_decay,
             value_coef=cfg.rl.value_coef,
         )
-
-    def tracks_template(self) -> RunningTracks:
-        return RunningTracks(self.cfg.train.running_averages, self.cfg.train.history)
 
     # ---- one DML iteration ----
 

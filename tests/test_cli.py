@@ -136,6 +136,15 @@ class TestCompare:
         err = capsys.readouterr().err
         assert "unknown sampler kind 'hardest'" in err and "valid kinds" in err
         assert not (tmp_path / "cmp" / "comparison.csv").exists()
+        assert not list((tmp_path / "cmp").glob("*-s*"))
+
+    def test_invalid_later_config_trains_nothing(self, base_cfg, tmp_path, capsys):
+        # pads is valid at dim 2; distweighted is not, and it comes second
+        rc = main(["compare", "--config", str(base_cfg), "--samplers", "pads,distweighted",
+                   "--set", "model.embedding_dim=2", "--out", str(tmp_path / "cmp")])
+        assert rc == 1
+        assert "model.embedding_dim >= 3" in capsys.readouterr().err
+        assert not list((tmp_path / "cmp").glob("*"))
 
 
 class TestSweep:
@@ -156,6 +165,13 @@ class TestSweep:
                    "--values", "1,2", "--out", str(tmp_path / "sweep")])
         assert rc == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_invalid_later_value_trains_nothing(self, base_cfg, tmp_path, capsys):
+        rc = main(["sweep", "--config", str(base_cfg), "--param", "pmf.k",
+                   "--values", "30,1", "--out", str(tmp_path / "sweep")])
+        assert rc == 1
+        assert "pmf.k must be >= 2" in capsys.readouterr().err
+        assert not list((tmp_path / "sweep").glob("*"))
 
 
 class TestGenData:

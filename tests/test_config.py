@@ -167,3 +167,194 @@ class TestRoundTrip:
 
     def test_default_equals_dataclass_default(self):
         assert config_to_flat(build({})) == config_to_flat(RunConfig())
+
+
+# ---- the schema derived from the section dataclasses ----
+
+#: resolved_lines of the default config, written out key by key so that a
+#: renamed, dropped, added or retyped key fails here
+DEFAULT_RESOLVED = [
+    "data.center_spread=1.0",
+    "data.input_dim=20",
+    "data.n_classes=8",
+    "data.path=",
+    "data.per_class=200",
+    "data.seed=0",
+    "data.within_std=1.0",
+    "loss.beta_lr=0.0005",
+    "loss.beta_margin=1.2",
+    "loss.gamma=0.2",
+    "loss.kind=triplet",
+    "loss.learnable_beta=false",
+    "model.embedding_dim=32",
+    "model.hidden=64,64",
+    "model.lr=0.001",
+    "pmf.alpha=0.8",
+    "pmf.beta=1.25",
+    "pmf.init=uniform",
+    "pmf.k=30",
+    "pmf.lambda_max=1.4",
+    "pmf.lambda_min=0.1",
+    "ppo.epsilon=0.2",
+    "ppo.old_refresh=5",
+    "rl.algorithm=ppo-a2c",
+    "rl.ema_decay=0.9",
+    "rl.hidden=128",
+    "rl.lr=0.0001",
+    "rl.state_recalls=1,2,4",
+    "rl.value_coef=0.5",
+    "sampler.clip_lambda=0.0",
+    "sampler.kind=pads",
+    "sampler.self_reg=false",
+    "seed=0",
+    "train.classes_per_batch=4",
+    "train.history=20",
+    "train.log_transitions=true",
+    "train.m=30",
+    "train.running_averages=2,8,16,32",
+    "train.samples_per_class=4",
+    "train.split_mode=per-class",
+    "train.total_iterations=4500",
+    "train.val_fraction=0.15",
+    "transfer.mode=none",
+    "transfer.pmf_path=",
+    "transfer.policy_path=",
+]
+
+#: overrides of the acceptance suite's SMALL config, as raw strings
+SMALL = {
+    "data.n_classes": "5",
+    "data.per_class": "16",
+    "data.input_dim": "6",
+    "model.hidden": "24",
+    "model.embedding_dim": "8",
+    "pmf.k": "10",
+    "rl.hidden": "16",
+    "train.m": "8",
+    "train.total_iterations": "40",
+    "train.classes_per_batch": "3",
+    "train.samples_per_class": "3",
+    "train.val_fraction": "0.25",
+}
+
+SMALL_RESOLVED = [
+    "data.center_spread=1.0",
+    "data.input_dim=6",
+    "data.n_classes=5",
+    "data.path=",
+    "data.per_class=16",
+    "data.seed=0",
+    "data.within_std=1.0",
+    "loss.beta_lr=0.0005",
+    "loss.beta_margin=1.2",
+    "loss.gamma=0.2",
+    "loss.kind=triplet",
+    "loss.learnable_beta=false",
+    "model.embedding_dim=8",
+    "model.hidden=24",
+    "model.lr=0.001",
+    "pmf.alpha=0.8",
+    "pmf.beta=1.25",
+    "pmf.init=uniform",
+    "pmf.k=10",
+    "pmf.lambda_max=1.4",
+    "pmf.lambda_min=0.1",
+    "ppo.epsilon=0.2",
+    "ppo.old_refresh=5",
+    "rl.algorithm=ppo-a2c",
+    "rl.ema_decay=0.9",
+    "rl.hidden=16",
+    "rl.lr=0.0001",
+    "rl.state_recalls=1,2,4",
+    "rl.value_coef=0.5",
+    "sampler.clip_lambda=0.0",
+    "sampler.kind=pads",
+    "sampler.self_reg=false",
+    "seed=0",
+    "train.classes_per_batch=3",
+    "train.history=20",
+    "train.log_transitions=true",
+    "train.m=8",
+    "train.running_averages=2,8,16,32",
+    "train.samples_per_class=3",
+    "train.split_mode=per-class",
+    "train.total_iterations=40",
+    "train.val_fraction=0.25",
+    "transfer.mode=none",
+    "transfer.pmf_path=",
+    "transfer.policy_path=",
+]
+
+#: one valid, non-default value per key, in its resolved (canonical) form
+NON_DEFAULT = {
+    "seed": "7",
+    "data.path": "corpus.csv",
+    "data.n_classes": "5",
+    "data.per_class": "40",
+    "data.input_dim": "6",
+    "data.center_spread": "1.5",
+    "data.within_std": "0.5",
+    "data.seed": "3",
+    "model.hidden": "32,16",
+    "model.embedding_dim": "8",
+    "model.lr": "0.01",
+    "loss.kind": "margin",
+    "loss.gamma": "0.1",
+    "loss.beta_margin": "1.0",
+    "loss.learnable_beta": "true",
+    "loss.beta_lr": "0.001",
+    "sampler.kind": "random",
+    "sampler.clip_lambda": "5.0",
+    "sampler.self_reg": "true",
+    "pmf.lambda_min": "0.2",
+    "pmf.lambda_max": "1.8",
+    "pmf.k": "12",
+    "pmf.init": "gaussian:0.5:0.2",
+    "pmf.alpha": "0.75",
+    "pmf.beta": "1.5",
+    "rl.algorithm": "reinforce",
+    "rl.lr": "0.001",
+    "rl.ema_decay": "0.5",
+    "rl.value_coef": "1.0",
+    "rl.hidden": "64",
+    "rl.state_recalls": "1,4",
+    "ppo.epsilon": "0.1",
+    "ppo.old_refresh": "3",
+    "train.m": "10",
+    "train.total_iterations": "600",
+    "train.classes_per_batch": "3",
+    "train.samples_per_class": "5",
+    "train.val_fraction": "0.25",
+    "train.split_mode": "by-class",
+    "train.running_averages": "4,8",
+    "train.history": "10",
+    "train.log_transitions": "false",
+    "transfer.mode": "fixed-final-pmf",
+    "transfer.policy_path": "policy.json",
+    "transfer.pmf_path": "final_pmf.json",
+}
+
+
+class TestSchema:
+    def test_default_resolved_lines(self):
+        assert resolved_lines(build({})) == DEFAULT_RESOLVED
+
+    def test_small_resolved_lines(self):
+        assert resolved_lines(build(SMALL)) == SMALL_RESOLVED
+
+    def test_every_key_has_a_non_default_case(self):
+        assert set(NON_DEFAULT) == set(config_to_flat(RunConfig()))
+
+    @pytest.mark.parametrize("key", list(NON_DEFAULT))
+    def test_non_default_value_round_trips(self, key):
+        default = config_to_flat(RunConfig())
+        assert NON_DEFAULT[key] != default[key]
+        cfg = build({key: NON_DEFAULT[key]})
+        flat = config_to_flat(cfg)
+        assert flat == {**default, key: NON_DEFAULT[key]}
+        assert build(flat) == cfg
+
+    def test_empty_tuple_value_parses_as_empty(self):
+        # parsed to (), then rejected by the range check rather than by the parser
+        with pytest.raises(ConfigError, match="model.hidden must list positive layer widths"):
+            build({"model.hidden": ""})

@@ -63,11 +63,19 @@ class TestPairwiseDistances:
             assert np.max(np.abs(dist - brute)) < 1e-9
 
     def test_symmetric_zero_diagonal_in_range(self, rng):
-        batch = EmbeddingBatch(unit_rows(rng, 30, 12), random_labels(rng, 30, 4))
-        dist = pairwise_distances(batch)
-        assert np.array_equal(dist, dist.T)
-        assert np.all(np.diag(dist) == 0.0)
-        assert dist.min() >= 0.0 and dist.max() <= 2.0
+        # exact symmetry comes from numpy's v @ v.T alone (no transposed add), so
+        # check it at evaluation size and for every memory layout a batch can hold
+        for n in (30, 1200):
+            v = unit_rows(rng, n, 12)
+            wide = np.zeros((n, 24))
+            wide[:, ::2] = v
+            for rows in (v, np.asfortranarray(v), wide[:, ::2]):
+                batch = EmbeddingBatch(rows, random_labels(rng, n, 4))
+                assert np.array_equal(batch.vectors, v)
+                dist = pairwise_distances(batch)
+                assert np.array_equal(dist, dist.T)
+                assert np.all(np.diag(dist) == 0.0)
+                assert dist.min() >= 0.0 and dist.max() <= 2.0
 
     def test_antipodal_pair(self):
         v = np.array([[1.0, 0.0], [-1.0, 0.0]])

@@ -77,7 +77,7 @@ class TestInitPMF:
         assert np.all(np.diff(pmf.p[peak:]) <= 0)
 
     def test_errors(self):
-        with pytest.raises(ValueError, match="k >= 2"):
+        with pytest.raises(ValueError, match="pmf.k must be >= 2"):
             init_pmf(0.1, 1.4, 1)
         with pytest.raises(ValueError, match="unknown pmf init"):
             init_pmf(0.1, 1.4, 8, "triangular")
