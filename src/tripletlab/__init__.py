@@ -1,10 +1,10 @@
 """Desk-scale triplet metric learning with an adaptive negative-sampling PMF."""
 
 from .config import ConfigError, RunConfig, config_from_flat, load_config
-from .data import LabeledDataset, generate_synthetic, load_dataset, save_dataset
+from .data import LabeledDataset, generate_synthetic, load_dataset, save_dataset, split_validation
 from .geometry import DegenerateEmbeddingError, EmbeddingBatch
 from .samplers import SAMPLER_KINDS, SamplingPMF, apply_action, init_pmf
-from .trainer import split_validation, train
+from .trainer import train
 
 __version__ = "0.1.0"
 

@@ -73,24 +73,28 @@ def cmd_compare(args) -> int:
         raise ConfigError(["compare needs at least 2 sampler kinds"])
     if args.seeds < 1:
         raise ConfigError(["compare needs at least 1 seed"])
-    # every run config is built, and so validated, before the first run trains
-    runs = [
-        (sampler, seed, _with_overrides(cfg, **{"sampler.kind": sampler, "seed": seed}))
+    seeds = range(cfg.seed, cfg.seed + args.seeds)
+    # every run config is built, and so validated, before the first run trains;
+    # a sampler listed twice maps to the same runs, which train once
+    runs = {
+        (sampler, seed): _with_overrides(cfg, **{"sampler.kind": sampler, "seed": seed})
         for sampler in samplers
-        for seed in range(cfg.seed, cfg.seed + args.seeds)
-    ]
+        for seed in seeds
+    }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    finals = {
+        key: _final_metrics(train(run_cfg, out / _run_dir_name(*key)))
+        for key, run_cfg in runs.items()
+    }
     rows = ["sampler,seed,final_r1,final_nmi"]
-    finals: dict = {s: [] for s in samplers}
-    for sampler, seed, run_cfg in runs:
-        summary = train(run_cfg, out / _run_dir_name(sampler, seed))
-        r1, nmi = _final_metrics(summary)
-        finals[sampler].append((r1, nmi))
-        rows.append(f"{sampler},{seed},{r1!r},{nmi!r}")
     for sampler in samplers:
-        med_r1 = statistics.median(v[0] for v in finals[sampler])
-        med_nmi = statistics.median(v[1] for v in finals[sampler])
+        for seed in seeds:
+            r1, nmi = finals[sampler, seed]
+            rows.append(f"{sampler},{seed},{r1!r},{nmi!r}")
+    for sampler in samplers:
+        med_r1 = statistics.median(finals[sampler, seed][0] for seed in seeds)
+        med_nmi = statistics.median(finals[sampler, seed][1] for seed in seeds)
         rows.append(f"{sampler},median,{med_r1!r},{med_nmi!r}")
     table = out / "comparison.csv"
     table.write_text("\n".join(rows) + "\n")

@@ -13,15 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
 
+from .data import require_valid_split
 from .model import LossConfig
-from .rl import RL_ALGORITHMS
+from .rl import ALGORITHM_CHOICES, require_valid_algorithm
 from .samplers import _check_bins, init_pmf, require_valid_kind
 
-#: accepted rl.algorithm values; frozen-identity is a diagnostic mode that
-#: always emits the maintain action and never updates (reduction testing)
-ALGORITHM_CHOICES = RL_ALGORITHMS + ("frozen-identity",)
-
-SPLIT_MODES = ("per-class", "by-class")
 TRANSFER_MODES = ("none", "fixed-policy", "fixed-final-pmf")
 
 
@@ -209,11 +205,7 @@ def _validate(values: dict) -> tuple[list, list]:
 
     errors += _raised(_build, LossConfig, values, "loss.")
     errors += _raised(require_valid_kind, values["sampler.kind"])
-    if values["rl.algorithm"] not in ALGORITHM_CHOICES:
-        errors.append(
-            f"unknown rl algorithm {values['rl.algorithm']!r}; "
-            f"valid algorithms: {', '.join(ALGORITHM_CHOICES)}"
-        )
+    errors += _raised(require_valid_algorithm, values["rl.algorithm"], ALGORITHM_CHOICES)
     need(values["sampler.clip_lambda"] >= 0, "sampler.clip_lambda must be nonnegative (0 = auto)")
     bins = (values["pmf.lambda_min"], values["pmf.lambda_max"], values["pmf.k"])
     bin_errors = _raised(_check_bins, *bins)
@@ -261,14 +253,7 @@ def _validate(values: dict) -> tuple[list, list]:
     )
     need(values["train.classes_per_batch"] >= 2, "train.classes_per_batch must be >= 2")
     need(values["train.samples_per_class"] >= 2, "train.samples_per_class must be >= 2")
-    need(
-        0.0 < values["train.val_fraction"] <= 0.5,
-        "train.val_fraction must lie in (0, 0.5]",
-    )
-    need(
-        values["train.split_mode"] in SPLIT_MODES,
-        f"train.split_mode must be one of: {', '.join(SPLIT_MODES)}",
-    )
+    errors += _raised(require_valid_split, values["train.val_fraction"], values["train.split_mode"])
     need(
         len(values["train.running_averages"]) >= 1
         and all(l >= 1 for l in values["train.running_averages"]),

@@ -1,4 +1,5 @@
-"""Dataset construction: synthetic Gaussian clusters and labeled CSV files.
+"""Dataset construction: synthetic Gaussian clusters, labeled CSV files and
+the train/validation split.
 
 The CSV layout is a header row `f0,...,f{d-1},label` followed by one row
 per sample. Features are stored at float32 precision (printed with %.9g,
@@ -11,6 +12,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+SPLIT_MODES = ("per-class", "by-class")
 
 
 @dataclass(frozen=True)
@@ -94,36 +97,111 @@ def save_dataset(dataset: LabeledDataset, path) -> None:
 
 
 def load_dataset(path) -> LabeledDataset:
-    """Parse the documented CSV layout; malformed rows report their line number."""
+    """Parse the documented CSV layout; malformed rows report their line number.
+
+    The body is parsed in one pass by np.loadtxt (blank lines skipped).
+    Only when that fails is the file scanned line by line, to name the
+    first row with a wrong field count, a bad float or a non-integer
+    label. Numbers must be plain ASCII decimal (no `1_0`); a value that
+    Python's float() or int() would accept but the parser rejects is
+    reported with the parser's message, prefixed by the path.
+    """
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines:
-        raise ValueError(f"{path}: empty file")
-    header = lines[0].split(",")
-    if header[-1] != "label":
-        raise ValueError(f"{path}: last header column must be 'label', got {header[-1]!r}")
-    d = len(header) - 1
-    expected = [f"f{i}" for i in range(d)]
-    if header[:-1] != expected:
-        raise ValueError(f"{path}: feature columns must be f0..f{d-1}")
-    features, raw_labels = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != d + 1:
-            raise ValueError(f"{path}:{lineno}: expected {d + 1} fields, got {len(parts)}")
+        first = fh.readline()
+        if not first:
+            raise ValueError(f"{path}: empty file")
+        header = first.rstrip("\n").split(",")
+        if header[-1] != "label":
+            raise ValueError(f"{path}: last header column must be 'label', got {header[-1]!r}")
+        d = len(header) - 1
+        expected = [f"f{i}" for i in range(d)]
+        if header[:-1] != expected:
+            raise ValueError(f"{path}: feature columns must be f0..f{d-1}")
         try:
-            features.append([float(x) for x in parts[:-1]])
-            raw_labels.append(int(parts[-1]))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if not features:
+            with warnings.catch_warnings():
+                # numpy < 2 only warns when it parses "3.0" into the integer label field
+                warnings.simplefilter("error", DeprecationWarning)
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(
+                    (ln for ln in fh if ln.strip()),
+                    delimiter=",",
+                    comments=None,
+                    dtype=[("f", "f8", (d,)), ("y", "i8")],
+                    ndmin=1,
+                )
+        except (ValueError, DeprecationWarning) as exc:
+            fh.seek(0)
+            fh.readline()
+            _raise_first_bad_line(path, fh, d)
+            raise ValueError(f"{path}: {exc}") from None
+    if table.size == 0:
         raise ValueError(f"{path}: no data rows")
-    labels = np.asarray(raw_labels, dtype=np.int64)
+    labels = table["y"]
     uniq = np.unique(labels)
     if not np.array_equal(uniq, np.arange(uniq.size)):
         warnings.warn(f"{path}: remapping non-contiguous labels to 0..{uniq.size - 1}", stacklevel=2)
         labels = np.searchsorted(uniq, labels)
-    feats = np.asarray(features, dtype=np.float32).astype(np.float64)
-    return LabeledDataset(feats, labels)
+    return LabeledDataset(table["f"].astype(np.float32).astype(np.float64), labels)
+
+
+def _raise_first_bad_line(path, body_lines, d: int) -> None:
+    """Raise `path:lineno: ...` for the first malformed body row, if any."""
+    for lineno, line in enumerate(body_lines, start=2):
+        if not line.strip():
+            continue
+        parts = line.rstrip("\n").split(",")
+        if len(parts) != d + 1:
+            raise ValueError(f"{path}:{lineno}: expected {d + 1} fields, got {len(parts)}")
+        try:
+            for field in parts[:-1]:
+                float(field)
+            int(parts[-1])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+
+def require_valid_split(fraction: float, mode: str) -> None:
+    """Raise one ValueError naming every invalid split setting, one per line."""
+    errors = []
+    if not 0.0 < fraction <= 0.5:
+        errors.append(f"train.val_fraction must lie in (0, 0.5], got {fraction}")
+    if mode not in SPLIT_MODES:
+        errors.append(f"unknown train.split_mode {mode!r}; valid modes: {', '.join(SPLIT_MODES)}")
+    if errors:
+        raise ValueError("\n".join(errors))
+
+
+def split_validation(
+    dataset: LabeledDataset, fraction: float, mode: str, seed
+) -> tuple[np.ndarray, np.ndarray]:
+    """Disjoint (train indices, validation indices).
+
+    per-class holds out the fraction inside every class (at least one
+    sample, leaving at least two for training); by-class holds out whole
+    classes.
+    """
+    require_valid_split(fraction, mode)
+    rng = np.random.default_rng(seed)
+    if mode == "per-class":
+        train_parts, val_parts = [], []
+        for label, idx in sorted(dataset.class_index.items()):
+            if idx.size < 2:
+                raise ValueError(f"class {label} has fewer than 2 samples; cannot split per-class")
+            n_val = max(1, int(round(fraction * idx.size)))
+            if idx.size - n_val < 2:
+                raise ValueError(
+                    f"class {label} has {idx.size} samples; the split would leave "
+                    f"fewer than 2 for training"
+                )
+            perm = rng.permutation(idx.size)
+            val_parts.append(idx[perm[:n_val]])
+            train_parts.append(idx[perm[n_val:]])
+        return np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(val_parts))
+    n_classes = dataset.n_classes
+    n_val = max(1, int(round(fraction * n_classes)))
+    if n_classes - n_val < 2:
+        raise ValueError("by-class split would leave fewer than 2 training classes")
+    perm = rng.permutation(n_classes)
+    val_classes = perm[:n_val]
+    val_mask = np.isin(dataset.labels, val_classes)
+    return np.where(~val_mask)[0], np.where(val_mask)[0]

@@ -200,8 +200,7 @@ def nmi(labels_a: np.ndarray, labels_b: np.ndarray) -> float:
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
     na, nb = ai.max() + 1, bi.max() + 1
-    contingency = np.zeros((na, nb))
-    np.add.at(contingency, (ai, bi), 1.0)
+    contingency = np.bincount(ai * nb + bi, minlength=na * nb).reshape(na, nb).astype(np.float64)
     h_a = _entropy(contingency.sum(axis=1))
     h_b = _entropy(contingency.sum(axis=0))
     if h_a == 0.0 or h_b == 0.0:

@@ -20,16 +20,19 @@ from .model import Adam, FlatParams, layer_views
 
 RL_ALGORITHMS = ("reinforce", "reinforce-ema", "a2c", "ppo-ema", "ppo-a2c")
 
+#: accepted rl.algorithm values; frozen-identity is a diagnostic mode that
+#: always emits the maintain action and never updates (reduction testing)
+ALGORITHM_CHOICES = RL_ALGORITHMS + ("frozen-identity",)
+
 #: per-metric scale applied when metric values enter the state vector;
 #: distances live in [0, 2], everything else already in [0, 1]
 _STATE_SCALES = {"r1": 1.0, "r2": 1.0, "r4": 1.0, "nmi": 1.0, "intra": 0.5, "inter": 0.5}
 
 
-def require_valid_algorithm(kind: str) -> str:
-    if kind not in RL_ALGORITHMS:
-        raise ValueError(
-            f"unknown rl algorithm {kind!r}; valid algorithms: {', '.join(RL_ALGORITHMS)}"
-        )
+def require_valid_algorithm(kind: str, valid=RL_ALGORITHMS) -> str:
+    """kind, if it is one of valid: the updating algorithms, or ALGORITHM_CHOICES for a config."""
+    if kind not in valid:
+        raise ValueError(f"unknown rl algorithm {kind!r}; valid algorithms: {', '.join(valid)}")
     return kind
 
 

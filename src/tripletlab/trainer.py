@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, resolved_lines
-from .data import LabeledDataset, generate_synthetic, load_dataset
+from .data import generate_synthetic, load_dataset, split_validation
 from .geometry import EmbeddingBatch, pairwise_distances
 from .metrics import evaluate, eval_score, update_tracks, RunningTracks
 from .model import (
@@ -61,45 +61,6 @@ from .samplers import (
 )
 
 CSV_HEADER = "episode,r1,r2,r4,nmi,intra,inter,reward"
-
-
-def split_validation(
-    dataset: LabeledDataset, fraction: float, mode: str, seed
-) -> tuple[np.ndarray, np.ndarray]:
-    """Disjoint (train indices, validation indices).
-
-    per-class holds out the fraction inside every class (at least one
-    sample, leaving at least two for training); by-class holds out whole
-    classes.
-    """
-    if not 0.0 < fraction <= 0.5:
-        raise ValueError(f"validation fraction must lie in (0, 0.5], got {fraction}")
-    rng = np.random.default_rng(seed)
-    if mode == "per-class":
-        train_parts, val_parts = [], []
-        for label, idx in sorted(dataset.class_index.items()):
-            if idx.size < 2:
-                raise ValueError(f"class {label} has fewer than 2 samples; cannot split per-class")
-            n_val = max(1, int(round(fraction * idx.size)))
-            if idx.size - n_val < 2:
-                raise ValueError(
-                    f"class {label} has {idx.size} samples; the split would leave "
-                    f"fewer than 2 for training"
-                )
-            perm = rng.permutation(idx.size)
-            val_parts.append(idx[perm[:n_val]])
-            train_parts.append(idx[perm[n_val:]])
-        return np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(val_parts))
-    if mode == "by-class":
-        n_classes = dataset.n_classes
-        n_val = max(1, int(round(fraction * n_classes)))
-        if n_classes - n_val < 2:
-            raise ValueError("by-class split would leave fewer than 2 training classes")
-        perm = rng.permutation(n_classes)
-        val_classes = perm[:n_val]
-        val_mask = np.isin(dataset.labels, val_classes)
-        return np.where(~val_mask)[0], np.where(val_mask)[0]
-    raise ValueError(f"unknown split mode {mode!r}; valid modes: per-class, by-class")
 
 
 def _load_pmf_file(path, cfg: RunConfig) -> SamplingPMF:
@@ -256,8 +217,7 @@ class TrainLoop:
         self.model.step(self.opt, grad)
         if self.beta_class is not None:
             per_triplet = margin_boundary_grads(emb, triplets, cfg.loss, boundaries)
-            class_grad = np.zeros_like(self.beta_class)
-            np.add.at(class_grad, labels, per_triplet)
+            class_grad = np.bincount(labels, weights=per_triplet, minlength=self.beta_class.size)
             self.beta_class = np.maximum(self.beta_class - cfg.loss.beta_lr * class_grad, 1e-3)
 
     # ---- evaluation ----

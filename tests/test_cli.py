@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import tripletlab.cli as cli
 from tripletlab.cli import main
 from tripletlab.data import load_dataset
 
@@ -113,6 +114,29 @@ class TestCompare:
         rows = (out / "comparison.csv").read_text().splitlines()
         medians = [r for r in rows if ",median," in r]
         assert len(medians) == 2 and medians[0] == medians[1]
+
+    def test_sampler_listed_twice_trains_each_run_once(self, base_cfg, tmp_path, monkeypatch,
+                                                       capsys):
+        calls = []
+        real_train = cli.train
+
+        def counting_train(cfg, out):
+            calls.append((cfg.sampler.kind, cfg.seed))
+            return real_train(cfg, out)
+
+        monkeypatch.setattr(cli, "train", counting_train)
+        out = tmp_path / "cmp"
+        rc = main(["compare", "--config", str(base_cfg), "--samplers", "random,semihard,random",
+                   "--seeds", "2", "--out", str(out)])
+        assert rc == 0
+        assert calls == [("random", 0), ("random", 1), ("semihard", 0), ("semihard", 1)]
+        rows = (out / "comparison.csv").read_text().splitlines()
+        assert [r.split(",")[:2] for r in rows[1:]] == [
+            ["random", "0"], ["random", "1"], ["semihard", "0"], ["semihard", "1"],
+            ["random", "0"], ["random", "1"],
+            ["random", "median"], ["semihard", "median"], ["random", "median"],
+        ]
+        assert rows[1:3] == rows[5:7] and rows[7] == rows[9]
 
     def test_shared_data_split_across_samplers(self, base_cfg, tmp_path, capsys):
         out = tmp_path / "cmp"

@@ -9,6 +9,8 @@ from tripletlab.config import (
     parse_kv_lines,
     resolved_lines,
 )
+from tripletlab.data import require_valid_split
+from tripletlab.rl import ALGORITHM_CHOICES, require_valid_algorithm
 
 
 def build(flat):
@@ -126,6 +128,26 @@ class TestValidation:
     def test_split_mode_choices(self):
         with pytest.raises(ConfigError, match="per-class, by-class"):
             build({"train.split_mode": "stratified"})
+
+    @pytest.mark.parametrize(
+        "overrides, check, args",
+        [
+            ({"train.val_fraction": "0.9"}, require_valid_split, (0.9, "per-class")),
+            ({"train.split_mode": "stratified"}, require_valid_split, (0.15, "stratified")),
+            (
+                {"train.val_fraction": "0.0", "train.split_mode": "stratified"},
+                require_valid_split,
+                (0.0, "stratified"),
+            ),
+            ({"rl.algorithm": "qlearning"}, require_valid_algorithm, ("qlearning", ALGORITHM_CHOICES)),
+        ],
+    )
+    def test_reports_the_owning_checks_messages(self, overrides, check, args):
+        with pytest.raises(ValueError) as owner:
+            check(*args)
+        with pytest.raises(ConfigError) as exc:
+            build(overrides)
+        assert str(owner.value).splitlines() == exc.value.errors
 
     def test_transfer_rules(self):
         with pytest.raises(ConfigError, match="requires transfer.policy_path"):

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,3 +154,183 @@ def test_round_trip_preserves_everything(n_classes, per_class, seed, tmp_path_fa
     loaded = load_dataset(path)
     assert np.array_equal(loaded.labels, ds.labels)
     assert np.allclose(loaded.features, ds.features, atol=1e-6)
+
+
+def reference_load_dataset(path) -> LabeledDataset:
+    """The line-by-line parser load_dataset replaced, kept as the differential reference."""
+    with open(path) as fh:
+        lines = [ln.rstrip("\n") for ln in fh]
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+    header = lines[0].split(",")
+    if header[-1] != "label":
+        raise ValueError(f"{path}: last header column must be 'label', got {header[-1]!r}")
+    d = len(header) - 1
+    expected = [f"f{i}" for i in range(d)]
+    if header[:-1] != expected:
+        raise ValueError(f"{path}: feature columns must be f0..f{d-1}")
+    features, raw_labels = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != d + 1:
+            raise ValueError(f"{path}:{lineno}: expected {d + 1} fields, got {len(parts)}")
+        try:
+            features.append([float(x) for x in parts[:-1]])
+            raw_labels.append(int(parts[-1]))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if not features:
+        raise ValueError(f"{path}: no data rows")
+    labels = np.asarray(raw_labels, dtype=np.int64)
+    uniq = np.unique(labels)
+    if not np.array_equal(uniq, np.arange(uniq.size)):
+        warnings.warn(f"{path}: remapping non-contiguous labels to 0..{uniq.size - 1}", stacklevel=2)
+        labels = np.searchsorted(uniq, labels)
+    feats = np.asarray(features, dtype=np.float32).astype(np.float64)
+    return LabeledDataset(feats, labels)
+
+
+def _load_with_warnings(loader, path):
+    """The dataset plus the UserWarnings (the label remap) that loading raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ds = loader(path)
+    return ds, [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
+
+
+_FEATURE_TEXT = st.one_of(
+    st.floats(allow_nan=False, width=32).map(lambda x: f"{x:.9g}"),
+    st.floats(allow_nan=False).map(repr),
+    st.floats(-1e6, 1e6).map(lambda x: f"{x:e}"),
+    st.floats(-1e6, 1e6).map(lambda x: f"{x:.3E}"),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["inf", "-inf", "+inf", "Infinity", "-0", "1e-320", "3.4e39", ".5", "-7."]),
+)
+_BLANK_LINE = st.sampled_from(["", " ", "\t", "  \t  "])
+
+
+@st.composite
+def csv_bodies(draw):
+    """(header + body text, d): 1-5 feature columns, >= 2 rows per label, blank lines mixed in."""
+    d = draw(st.integers(1, 5))
+    label_values = draw(
+        st.one_of(
+            st.integers(1, 4).map(lambda k: list(range(k))),
+            st.lists(st.integers(-50, 10**6), min_size=1, max_size=4, unique=True),
+        )
+    )
+    labels = [v for v in label_values for _ in range(draw(st.integers(2, 4)))]
+    labels = draw(st.permutations(labels))
+    pad = draw(st.sampled_from(["", " "]))
+    lines = [",".join([f"f{i}" for i in range(d)] + ["label"])]
+    for label in labels:
+        lines += draw(st.lists(_BLANK_LINE, max_size=2))
+        feats = draw(st.lists(_FEATURE_TEXT, min_size=d, max_size=d))
+        lines.append(",".join(f"{pad}{x}{pad}" for x in feats) + f",{pad}{label}")
+    lines += draw(st.lists(_BLANK_LINE, max_size=2))
+    trailing = draw(st.sampled_from(["\n", ""]))
+    return "\n".join(lines) + trailing, d
+
+
+@settings(max_examples=150, deadline=None)
+@given(body=csv_bodies())
+def test_load_matches_line_by_line_reference(body, tmp_path_factory):
+    text, d = body
+    path = tmp_path_factory.mktemp("diff") / "ds.csv"
+    path.write_text(text)
+    want, want_warnings = _load_with_warnings(reference_load_dataset, path)
+    got, got_warnings = _load_with_warnings(load_dataset, path)
+    assert got.features.dtype == np.float64 and got.features.shape == want.features.shape
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.labels.dtype == want.labels.dtype
+    assert np.array_equal(got.labels, want.labels)
+    assert got_warnings == want_warnings
+
+
+class TestLoadEdgeCases:
+    def test_whitespace_only_line_skipped(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        path.write_text("f0,label\n1.0,0\n \t \n2.0,0\n1.5,1\n   \n2.5,1\n")
+        ds = load_dataset(path)
+        assert ds.n == 4
+        assert np.array_equal(ds.labels, [0, 0, 1, 1])
+
+    @pytest.mark.parametrize("label", ["3.0", "3e0", "3.5", "nan"])
+    def test_non_integer_label_reports_line_number(self, tmp_path, label):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,label\n1.0,3\n2.0,{label}\n")
+        with pytest.raises(ValueError, match=rf"bad\.csv:3: invalid literal for int\(\).*{label}"):
+            load_dataset(path)
+
+    def test_short_row_reports_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,f1,label\n1.0,2.0,0\n\n1.0,2.0,0\n3.0,1\n4.0,5.0,1\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:5: expected 3 fields, got 2"):
+            load_dataset(path)
+
+    def test_first_bad_line_wins(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,f1,label\n1.0,2.0,0\n1.0,x,0\n1.0,0\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:3: could not convert string to float: 'x'"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2.0,0 # note", r"3: invalid literal for int\(\) with base 10: '0 # note'"),
+            ("# 2.0,0", r"3: could not convert string to float: '# 2.0'"),
+            ("# note", r"3: expected 2 fields, got 1"),
+        ],
+    )
+    def test_hash_is_not_a_comment(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,label\n1.0,0\n{row}\n3.0,1\n4.0,1\n")
+        with pytest.raises(ValueError, match=rf"bad\.csv:{message}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n  \n"])
+    def test_header_only_has_no_stray_warning(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,label\n" + body)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="no data rows"):
+                load_dataset(path)
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("row", ["1_0,0", "1.0,1_0"])
+    def test_value_only_python_accepts_gets_path_prefixed_error(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,label\n1.0,0\n{row}\n2.0,1\n3.0,1\n")
+        with pytest.raises(ValueError) as exc:
+            load_dataset(path)
+        message = str(exc.value)
+        assert message.startswith(f"{path}: ")
+        assert "1_0" in message
+        assert not re.match(rf"{re.escape(str(path))}:\d", message)
+
+    def test_label_parsed_via_float_rejected_on_numpy_1x(self, tmp_path, monkeypatch):
+        # numpy 1.23-1.26 parse "3.0" into an integer field with only a DeprecationWarning
+        real_loadtxt = np.loadtxt
+
+        def numpy_1x_loadtxt(lines, **kwargs):
+            rows = []
+            for line in lines:
+                feats, label = line.rstrip("\n").rsplit(",", 1)
+                if not label.strip().lstrip("+-").isdigit():
+                    warnings.warn(
+                        "loadtxt(): Parsing an integer via a float is deprecated.",
+                        DeprecationWarning,
+                    )
+                rows.append(f"{feats},{int(float(label))}\n")
+            return real_loadtxt(rows, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", numpy_1x_loadtxt)
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,label\n1.0,0\n2.0,0\n3.0,1.0\n4.0,1\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:4: invalid literal for int\(\)"):
+            load_dataset(path)
+        path.write_text("f0,label\n1.0,0\n2.0,0\n3.0,1\n4.0,1\n")
+        assert np.array_equal(load_dataset(path).labels, [0, 0, 1, 1])

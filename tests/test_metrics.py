@@ -195,6 +195,38 @@ class TestNMI:
             nmi(np.array([0, 1]), np.array([0, 1, 2]))
 
 
+def reference_nmi(labels_a: np.ndarray, labels_b: np.ndarray) -> float:
+    """nmi with its contingency table counted by np.add.at, kept as the bit-level reference."""
+    _, ai = np.unique(np.asarray(labels_a).ravel(), return_inverse=True)
+    _, bi = np.unique(np.asarray(labels_b).ravel(), return_inverse=True)
+    contingency = np.zeros((ai.max() + 1, bi.max() + 1))
+    np.add.at(contingency, (ai, bi), 1.0)
+    h_a = metrics._entropy(contingency.sum(axis=1))
+    h_b = metrics._entropy(contingency.sum(axis=0))
+    if h_a == 0.0 or h_b == 0.0:
+        return 0.0
+    pij = contingency / contingency.sum()
+    pa = pij.sum(axis=1, keepdims=True)
+    pb = pij.sum(axis=0, keepdims=True)
+    mask = pij > 0
+    mi = float(np.sum(pij[mask] * (np.log(pij[mask]) - np.log((pa @ pb))[mask])))
+    return mi / (0.5 * (h_a + h_b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    ca=st.integers(1, 9),
+    cb=st.integers(1, 9),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_nmi_matches_add_at_reference_bit_for_bit(n, ca, cb, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-3, ca, size=n) * 7
+    b = rng.integers(0, cb, size=n)
+    assert np.float64(nmi(a, b)).tobytes() == np.float64(reference_nmi(a, b)).tobytes()
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     n=st.integers(4, 30),

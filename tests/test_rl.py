@@ -5,6 +5,7 @@ import pytest
 
 from tripletlab.metrics import RunningTracks
 from tripletlab.rl import (
+    ALGORITHM_CHOICES,
     RL_ALGORITHMS,
     PolicyNetwork,
     PolicyUpdater,
@@ -308,6 +309,11 @@ class TestPolicyUpdater:
             require_valid_algorithm("qlearning")
         for name in RL_ALGORITHMS:
             assert name in str(exc.value)
+
+    def test_frozen_identity_is_a_config_choice_not_an_updater(self):
+        assert require_valid_algorithm("frozen-identity", ALGORITHM_CHOICES) == "frozen-identity"
+        with pytest.raises(ValueError, match="unknown rl algorithm 'frozen-identity'"):
+            PolicyUpdater(make_policy(), "frozen-identity")
 
     def test_value_algorithms_need_value_head(self):
         with pytest.raises(ValueError, match="requires a value head"):

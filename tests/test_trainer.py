@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import tripletlab.trainer as trainer
 from tripletlab.config import config_from_flat, config_to_flat, parse_kv_lines
 from tripletlab.data import generate_synthetic
 from tripletlab.samplers import SAMPLER_KINDS
@@ -237,6 +238,31 @@ class TestVariants:
         assert loop.beta_class.shape == (4,)
         assert np.all(loop.beta_class >= 1e-3)
         assert not np.allclose(loop.beta_class, 1.2)  # boundaries actually trained
+
+    def test_boundary_step_matches_add_at_reference(self, tmp_path, monkeypatch):
+        cfg = small_flat(**{"loss.kind": "margin", "loss.learnable_beta": "true",
+                            "loss.beta_lr": "0.01", "sampler.kind": "random"})
+        loop = TrainLoop(cfg, tmp_path / "run")
+        seen = {}
+        build_batch, boundary_grads = loop._build_batch, trainer.margin_boundary_grads
+
+        def recording_build_batch():
+            seen["rows"] = build_batch()
+            return seen["rows"]
+
+        def recording_boundary_grads(*args):
+            seen["per_triplet"] = boundary_grads(*args)
+            return seen["per_triplet"]
+
+        monkeypatch.setattr(loop, "_build_batch", recording_build_batch)
+        monkeypatch.setattr(trainer, "margin_boundary_grads", recording_boundary_grads)
+        for _ in range(20):
+            before = loop.beta_class.copy()
+            loop._train_step()
+            class_grad = np.zeros_like(before)
+            np.add.at(class_grad, loop.dataset.labels[seen["rows"]], seen["per_triplet"])
+            want = np.maximum(before - cfg.loss.beta_lr * class_grad, 1e-3)
+            assert loop.beta_class.tobytes() == want.tobytes()
 
     def test_fallbacks_count_anchors_not_steps(self, tmp_path):
         # no batch distance reaches a PMF support this close to 0, so every anchor falls back
