@@ -20,8 +20,9 @@ SPLIT_MODES = ("per-class", "by-class")
 class LabeledDataset:
     """Feature matrix with contiguous integer class labels.
 
-    Invariants: labels are 0..C-1 with every class present and holding at
-    least 2 samples (one sample cannot form a positive pair).
+    Invariants: features are finite; labels are 0..C-1 with every class
+    present and holding at least 2 samples (one sample cannot form a
+    positive pair).
     """
 
     features: np.ndarray
@@ -34,6 +35,9 @@ class LabeledDataset:
             raise ValueError(f"need an (N, d) feature matrix, got shape {features.shape}")
         if labels.shape != (features.shape[0],):
             raise ValueError("labels must be one integer per row")
+        if not np.isfinite(features).all():
+            row, col = np.argwhere(~np.isfinite(features))[0]
+            raise ValueError(f"features must be finite; row {row}, column {col} is {features[row, col]}")
         labels = labels.astype(np.int64)
         uniq, counts = np.unique(labels, return_counts=True)
         if not np.array_equal(uniq, np.arange(uniq.size)):
@@ -100,11 +104,12 @@ def load_dataset(path) -> LabeledDataset:
     """Parse the documented CSV layout; malformed rows report their line number.
 
     The body is parsed in one pass by np.loadtxt (blank lines skipped).
-    Only when that fails is the file scanned line by line, to name the
-    first row with a wrong field count, a bad float or a non-integer
-    label. Numbers must be plain ASCII decimal (no `1_0`); a value that
-    Python's float() or int() would accept but the parser rejects is
-    reported with the parser's message, prefixed by the path.
+    Only when that fails, or a feature is not finite at float32 precision
+    (`inf`, `nan`, `1e39`), is the file scanned line by line, to name the
+    first row with a wrong field count, a bad or non-finite float or a
+    non-integer label. Numbers must be plain ASCII decimal (no `1_0`); a
+    value that Python's float() or int() would accept but the parser
+    rejects is reported with the parser's message, prefixed by the path.
     """
     with open(path) as fh:
         first = fh.readline()
@@ -129,6 +134,10 @@ def load_dataset(path) -> LabeledDataset:
                     dtype=[("f", "f8", (d,)), ("y", "i8")],
                     ndmin=1,
                 )
+            with np.errstate(over="ignore"):
+                features = table["f"].astype(np.float32)
+            if not np.isfinite(features).all():
+                raise ValueError("non-finite feature value")
         except (ValueError, DeprecationWarning) as exc:
             fh.seek(0)
             fh.readline()
@@ -141,7 +150,7 @@ def load_dataset(path) -> LabeledDataset:
     if not np.array_equal(uniq, np.arange(uniq.size)):
         warnings.warn(f"{path}: remapping non-contiguous labels to 0..{uniq.size - 1}", stacklevel=2)
         labels = np.searchsorted(uniq, labels)
-    return LabeledDataset(table["f"].astype(np.float32).astype(np.float64), labels)
+    return LabeledDataset(features.astype(np.float64), labels)
 
 
 def _raise_first_bad_line(path, body_lines, d: int) -> None:
@@ -153,11 +162,15 @@ def _raise_first_bad_line(path, body_lines, d: int) -> None:
         if len(parts) != d + 1:
             raise ValueError(f"{path}:{lineno}: expected {d + 1} fields, got {len(parts)}")
         try:
-            for field in parts[:-1]:
-                float(field)
+            values = [float(field) for field in parts[:-1]]
             int(parts[-1])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(np.asarray(values, dtype=np.float32))
+        if not finite.all():
+            field = parts[int(np.argmin(finite))].strip()
+            raise ValueError(f"{path}:{lineno}: feature {field!r} is not finite at float32 precision")
 
 
 def require_valid_split(fraction: float, mode: str) -> None:

@@ -29,6 +29,11 @@ ALGORITHM_CHOICES = RL_ALGORITHMS + ("frozen-identity",)
 _STATE_SCALES = {"r1": 1.0, "r2": 1.0, "r4": 1.0, "nmi": 1.0, "intra": 0.5, "inter": 0.5}
 
 
+def uses_value_head(algorithm: str) -> bool:
+    """Whether the algorithm learns a value baseline, so its policy needs a value head."""
+    return algorithm in ("a2c", "ppo-a2c")
+
+
 def require_valid_algorithm(kind: str, valid=RL_ALGORITHMS) -> str:
     """kind, if it is one of valid: the updating algorithms, or ALGORITHM_CHOICES for a config."""
     if kind not in valid:
@@ -324,7 +329,7 @@ class PolicyUpdater:
 
     @property
     def uses_value(self) -> bool:
-        return self.algorithm in ("a2c", "ppo-a2c")
+        return uses_value_head(self.algorithm)
 
     @property
     def uses_ema(self) -> bool:

@@ -11,8 +11,12 @@ comparisons and the reduction test possible.
 RNG discipline: independent child streams (model init, batches, negatives,
 policy init, policy actions, metric seed) are spawned from the run seed so
 that, e.g., policy sampling does not perturb batch composition between
-otherwise identical runs. Dataset generation and the validation split
-derive from data.seed instead, so different run seeds share data.
+otherwise identical runs. The batch stream is drawn once per episode: every
+step's classes, rows and positives (see TrainLoop._plan_episode); the
+negative stream once per step. Every batch has the same block layout, so
+its triplet masks are built once per run. Dataset generation and the
+validation split derive from data.seed instead, so different run seeds
+share data.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .rl import (
     multipliers_from_trits,
     sample_action,
     state_dim,
+    uses_value_head,
 )
 from .samplers import (
     PMF_SAMPLER_KINDS,
@@ -103,12 +108,20 @@ class TrainLoop:
             self.dataset, cfg.train.val_fraction, cfg.train.split_mode, data_kids[1]
         )
         train_labels = self.dataset.labels[self.train_idx]
-        self.train_class_ids = np.unique(train_labels)
-        if self.train_class_ids.size < 2:
+        class_ids, self.class_sizes = np.unique(train_labels, return_counts=True)
+        if class_ids.size < 2:
             raise ValueError("training split must contain at least 2 classes")
-        self.train_index = {
-            int(c): self.train_idx[train_labels == c] for c in self.train_class_ids
-        }
+        # (C, width) train rows per class, ascending; at least s wide for argpartition(kth=s-1)
+        s = cfg.train.samples_per_class
+        self.class_rows = np.zeros((class_ids.size, max(self.class_sizes.max(), s)), np.int64)
+        for i, c in enumerate(class_ids):
+            self.class_rows[i, : self.class_sizes[i]] = self.train_idx[train_labels == c]
+        # every batch is p distinct classes in blocks of s, so its masks are run constants
+        self.classes_per_batch = min(cfg.train.classes_per_batch, class_ids.size)
+        block_labels = np.repeat(np.arange(self.classes_per_batch), s)
+        self_reg = cfg.sampler.kind in PMF_SAMPLER_KINDS and cfg.sampler.self_reg
+        self.same, self.cand = triplet_masks(block_labels, self_reg)
+        self.anchors = np.arange(block_labels.size)
 
         self.model = EmbeddingModel(
             self.dataset.input_dim, cfg.model.hidden, cfg.model.embedding_dim, self.rng_model
@@ -156,7 +169,7 @@ class TrainLoop:
                     f"this config builds {sdim}"
                 )
             return
-        has_value = cfg.rl.algorithm in ("a2c", "ppo-a2c")
+        has_value = uses_value_head(cfg.rl.algorithm)
         self.policy = PolicyNetwork(
             sdim, cfg.pmf.k, has_value, self.rng_policy_init, hidden=cfg.rl.hidden
         )
@@ -172,30 +185,32 @@ class TrainLoop:
 
     # ---- one DML iteration ----
 
-    def _build_batch(self) -> np.ndarray:
-        cfg = self.cfg.train
-        ids = self.train_class_ids
-        p = min(cfg.classes_per_batch, ids.size)
-        chosen = self.rng_batch.choice(ids.size, size=p, replace=False)
-        rows = []
-        for ci in chosen:
-            idx = self.train_index[int(ids[ci])]
-            if idx.size >= cfg.samples_per_class:
-                pick = self.rng_batch.choice(idx.size, size=cfg.samples_per_class, replace=False)
-            else:
-                pick = self.rng_batch.integers(0, idx.size, size=cfg.samples_per_class)
-            rows.append(idx[pick])
-        return np.concatenate(rows)
+    def _plan_episode(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, positives), each (m, B): every batch and positive of m steps in one pass.
 
-    def _train_step(self):
+        Classes are the first p of a random key order per step; rows are the
+        s smallest keys over a class's table row (padding keys 2.0 never win),
+        or uniform picks with replacement for a class smaller than s; each
+        anchor's positive is a uniform block mate.
+        """
+        rng, p, s = self.rng_batch, self.classes_per_batch, self.cfg.train.samples_per_class
+        classes = np.argsort(rng.random((m, self.class_sizes.size)), axis=1)[:, :p]
+        n = self.class_sizes[classes][:, :, None]
+        keys = rng.random((m, p, self.class_rows.shape[1]))
+        keys[np.arange(keys.shape[2]) >= n] = 2.0
+        picks = np.argpartition(keys, s - 1, axis=2)[:, :, :s]
+        if (n < s).any():
+            picks = np.where(n < s, (rng.random((m, p, s)) * n).astype(np.int64), picks)
+        rows = self.class_rows[classes[:, :, None], picks].reshape(m, -1)
+        pos = draw_rows(np.tile(self.same, (m, 1)), rng).reshape(m, -1)
+        return rows, pos
+
+    def _train_step(self, batch_rows: np.ndarray, pos: np.ndarray):
         cfg = self.cfg
-        batch_rows = self._build_batch()
         labels = self.dataset.labels[batch_rows]
         emb, cache = self.model.forward(self.dataset.features[batch_rows])
         dist = pairwise_distances(EmbeddingBatch(emb, labels))
-        same, cand = triplet_masks(labels, self.kind in PMF_SAMPLER_KINDS and cfg.sampler.self_reg)
-        anchors = np.arange(labels.size)
-        pos = draw_rows(same, self.rng_batch)
+        cand, anchors = self.cand, self.anchors
         if self.kind == "random":
             neg = sample_negative_random(cand, self.rng_negative)
         elif self.kind == "semihard":
@@ -262,8 +277,8 @@ class TrainLoop:
                 )
             if self.pmf is not None:
                 pmf_lines.append(json.dumps(self.pmf.snapshot(ep)))
-            for _ in range(cfg.train.m):
-                self._train_step()
+            for rows, pos in zip(*self._plan_episode(cfg.train.m)):
+                self._train_step(rows, pos)
             report = self._evaluate()
             e_now = eval_score(report)
             reward = compute_reward(e_now, e_prev)

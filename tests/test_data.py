@@ -33,6 +33,13 @@ class TestLabeledDataset:
         with pytest.raises(ValueError, match="one integer per row"):
             LabeledDataset(np.zeros((4, 2)), np.array([0, 0, 1]))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_features(self, value):
+        features = np.zeros((4, 2))
+        features[2, 1] = value
+        with pytest.raises(ValueError, match=rf"features must be finite; row 2, column 1 is {value}"):
+            LabeledDataset(features, np.array([0, 0, 1, 1]))
+
 
 class TestGenerate:
     def test_deterministic_per_seed(self):
@@ -169,7 +176,7 @@ def reference_load_dataset(path) -> LabeledDataset:
     expected = [f"f{i}" for i in range(d)]
     if header[:-1] != expected:
         raise ValueError(f"{path}: feature columns must be f0..f{d-1}")
-    features, raw_labels = [], []
+    features, raw_labels, linenos = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -181,8 +188,13 @@ def reference_load_dataset(path) -> LabeledDataset:
             raw_labels.append(int(parts[-1]))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+        linenos.append(lineno)
     if not features:
         raise ValueError(f"{path}: no data rows")
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(np.asarray(features, dtype=np.float32)).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}:{linenos[int(np.argmin(finite))]}: non-finite feature")
     labels = np.asarray(raw_labels, dtype=np.int64)
     uniq = np.unique(labels)
     if not np.array_equal(uniq, np.arange(uniq.size)):
@@ -240,7 +252,14 @@ def test_load_matches_line_by_line_reference(body, tmp_path_factory):
     text, d = body
     path = tmp_path_factory.mktemp("diff") / "ds.csv"
     path.write_text(text)
-    want, want_warnings = _load_with_warnings(reference_load_dataset, path)
+    try:
+        want, want_warnings = _load_with_warnings(reference_load_dataset, path)
+    except ValueError as exc:
+        # a non-finite feature: both name the same first offending line
+        where = str(exc).split(": ", 1)[0]
+        with pytest.raises(ValueError, match=rf"^{re.escape(where)}: "):
+            load_dataset(path)
+        return
     got, got_warnings = _load_with_warnings(load_dataset, path)
     assert got.features.dtype == np.float64 and got.features.shape == want.features.shape
     assert got.features.tobytes() == want.features.tobytes()
@@ -268,6 +287,24 @@ class TestLoadEdgeCases:
         path = tmp_path / "bad.csv"
         path.write_text("f0,f1,label\n1.0,2.0,0\n\n1.0,2.0,0\n3.0,1\n4.0,5.0,1\n")
         with pytest.raises(ValueError, match=r"bad\.csv:5: expected 3 fields, got 2"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("value", ["inf", "-Infinity", "nan", "1e39", "3.4028235677973366e+38"])
+    def test_non_finite_feature_reports_line_number(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,f1,label\n1.0,2.0,0\n\n1.0,2.0,0\n3.0,{value},1\n4.0,5.0,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning escapes either
+            with pytest.raises(
+                ValueError,
+                match=rf"bad\.csv:5: feature '{re.escape(value)}' is not finite at float32 precision",
+            ):
+                load_dataset(path)
+
+    def test_non_finite_feature_before_a_short_row_wins(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,f1,label\n1.0,2.0,0\n1e39,2.0,0\n1.0,0\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:3: feature '1e39'"):
             load_dataset(path)
 
     def test_first_bad_line_wins(self, tmp_path):

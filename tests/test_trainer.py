@@ -1,12 +1,15 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import tripletlab.trainer as trainer
 from tripletlab.config import config_from_flat, config_to_flat, parse_kv_lines
-from tripletlab.data import generate_synthetic
-from tripletlab.samplers import SAMPLER_KINDS
+from tripletlab.data import LabeledDataset, generate_synthetic, save_dataset
+from tripletlab.rl import RL_ALGORITHMS
+from tripletlab.samplers import SAMPLER_KINDS, triplet_masks
 from tripletlab.trainer import CSV_HEADER, TrainLoop, split_validation, train
 
 
@@ -29,6 +32,20 @@ def small_flat(**overrides):
     flat.update({k: str(v) for k, v in overrides.items()})
     cfg, _ = config_from_flat(flat)
     return cfg
+
+
+def planning_loop(tmp_path, sizes, **overrides):
+    """TrainLoop over a CSV whose class c has sizes[c] rows; the split keeps
+    6 of 8 rows and 2 of 3 for training (small_flat: p = s = 3)."""
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    features = np.random.default_rng(0).normal(size=(labels.size, 3))
+    save_dataset(LabeledDataset(features, labels), tmp_path / "ds.csv")
+    cfg = small_flat(**{"data.path": tmp_path / "ds.csv", **overrides})
+    return TrainLoop(cfg, tmp_path / "run")
+
+
+def train_rows_of(loop, label):
+    return loop.train_idx[loop.dataset.labels[loop.train_idx] == label]
 
 
 class TestSplitValidation:
@@ -104,7 +121,8 @@ class TestEpisodeMechanics:
         buffer, before = model.params, model.get_params()
         x = loop.dataset.features[:4]
         _, cache = model.forward(x)
-        loop._train_step()
+        rows, pos = loop._plan_episode(1)
+        loop._train_step(rows[0], pos[0])
         assert model.params is buffer
         assert all(np.shares_memory(layer, buffer) for layer in [*model.weights, *model.biases])
         assert not np.array_equal(buffer, before)
@@ -165,6 +183,88 @@ class TestEpisodeMechanics:
         with pytest.warns(UserWarning):
             summary = train(cfg, tmp_path / "run")
         assert summary["episodes"] == 3
+
+
+class TestBatchPlan:
+    STEPS = 6000
+
+    def test_classes_are_uniform_p_subsets(self, tmp_path):
+        loop = planning_loop(tmp_path, [8] * 5)
+        rows, _ = loop._plan_episode(self.STEPS)
+        assert rows.shape == (self.STEPS, 9)
+        blocks = loop.dataset.labels[rows].reshape(self.STEPS, 3, 3)
+        assert (blocks == blocks[:, :, :1]).all()  # blocks of s rows of one class
+        classes = np.sort(blocks[:, :, 0], axis=1)
+        assert (np.diff(classes, axis=1) > 0).all()  # p distinct classes
+        subsets = {c: i for i, c in enumerate(itertools.combinations(range(5), 3))}
+        counts = np.bincount([subsets[tuple(c)] for c in classes.tolist()], minlength=10)
+        assert stats.chisquare(counts).pvalue > 1e-3
+        # each class is included with probability p/C
+        for included in np.bincount(classes.ravel(), minlength=5):
+            observed = [included, self.STEPS - included]
+            expected = [self.STEPS * 3 / 5, self.STEPS * 2 / 5]
+            assert stats.chisquare(observed, expected).pvalue > 1e-3
+
+    def test_within_class_subsets_are_uniform(self, tmp_path):
+        loop = planning_loop(tmp_path, [8] * 5)
+        members = train_rows_of(loop, 0)
+        assert members.size == 6
+        rows, _ = loop._plan_episode(self.STEPS)
+        blocks = np.sort(rows.reshape(-1, 3), axis=1)
+        mine = blocks[np.isin(blocks[:, 0], members)]
+        assert np.isin(mine, members).all()
+        assert (np.diff(mine, axis=1) > 0).all()  # without replacement
+        combos = {c: i for i, c in enumerate(itertools.combinations(members.tolist(), 3))}
+        counts = np.bincount([combos[tuple(b)] for b in mine.tolist()], minlength=20)
+        assert counts.size == 20
+        assert stats.chisquare(counts).pvalue > 1e-3
+
+    def test_small_class_picks_with_replacement_uniformly(self, tmp_path):
+        loop = planning_loop(tmp_path, [8, 8, 8, 8, 3])
+        members = train_rows_of(loop, 4)
+        assert members.size == 2  # fewer than s = 3
+        rows, _ = loop._plan_episode(self.STEPS)
+        blocks = rows.reshape(-1, 3)
+        small = np.isin(blocks[:, 0], members)
+        assert np.isin(blocks[small], members).all()
+        assert (np.diff(np.sort(blocks[~small], axis=1), axis=1) > 0).all()
+        # the s ordered picks are independent and uniform: 2**3 equally likely tuples
+        codes = (blocks[small] == members[1]) @ np.array([4, 2, 1])
+        counts = np.bincount(codes, minlength=8)
+        assert stats.chisquare(counts).pvalue > 1e-3
+
+    def test_positives_are_uniform_block_mates_never_the_anchor(self, tmp_path):
+        s = 4
+        loop = planning_loop(tmp_path, [8] * 5, **{"train.samples_per_class": s})
+        _, pos = loop._plan_episode(2000)
+        anchors = np.arange(pos.shape[1])
+        assert (pos != anchors).all()
+        assert (pos // s == anchors // s).all()
+        offsets = (pos - anchors) % s
+        for slot in range(s):
+            counts = np.bincount(offsets[:, anchors % s == slot].ravel(), minlength=s)
+            assert counts[0] == 0
+            assert stats.chisquare(counts[1:]).pvalue > 1e-3
+
+    @pytest.mark.parametrize("self_reg", [False, True])
+    @pytest.mark.parametrize(
+        "sizes, classes_per_batch",
+        [([8] * 5, 3), ([8] * 3, 7), ([8, 8, 8, 8, 3], 3)],
+        ids=["plain", "more-classes-per-batch-than-classes", "class-smaller-than-s"],
+    )
+    def test_run_constant_masks_match_every_planned_step(
+        self, tmp_path, self_reg, sizes, classes_per_batch
+    ):
+        loop = planning_loop(tmp_path, sizes, **{
+            "sampler.self_reg": str(self_reg).lower(),
+            "train.classes_per_batch": classes_per_batch,
+        })
+        rows, _ = loop._plan_episode(300)
+        assert rows.shape == (300, 3 * min(classes_per_batch, len(sizes)))
+        for step in rows:
+            same, cand = triplet_masks(loop.dataset.labels[step], self_reg)
+            assert np.array_equal(same, loop.same)
+            assert np.array_equal(cand, loop.cand)
 
 
 class TestDeterminismAndReduction:
@@ -244,25 +344,25 @@ class TestVariants:
                             "loss.beta_lr": "0.01", "sampler.kind": "random"})
         loop = TrainLoop(cfg, tmp_path / "run")
         seen = {}
-        build_batch, boundary_grads = loop._build_batch, trainer.margin_boundary_grads
-
-        def recording_build_batch():
-            seen["rows"] = build_batch()
-            return seen["rows"]
+        boundary_grads = trainer.margin_boundary_grads
 
         def recording_boundary_grads(*args):
             seen["per_triplet"] = boundary_grads(*args)
             return seen["per_triplet"]
 
-        monkeypatch.setattr(loop, "_build_batch", recording_build_batch)
         monkeypatch.setattr(trainer, "margin_boundary_grads", recording_boundary_grads)
-        for _ in range(20):
+        for rows, pos in zip(*loop._plan_episode(20)):
             before = loop.beta_class.copy()
-            loop._train_step()
+            loop._train_step(rows, pos)
             class_grad = np.zeros_like(before)
-            np.add.at(class_grad, loop.dataset.labels[seen["rows"]], seen["per_triplet"])
+            np.add.at(class_grad, loop.dataset.labels[rows], seen["per_triplet"])
             want = np.maximum(before - cfg.loss.beta_lr * class_grad, 1e-3)
             assert loop.beta_class.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("algorithm", RL_ALGORITHMS)
+    def test_value_head_built_exactly_when_the_updater_uses_one(self, tmp_path, algorithm):
+        loop = TrainLoop(small_flat(**{"rl.algorithm": algorithm}), tmp_path / "run")
+        assert loop.policy.has_value == loop.updater.uses_value
 
     def test_fallbacks_count_anchors_not_steps(self, tmp_path):
         # no batch distance reaches a PMF support this close to 0, so every anchor falls back
