@@ -66,6 +66,7 @@ from .samplers import (
 )
 
 CSV_HEADER = "episode,r1,r2,r4,nmi,intra,inter,reward"
+PLAN_KEYS = 1 << 20  # within-class keys drawn at once by TrainLoop._plan_episode
 
 
 def _load_pmf_file(path, cfg: RunConfig) -> SamplingPMF:
@@ -107,15 +108,17 @@ class TrainLoop:
         self.train_idx, self.val_idx = split_validation(
             self.dataset, cfg.train.val_fraction, cfg.train.split_mode, data_kids[1]
         )
-        train_labels = self.dataset.labels[self.train_idx]
-        class_ids, self.class_sizes = np.unique(train_labels, return_counts=True)
+        # train rows grouped by class (ascending within each), class i at class_starts[i]
+        order = np.argsort(self.dataset.labels[self.train_idx], kind="stable")
+        self.class_rows = self.train_idx[order]
+        class_ids, self.class_starts, self.class_sizes = np.unique(
+            self.dataset.labels[self.class_rows], return_index=True, return_counts=True
+        )
         if class_ids.size < 2:
             raise ValueError("training split must contain at least 2 classes")
-        # (C, width) train rows per class, ascending; at least s wide for argpartition(kth=s-1)
+        # within-class keys per slot: the largest class, at least s for argpartition(kth=s-1)
         s = cfg.train.samples_per_class
-        self.class_rows = np.zeros((class_ids.size, max(self.class_sizes.max(), s)), np.int64)
-        for i, c in enumerate(class_ids):
-            self.class_rows[i, : self.class_sizes[i]] = self.train_idx[train_labels == c]
+        self.key_width = max(int(self.class_sizes.max()), s)
         # every batch is p distinct classes in blocks of s, so its masks are run constants
         self.classes_per_batch = min(cfg.train.classes_per_batch, class_ids.size)
         block_labels = np.repeat(np.arange(self.classes_per_batch), s)
@@ -189,19 +192,26 @@ class TrainLoop:
         """(rows, positives), each (m, B): every batch and positive of m steps in one pass.
 
         Classes are the first p of a random key order per step; rows are the
-        s smallest keys over a class's table row (padding keys 2.0 never win),
-        or uniform picks with replacement for a class smaller than s; each
-        anchor's positive is a uniform block mate.
+        s smallest of key_width keys per class slot (keys past the class size
+        are set to 2.0 and never win), or uniform picks with replacement for a
+        class smaller than s; each anchor's positive is a uniform block mate.
+        The keys cost m*p*key_width floats per episode, so one large train
+        class makes every slot pay for its size in time; they are drawn in
+        runs of steps of at most PLAN_KEYS floats, which bounds the memory and
+        leaves the stream as one draw would consume it.
         """
         rng, p, s = self.rng_batch, self.classes_per_batch, self.cfg.train.samples_per_class
         classes = np.argsort(rng.random((m, self.class_sizes.size)), axis=1)[:, :p]
         n = self.class_sizes[classes][:, :, None]
-        keys = rng.random((m, p, self.class_rows.shape[1]))
-        keys[np.arange(keys.shape[2]) >= n] = 2.0
-        picks = np.argpartition(keys, s - 1, axis=2)[:, :, :s]
+        run = max(1, PLAN_KEYS // (p * self.key_width))
+        picks = np.empty((m, p, s), np.int64)
+        for lo in range(0, m, run):
+            keys = rng.random((min(run, m - lo), p, self.key_width))
+            keys[np.arange(self.key_width) >= n[lo : lo + run]] = 2.0
+            picks[lo : lo + run] = np.argpartition(keys, s - 1, axis=2)[:, :, :s]
         if (n < s).any():
             picks = np.where(n < s, (rng.random((m, p, s)) * n).astype(np.int64), picks)
-        rows = self.class_rows[classes[:, :, None], picks].reshape(m, -1)
+        rows = self.class_rows[self.class_starts[classes][:, :, None] + picks].reshape(m, -1)
         pos = draw_rows(np.tile(self.same, (m, 1)), rng).reshape(m, -1)
         return rows, pos
 

@@ -212,20 +212,32 @@ def _load_with_warnings(loader, path):
     return ds, [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
 
 
+_F32_MAX = float(np.finfo(np.float32).max)
+# finite at float32 precision: the loader's result is compared byte for byte
 _FEATURE_TEXT = st.one_of(
-    st.floats(allow_nan=False, width=32).map(lambda x: f"{x:.9g}"),
-    st.floats(allow_nan=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(lambda x: f"{x:.9g}"),
+    st.floats(-_F32_MAX, _F32_MAX).map(repr),
     st.floats(-1e6, 1e6).map(lambda x: f"{x:e}"),
     st.floats(-1e6, 1e6).map(lambda x: f"{x:.3E}"),
     st.integers(-(10**6), 10**6).map(str),
-    st.sampled_from(["inf", "-inf", "+inf", "Infinity", "-0", "1e-320", "3.4e39", ".5", "-7."]),
+    st.sampled_from(["-0", "1e-320", "3.4028235e38", "-3.4028235e+38", ".5", "-7."]),
+)
+# not finite at float32 precision: inf/nan as written, or beyond float32 range once cast
+_NON_FINITE_TEXT = st.one_of(
+    st.sampled_from(["inf", "-inf", "+inf", "Infinity", "-Infinity", "nan", "NaN", "1e39"]),
+    st.sampled_from(["3.4e39", "3.4028235677973366e+38", "-3.4028235677973366e+38"]),
+    st.floats(min_value=3.4028235677973366e38, allow_infinity=False).map(repr),
 )
 _BLANK_LINE = st.sampled_from(["", " ", "\t", "  \t  "])
 
 
 @st.composite
-def csv_bodies(draw):
-    """(header + body text, d): 1-5 feature columns, >= 2 rows per label, blank lines mixed in."""
+def csv_bodies(draw, non_finite=False):
+    """(header + body text, d): 1-5 feature columns, >= 2 rows per label, blank lines mixed in.
+
+    With non_finite, at least one drawn row holds a non-finite field, and
+    the result also carries the first such row's line number and field.
+    """
     d = draw(st.integers(1, 5))
     label_values = draw(
         st.one_of(
@@ -235,15 +247,26 @@ def csv_bodies(draw):
     )
     labels = [v for v in label_values for _ in range(draw(st.integers(2, 4)))]
     labels = draw(st.permutations(labels))
+    bad_rows = set()
+    if non_finite:
+        bad_rows = set(draw(st.lists(st.integers(0, len(labels) - 1), min_size=1, unique=True)))
     pad = draw(st.sampled_from(["", " "]))
     lines = [",".join([f"f{i}" for i in range(d)] + ["label"])]
-    for label in labels:
+    first_bad = None
+    for row, label in enumerate(labels):
         lines += draw(st.lists(_BLANK_LINE, max_size=2))
         feats = draw(st.lists(_FEATURE_TEXT, min_size=d, max_size=d))
+        if row in bad_rows:
+            cols = draw(st.lists(st.integers(0, d - 1), min_size=1, unique=True))
+            for col in cols:
+                feats[col] = draw(_NON_FINITE_TEXT)
+            if first_bad is None:
+                first_bad = (len(lines) + 1, feats[min(cols)])
         lines.append(",".join(f"{pad}{x}{pad}" for x in feats) + f",{pad}{label}")
     lines += draw(st.lists(_BLANK_LINE, max_size=2))
     trailing = draw(st.sampled_from(["\n", ""]))
-    return "\n".join(lines) + trailing, d
+    text = "\n".join(lines) + trailing
+    return (text, d, *first_bad) if non_finite else (text, d)
 
 
 @settings(max_examples=150, deadline=None)
@@ -252,20 +275,28 @@ def test_load_matches_line_by_line_reference(body, tmp_path_factory):
     text, d = body
     path = tmp_path_factory.mktemp("diff") / "ds.csv"
     path.write_text(text)
-    try:
-        want, want_warnings = _load_with_warnings(reference_load_dataset, path)
-    except ValueError as exc:
-        # a non-finite feature: both name the same first offending line
-        where = str(exc).split(": ", 1)[0]
-        with pytest.raises(ValueError, match=rf"^{re.escape(where)}: "):
-            load_dataset(path)
-        return
+    want, want_warnings = _load_with_warnings(reference_load_dataset, path)
     got, got_warnings = _load_with_warnings(load_dataset, path)
     assert got.features.dtype == np.float64 and got.features.shape == want.features.shape
     assert got.features.tobytes() == want.features.tobytes()
     assert got.labels.dtype == want.labels.dtype
     assert np.array_equal(got.labels, want.labels)
     assert got_warnings == want_warnings
+
+
+@settings(max_examples=100, deadline=None)
+@given(body=csv_bodies(non_finite=True))
+def test_non_finite_feature_names_its_first_line(body, tmp_path_factory):
+    text, d, lineno, field = body
+    path = tmp_path_factory.mktemp("nonfinite") / "ds.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}:{lineno}: non-finite feature')}$"):
+        reference_load_dataset(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning escapes either
+        with pytest.raises(ValueError) as err:
+            load_dataset(path)
+    assert str(err.value) == f"{path}:{lineno}: feature {field!r} is not finite at float32 precision"
 
 
 class TestLoadEdgeCases:

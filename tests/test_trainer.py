@@ -266,6 +266,20 @@ class TestBatchPlan:
             assert np.array_equal(same, loop.same)
             assert np.array_equal(cand, loop.cand)
 
+    @pytest.mark.parametrize("plan_keys", [1, 2 * 3 * 6 + 1], ids=["runs-of-1", "runs-of-2"])
+    def test_keys_drawn_in_runs_of_steps_give_the_same_plan(self, tmp_path, monkeypatch, plan_keys):
+        sizes = [8, 8, 8, 5, 3]  # 6, 6, 6, 4 and 2 train rows: padding matters for class 3
+        (tmp_path / "whole").mkdir()
+        (tmp_path / "runs").mkdir()
+        whole = planning_loop(tmp_path / "whole", sizes)
+        want = whole._plan_episode(50)
+        monkeypatch.setattr(trainer, "PLAN_KEYS", plan_keys)
+        loop = planning_loop(tmp_path / "runs", sizes)
+        assert loop.key_width == 6  # p * key_width = 18 keys per step
+        got = loop._plan_episode(50)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert loop.rng_batch.random() == whole.rng_batch.random()  # the stream is left alike
+
 
 class TestDeterminismAndReduction:
     @pytest.mark.parametrize("kind", SAMPLER_KINDS)
