@@ -35,7 +35,7 @@ class LabeledDataset:
             raise ValueError(f"need an (N, d) feature matrix, got shape {features.shape}")
         if labels.shape != (features.shape[0],):
             raise ValueError("labels must be one integer per row")
-        if not np.isfinite(features).all():
+        if features.size and not np.isfinite([features.min(), features.max()]).all():
             row, col = np.argwhere(~np.isfinite(features))[0]
             raise ValueError(f"features must be finite; row {row}, column {col} is {features[row, col]}")
         labels = labels.astype(np.int64)
@@ -134,9 +134,7 @@ def load_dataset(path) -> LabeledDataset:
                     dtype=[("f", "f8", (d,)), ("y", "i8")],
                     ndmin=1,
                 )
-            with np.errstate(over="ignore"):
-                features = table["f"].astype(np.float32)
-            if not np.isfinite(features).all():
+            if not _finite_at_float32(table["f"]):
                 raise ValueError("non-finite feature value")
         except (ValueError, DeprecationWarning) as exc:
             fh.seek(0)
@@ -150,7 +148,19 @@ def load_dataset(path) -> LabeledDataset:
     if not np.array_equal(uniq, np.arange(uniq.size)):
         warnings.warn(f"{path}: remapping non-contiguous labels to 0..{uniq.size - 1}", stacklevel=2)
         labels = np.searchsorted(uniq, labels)
-    return LabeledDataset(features.astype(np.float64), labels)
+    return LabeledDataset(table["f"].astype(np.float32).astype(np.float64), labels)
+
+
+def _finite_at_float32(values: np.ndarray) -> bool:
+    """Whether every value stays finite when cast to float32.
+
+    The cast is monotonic and min/max propagate nan, so the two extremes
+    decide; no temporary the size of the table is made.
+    """
+    if values.size == 0:
+        return True
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(np.array([values.min(), values.max()], dtype=np.float32)).all())
 
 
 def _raise_first_bad_line(path, body_lines, d: int) -> None:
