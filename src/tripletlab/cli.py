@@ -110,24 +110,26 @@ def cmd_sweep(args) -> int:
     if args.seeds < 1:
         raise ConfigError(["sweep needs at least 1 seed"])
     seeds = range(cfg.seed, cfg.seed + args.seeds)
-    # every run config is built, and so validated, before the first run trains
-    runs = [
-        (value, [(s, _with_overrides(cfg, **{args.param: value, "seed": s})) for s in seeds])
+    # every run config is built, and so validated, before the first run trains;
+    # a value listed twice maps to the same runs, which train once
+    runs = {
+        (value, seed): _with_overrides(cfg, **{args.param: value, "seed": seed})
         for value in values
-    ]
+        for seed in seeds
+    }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [f"{args.param},seed,final_r1,final_nmi"]
-    for value, value_runs in runs:
+    finals = {}
+    for (value, seed), run_cfg in runs.items():
         tag = value.replace("/", "_").replace(":", "_").replace(",", "+")
-        per_value = []
-        for seed, run_cfg in value_runs:
-            summary = train(run_cfg, out / f"{args.param}={tag}-s{seed}")
-            r1, nmi = _final_metrics(summary)
-            per_value.append((r1, nmi))
+        finals[value, seed] = _final_metrics(train(run_cfg, out / f"{args.param}={tag}-s{seed}"))
+    rows = [f"{args.param},seed,final_r1,final_nmi"]
+    for value in values:
+        for seed in seeds:
+            r1, nmi = finals[value, seed]
             rows.append(f"{value},{seed},{r1!r},{nmi!r}")
-        med_r1 = statistics.median(v[0] for v in per_value)
-        med_nmi = statistics.median(v[1] for v in per_value)
+        med_r1 = statistics.median(finals[value, seed][0] for seed in seeds)
+        med_nmi = statistics.median(finals[value, seed][1] for seed in seeds)
         rows.append(f"{value},median,{med_r1!r},{med_nmi!r}")
     table = out / "sweep.csv"
     table.write_text("\n".join(rows) + "\n")

@@ -69,13 +69,17 @@ def pairwise_distances(batch: EmbeddingBatch) -> np.ndarray:
     from rounding is clamped to 0 before the sqrt, and the diagonal is set
     to exactly 0. The matrix is exactly symmetric without a transposed
     add: numpy computes v @ v.T as one symmetric rank-k update (BLAS syrk)
-    that fills one triangle and mirrors it.
+    that fills one triangle and mirrors it. Every step after the matmul
+    works in place on its buffer, with the ufuncs of 2 - 2 * (v @ v.T), so
+    one N x N array is allocated.
     """
     v = batch.vectors
-    d2 = 2.0 - 2.0 * (v @ v.T)
-    np.clip(d2, 0.0, 4.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    return np.sqrt(d2)
+    d = v @ v.T
+    d *= 2.0
+    np.subtract(2.0, d, out=d)
+    np.clip(d, 0.0, 4.0, out=d)
+    np.fill_diagonal(d, 0.0)
+    return np.sqrt(d, out=d)
 
 
 def log_analytic_density(d: np.ndarray, dim: int) -> np.ndarray:

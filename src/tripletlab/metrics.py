@@ -1,9 +1,11 @@
 """Retrieval and clustering quality measures on embedding batches.
 
 Everything is computed from pairwise distances of unit vectors; `evaluate`
-builds the distance matrix once and shares it. Nearest-neighbor ranking is
-by (distance, index), so ties go to the smaller index, and it is computed
-by counting rather than sorting.
+builds the distance matrix once and shares it. What depends on the labels
+alone (class groups, pair masks) is an `EvalPlan`, which a training run
+builds once for its fixed validation labels. Nearest-neighbor ranking is by
+(distance, index), so ties go to the smaller index, and it is computed by
+counting rather than sorting.
 """
 
 from __future__ import annotations
@@ -90,42 +92,78 @@ def update_tracks(tracks: RunningTracks, report: EvalReport) -> RunningTracks:
     return tracks.append(report.as_vector())
 
 
-def recall_at_k(batch: EmbeddingBatch, ks=(1, 2, 4), dist: np.ndarray | None = None) -> dict:
+class EvalPlan:
+    """The label-only part of an evaluation, built once for a fixed label vector.
+
+    groups: each class's row indices in ascending order, classes in label order.
+    intra / inter: strict-upper-triangle masks of the same-class and the
+    different-class pairs.
+    """
+
+    def __init__(self, labels):
+        self.labels = np.asarray(labels)
+        order = np.argsort(self.labels, kind="stable")
+        _, starts = np.unique(self.labels[order], return_index=True)
+        self.groups = tuple(np.split(order, starts[1:]))
+        upper = ~np.tri(self.labels.size, dtype=bool)
+        same = self.labels[:, None] == self.labels[None, :]
+        self.intra = upper & same
+        self.inter = upper & ~same
+
+    @classmethod
+    def matching(cls, batch: EmbeddingBatch, plan: "EvalPlan | None") -> "EvalPlan":
+        """`plan`, checked against the batch labels, or a new plan for them when None."""
+        if plan is None:
+            return cls(batch.labels)
+        if not np.array_equal(plan.labels, batch.labels):
+            raise ValueError("evaluation plan was built for different labels")
+        return plan
+
+
+def recall_at_k(
+    batch: EmbeddingBatch, ks=(1, 2, 4), dist: np.ndarray | None = None, plan: EvalPlan | None = None
+) -> dict:
     """Fraction of points whose k nearest others contain a same-label point.
 
     Others rank by (distance, index), computed without a sort: the nearest
-    same-label j* (first index among ties) has rank #{d < d*} + #{d == d*,
+    same-label j* (first index among ties, found by argmin over the row's
+    class block, whose columns ascend) has rank #{d < d*} + #{d == d*,
     index < j*} less the row's own diagonal entry, and a row hits at k iff j*
     exists and rank < min(k, n-1). A given `dist` matrix is not modified.
     """
     ks = tuple(int(k) for k in ks)
     if any(k < 1 for k in ks):
         raise ValueError("recall cutoffs must be >= 1")
+    plan = EvalPlan.matching(batch, plan)
     if dist is None:
         dist = pairwise_distances(batch)
     rows = np.arange(batch.n)
-    same = batch.labels[:, None] == batch.labels[None, :]
-    np.fill_diagonal(same, False)
-    nearest = np.where(same, dist, np.inf).argmin(axis=1)
+    nearest = rows.copy()  # a row without a same-label mate keeps itself
+    for group in plan.groups:
+        if group.size > 1:
+            block = dist[np.ix_(group, group)]
+            np.fill_diagonal(block, np.inf)
+            nearest[group] = group[block.argmin(axis=1)]
+    found = nearest != rows
     d_star = dist[rows, nearest][:, None]
     ahead = (dist < d_star) | ((dist == d_star) & (rows < nearest[:, None]))
     rank = np.count_nonzero(ahead, axis=1) - ahead[rows, rows]
-    found = same[rows, nearest]
     return {k: float(np.mean(found & (rank < min(k, batch.n - 1)))) for k in ks}
 
 
-def class_distance_stats(batch: EmbeddingBatch, dist: np.ndarray | None = None) -> tuple[float, float]:
+def class_distance_stats(
+    batch: EmbeddingBatch, dist: np.ndarray | None = None, plan: EvalPlan | None = None
+) -> tuple[float, float]:
     """(mean intra-class distance, mean inter-class distance) over unordered pairs.
 
     A given `dist` matrix is not modified. A side with no pairs (all-singleton
     classes, or a single class) is reported as 0.0 with a warning rather than NaN.
     """
+    plan = EvalPlan.matching(batch, plan)
     if dist is None:
         dist = pairwise_distances(batch)
-    upper = ~np.tri(batch.n, dtype=bool)
-    same = batch.labels[:, None] == batch.labels[None, :]
     out = []
-    for side, vals in (("intra", dist[upper & same]), ("inter", dist[upper & ~same])):
+    for side, vals in (("intra", dist[plan.intra]), ("inter", dist[plan.inter])):
         if vals.size == 0:
             warnings.warn(f"no {side}-class pairs; reporting {side} distance as 0.0", stacklevel=2)
         out.append(float(vals.mean()) if vals.size else 0.0)
@@ -177,8 +215,9 @@ def kmeans(x: np.ndarray, k: int, rng: np.random.Generator, max_iter: int = 300)
         counts = np.bincount(assign, minlength=k)
         filled = counts > 0
         centers[filled] = sums[filled] / counts[filled, None]
-        # re-seed an empty cluster at the point farthest from its center
-        centers[~filled] = x[int(np.argmax(np.min(d2, axis=1)))]
+        if not filled.all():
+            # re-seed an empty cluster at the point farthest from its center
+            centers[~filled] = x[int(np.argmax(np.min(d2, axis=1)))]
     return assign
 
 
@@ -229,12 +268,19 @@ def clustering_nmi(batch: EmbeddingBatch, seed: int, max_iter: int = 300) -> flo
     return nmi(batch.labels, assign)
 
 
-def evaluate(batch: EmbeddingBatch, ks=(1, 2, 4), kmeans_seed: int = 0) -> EvalReport:
-    """Full evaluation bundle used after every training episode, on one distance matrix."""
+def evaluate(
+    batch: EmbeddingBatch, ks=(1, 2, 4), kmeans_seed: int = 0, plan: EvalPlan | None = None
+) -> EvalReport:
+    """Full evaluation bundle used after every training episode, on one distance matrix.
+
+    `plan` is the batch labels' EvalPlan; a training run passes the one it
+    built for its validation labels, and without one it is built here.
+    """
+    plan = EvalPlan.matching(batch, plan)
     dist = pairwise_distances(batch)
-    rec = recall_at_k(batch, ks, dist=dist)
+    rec = recall_at_k(batch, ks, dist=dist, plan=plan)
     score_nmi = clustering_nmi(batch, seed=kmeans_seed)
-    intra, inter = class_distance_stats(batch, dist=dist)
+    intra, inter = class_distance_stats(batch, dist=dist, plan=plan)
     return EvalReport(recall_at=rec, nmi=score_nmi, intra=intra, inter=inter)
 
 

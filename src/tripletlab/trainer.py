@@ -31,7 +31,7 @@ import numpy as np
 from .config import RunConfig, resolved_lines
 from .data import generate_synthetic, load_dataset, split_validation
 from .geometry import EmbeddingBatch, pairwise_distances
-from .metrics import evaluate, eval_score, update_tracks, RunningTracks
+from .metrics import EvalPlan, evaluate, eval_score, update_tracks, RunningTracks
 from .model import (
     Adam,
     EmbeddingModel,
@@ -247,10 +247,10 @@ class TrainLoop:
 
     # ---- evaluation ----
 
-    def _evaluate(self):
+    def _evaluate(self, plan: EvalPlan):
         emb, _ = self.model.forward(self.dataset.features[self.val_idx])
-        batch = EmbeddingBatch(emb, self.dataset.labels[self.val_idx])
-        return evaluate(batch, ks=(1, 2, 4), kmeans_seed=self.metric_seed)
+        batch = EmbeddingBatch(emb, plan.labels)
+        return evaluate(batch, ks=(1, 2, 4), kmeans_seed=self.metric_seed, plan=plan)
 
     # ---- full run ----
 
@@ -264,7 +264,9 @@ class TrainLoop:
                 f"total_iterations not a multiple of m; dropping the last {leftover} iterations",
                 stacklevel=2,
             )
-        report = self._evaluate()
+        # the validation labels are fixed, so their masks and class groups are built once
+        eval_plan = EvalPlan(self.dataset.labels[self.val_idx])
+        report = self._evaluate(eval_plan)
         e_prev = eval_score(report)
         update_tracks(self.tracks, report)
 
@@ -289,7 +291,7 @@ class TrainLoop:
                 pmf_lines.append(json.dumps(self.pmf.snapshot(ep)))
             for rows, pos in zip(*self._plan_episode(cfg.train.m)):
                 self._train_step(rows, pos)
-            report = self._evaluate()
+            report = self._evaluate(eval_plan)
             e_now = eval_score(report)
             reward = compute_reward(e_now, e_prev)
             e_prev = e_now

@@ -184,6 +184,29 @@ class TestSweep:
         assert (out / "pmf.k=6-s0" / "metrics.csv").exists()
         assert (out / "pmf.k=8-s0" / "metrics.csv").exists()
 
+    def test_value_listed_twice_trains_each_run_once(self, base_cfg, tmp_path, monkeypatch, capsys):
+        calls = []
+        real_train = cli.train
+
+        def counting_train(cfg, out):
+            calls.append((cfg.pmf.k, cfg.seed))
+            return real_train(cfg, out)
+
+        monkeypatch.setattr(cli, "train", counting_train)
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--config", str(base_cfg), "--param", "pmf.k",
+                   "--values", "10,6,10", "--seeds", "2", "--out", str(out),
+                   "--set", "sampler.kind=pads"])
+        assert rc == 0
+        assert calls == [(10, 0), (10, 1), (6, 0), (6, 1)]
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert [r.split(",")[:2] for r in rows[1:]] == [
+            ["10", "0"], ["10", "1"], ["10", "median"],
+            ["6", "0"], ["6", "1"], ["6", "median"],
+            ["10", "0"], ["10", "1"], ["10", "median"],
+        ]
+        assert rows[1:4] == rows[7:10]
+
     def test_sweep_bad_param_exits_one(self, base_cfg, tmp_path, capsys):
         rc = main(["sweep", "--config", str(base_cfg), "--param", "bogus.key",
                    "--values", "1,2", "--out", str(tmp_path / "sweep")])

@@ -190,6 +190,33 @@ def test_pairwise_distance_properties(n, dim, seed):
     assert np.all(np.diag(dist) == 0.0)
 
 
+def reference_pairwise_distances(batch: EmbeddingBatch) -> np.ndarray:
+    """pairwise_distances in expression form (a new array per step), kept as the bit-level reference."""
+    v = batch.vectors
+    d2 = 2.0 - 2.0 * (v @ v.T)
+    np.clip(d2, 0.0, 4.0, out=d2)
+    np.fill_diagonal(d2, 0.0)
+    return np.sqrt(d2)
+
+
+def row_layouts(v: np.ndarray) -> dict:
+    """The same rows as a C-order array, an F-order array and a strided view."""
+    padded = np.zeros((2 * v.shape[0], v.shape[1] + 3))
+    padded[::2, 1 : 1 + v.shape[1]] = v
+    return {"C": np.ascontiguousarray(v), "F": np.asfortranarray(v), "strided": padded[::2, 1:-2]}
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 240, 1200])
+def test_pairwise_distances_match_expression_form_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    v = unit_rows(rng, n, 32)
+    v[n // 2 :: 7] = v[0]  # repeated rows give exact zero distances off the diagonal
+    for layout, rows in row_layouts(v).items():
+        batch = EmbeddingBatch(rows, np.zeros(n, dtype=int))
+        got = pairwise_distances(batch)
+        assert got.tobytes() == reference_pairwise_distances(batch).tobytes(), layout
+
+
 @settings(max_examples=40, deadline=None)
 @given(dim=st.integers(3, 256), seed=st.integers(0, 2**31 - 1))
 def test_density_log_finite_everywhere(dim, seed):

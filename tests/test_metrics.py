@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import tripletlab.metrics as metrics
 from tripletlab.geometry import EmbeddingBatch, pairwise_distances
 from tripletlab.metrics import (
     METRIC_FIELDS,
+    EvalPlan,
     EvalReport,
     RunningTracks,
     class_distance_stats,
@@ -66,6 +68,74 @@ def tie_heavy_batch(rng):
     return EmbeddingBatch(vectors, labels)
 
 
+def reference_recall_at_k(batch, ks, dist):
+    """recall_at_k with the masked copy np.where(same, dist, inf), kept as the bit-level reference."""
+    rows = np.arange(batch.n)
+    same = batch.labels[:, None] == batch.labels[None, :]
+    np.fill_diagonal(same, False)
+    nearest = np.where(same, dist, np.inf).argmin(axis=1)
+    d_star = dist[rows, nearest][:, None]
+    ahead = (dist < d_star) | ((dist == d_star) & (rows < nearest[:, None]))
+    rank = np.count_nonzero(ahead, axis=1) - ahead[rows, rows]
+    found = same[rows, nearest]
+    return {k: float(np.mean(found & (rank < min(k, batch.n - 1)))) for k in ks}
+
+
+def reference_class_distance_stats(batch, dist):
+    """class_distance_stats building its masks per call, kept as the bit-level reference."""
+    upper = ~np.tri(batch.n, dtype=bool)
+    same = batch.labels[:, None] == batch.labels[None, :]
+    out = []
+    for vals in (dist[upper & same], dist[upper & ~same]):
+        out.append(float(vals.mean()) if vals.size else 0.0)
+    return out[0], out[1]
+
+
+def reference_kmeans(x, k, rng, max_iter=300, empties=None):
+    """kmeans re-seeding on every Lloyd iteration, kept as the bit-level reference.
+
+    Appends the number of empty clusters of each iteration to `empties`.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    centers = metrics._kmeans_pp_init(x, k, rng)
+    x_sq = np.einsum("ij,ij->i", x, x)[:, None]
+    coords = np.arange(x.shape[1])
+    assign = np.zeros(x.shape[0], dtype=np.int64)
+    for iteration in range(max_iter):
+        d2 = x_sq - 2.0 * (x @ centers.T) + np.einsum("ij,ij->i", centers, centers)
+        new_assign = np.argmin(d2, axis=1)
+        if iteration > 0 and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        bins = (assign[:, None] * x.shape[1] + coords).ravel()
+        sums = np.bincount(bins, weights=x.ravel(), minlength=centers.size).reshape(centers.shape)
+        counts = np.bincount(assign, minlength=k)
+        filled = counts > 0
+        centers[filled] = sums[filled] / counts[filled, None]
+        centers[~filled] = x[int(np.argmax(np.min(d2, axis=1)))]
+        if empties is not None:
+            empties.append(int(np.count_nonzero(~filled)))
+    return assign
+
+
+def random_batch(rng, n):
+    """n unit rows near a few class centers, labels in shuffled order, some singleton classes."""
+    n_classes = int(rng.integers(2, 17))
+    labels = rng.integers(0, n_classes, size=n)
+    labels[rng.choice(n, size=min(n, 3), replace=False)] = 100 + np.arange(min(n, 3))
+    centers = unit_rows(rng, 103, 16)
+    vectors = unit_norm_rows(centers[labels] + 0.7 * rng.standard_normal((n, 16)))
+    return EmbeddingBatch(vectors, labels)
+
+
+def reference_batches():
+    """Tie-heavy batches, then random batches of up to 1200 rows."""
+    rng = np.random.default_rng(99)
+    batches = [tie_heavy_batch(rng) for _ in range(40)]
+    batches += [random_batch(rng, n) for n in (2, 3, 9, 31, 120, 240, 600, 1200)]
+    return batches
+
+
 class TestRecall:
     def test_matches_oracle(self, rng):
         for trial in range(60):
@@ -75,9 +145,21 @@ class TestRecall:
             else:
                 batch = tie_heavy_batch(rng)
             got = recall_at_k(batch, ks=(1, 2, 4))
+            with_plan = recall_at_k(batch, ks=(1, 2, 4), plan=EvalPlan(batch.labels))
             want = recall_oracle(batch, (1, 2, 4))
             for k in (1, 2, 4):
                 assert got[k] == pytest.approx(want[k], abs=1e-12)
+                assert with_plan[k] == pytest.approx(want[k], abs=1e-12)
+
+    def test_matches_masked_copy_reference_bit_for_bit(self):
+        for batch in reference_batches():
+            dist = pairwise_distances(batch)
+            plan = EvalPlan(batch.labels)
+            want = reference_recall_at_k(batch, (1, 2, 4), dist)
+            for given_plan in (None, plan):
+                got = recall_at_k(batch, dist=dist, plan=given_plan)
+                assert list(got) == list(want)
+                assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
 
     def test_tie_breaks_by_lower_index(self):
         # three identical points: every neighbor list is a pure tie, so the
@@ -145,6 +227,39 @@ class TestClassDistanceStats:
     def test_separated_blobs(self, rng):
         intra, inter = class_distance_stats(blob_batch(rng))
         assert 0.0 < intra < 0.3 < inter
+
+    def test_matches_mask_building_reference_bit_for_bit(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # singleton-only or one-class batches
+            for batch in reference_batches():
+                dist = pairwise_distances(batch)
+                want = np.array(reference_class_distance_stats(batch, dist))
+                for plan in (None, EvalPlan(batch.labels)):
+                    got = np.array(class_distance_stats(batch, dist=dist, plan=plan))
+                    assert got.tobytes() == want.tobytes()
+
+
+class TestEvalPlan:
+    def test_groups_and_masks(self):
+        labels = np.array([5, 2, 5, 9, 2, 5, 7])
+        plan = EvalPlan(labels)
+        assert [g.tolist() for g in plan.groups] == [[1, 4], [0, 2, 5], [6], [3]]
+        upper = ~np.tri(labels.size, dtype=bool)
+        same = labels[:, None] == labels[None, :]
+        assert np.array_equal(plan.intra, upper & same)
+        assert np.array_equal(plan.inter, upper & ~same)
+
+    def test_rejects_a_batch_with_other_labels(self, rng):
+        batch = EmbeddingBatch(unit_rows(rng, 6, 4), np.array([0, 0, 1, 1, 2, 2]))
+        plan = EvalPlan(np.array([0, 0, 1, 1, 2, 3]))
+        for call in (
+            lambda: recall_at_k(batch, plan=plan),
+            lambda: class_distance_stats(batch, plan=plan),
+            lambda: evaluate(batch, plan=plan),
+            lambda: evaluate(batch, plan=EvalPlan(np.zeros(5, dtype=int))),
+        ):
+            with pytest.raises(ValueError, match="different labels"):
+                call()
 
 
 class TestNMI:
@@ -282,6 +397,28 @@ class TestKMeans:
         own = d2[np.arange(len(x)), np.searchsorted(used, assign)]
         assert np.all(own <= d2.min(axis=1) + 1e-9)
 
+    def test_empty_clusters_match_every_iteration_reseed_reference_bit_for_bit(self):
+        # a few distinct points, each repeated: k-means++ never picks a point at
+        # distance 0, so with k above the number of distinct points it seeds
+        # duplicate centers, and heavy repeats make Lloyd steps empty clusters
+        empty_steps = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            distinct = rng.standard_normal((int(rng.integers(3, 7)), 2))
+            x = np.repeat(distinct, rng.integers(1, 15, size=distinct.shape[0]), axis=0)
+            k = min(int(rng.integers(2, distinct.shape[0] + 3)), x.shape[0])
+            empties = []
+            want = reference_kmeans(x, k, np.random.default_rng(seed), empties=empties)
+            empty_steps += sum(empties)
+            assert kmeans(x, k, np.random.default_rng(seed)).tobytes() == want.tobytes()
+        assert empty_steps > 0
+
+    def test_matches_reference_on_evaluation_batches(self):
+        for batch in reference_batches():
+            k = int(np.unique(batch.labels).size)
+            want = reference_kmeans(batch.vectors, k, np.random.default_rng(k))
+            assert kmeans(batch.vectors, k, np.random.default_rng(k)).tobytes() == want.tobytes()
+
     def test_clustering_nmi_on_blobs(self, rng):
         batch = blob_batch(rng, n_per_class=10)
         assert clustering_nmi(batch, seed=3) == pytest.approx(1.0, abs=1e-9)
@@ -378,3 +515,8 @@ class TestEvalReport:
         assert report.recall_at == recall_at_k(batch)
         assert report.nmi == clustering_nmi(batch, seed=5)
         assert (report.intra, report.inter) == (intra, inter)
+        # with a plan given, the same report from one more distance matrix
+        monkeypatch.setattr(metrics, "pairwise_distances", counted)
+        assert evaluate(batch, kmeans_seed=5, plan=EvalPlan(batch.labels)) == report
+        monkeypatch.undo()
+        assert len(handed_out) == 2

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import tripletlab.metrics as metrics
 import tripletlab.trainer as trainer
 from tripletlab.config import config_from_flat, config_to_flat, parse_kv_lines
 from tripletlab.data import LabeledDataset, generate_synthetic, save_dataset
@@ -129,6 +130,21 @@ class TestEpisodeMechanics:
         # the in-place update still bumps the version: the earlier cache is stale
         with pytest.raises(ValueError, match="stale cache"):
             model.backward_from_embedding_grads(cache, np.zeros((4, model.embedding_dim)))
+
+    def test_run_builds_its_evaluation_plan_once_and_not_in_setup(self, tmp_path, monkeypatch):
+        built = []
+        real_init = metrics.EvalPlan.__init__
+
+        def counting_init(plan, labels):
+            built.append(np.array(labels))
+            real_init(plan, labels)
+
+        monkeypatch.setattr(metrics.EvalPlan, "__init__", counting_init)
+        loop = TrainLoop(small_flat(), tmp_path / "run")
+        assert built == []
+        loop.run()
+        assert len(built) == 1 and loop.cfg.n_episodes == 3
+        assert np.array_equal(built[0], loop.dataset.labels[loop.val_idx])
 
     def test_zero_learning_rate_gives_zero_rewards(self, tmp_path):
         cfg = small_flat(**{"sampler.kind": "random", "model.lr": 0.0})
