@@ -3,7 +3,7 @@
 Subcommands:
   run        one training run from a config file plus overrides
   compare    sampler list x seeds, shared data split, medians table
-  sweep      one config key over a value list x seeds
+  sweep      one config key over a value list x seeds, medians table
   gen-data   write a synthetic dataset CSV
   plot-data  flatten a run's pmf.jsonl into long-format CSV for heatmaps
 
@@ -66,6 +66,42 @@ def _final_metrics(summary: dict) -> tuple[float, float]:
     return summary["final"]["r1"], summary["final"]["nmi"]
 
 
+def _train_block(cfg, param: str, values: list, n_seeds: int, out: Path, run_dir) -> tuple:
+    """Train param=value into out / run_dir(value, seed) for each value and seed from cfg.seed.
+
+    Returns the seeds and a map (value, seed) -> (final R@1, final NMI).
+    """
+    seeds = range(cfg.seed, cfg.seed + n_seeds)
+    # every run config is built, and so validated, before the first run trains;
+    # a value listed twice maps to the same runs, which train once
+    runs = {
+        (value, seed): _with_overrides(cfg, **{param: value, "seed": seed})
+        for value in values
+        for seed in seeds
+    }
+    out.mkdir(parents=True, exist_ok=True)
+    finals = {key: _final_metrics(train(run_cfg, out / run_dir(*key))) for key, run_cfg in runs.items()}
+    return seeds, finals
+
+
+def _medians(values: list, seeds, finals: dict) -> list:
+    """(value, median final R@1, median final NMI) for each value, over its seed block."""
+    return [
+        (value, *(statistics.median(finals[value, seed][i] for seed in seeds) for i in (0, 1)))
+        for value in values
+    ]
+
+
+def _write_table(path: Path, rows: list, name: str, medians: list) -> None:
+    """Write the CSV rows, print the table's path, then the median rows as a text table."""
+    path.write_text("\n".join(rows) + "\n")
+    print(path)
+    width = max(len(name), *(len(value) for value, _, _ in medians))
+    print(f"{name:<{width}}  final R@1  final NMI")
+    for value, r1, nmi in medians:
+        print(f"{value:<{width}}  {r1:9.4f}  {nmi:9.4f}")
+
+
 def cmd_compare(args) -> int:
     cfg = _build_config(args)
     samplers = [s.strip() for s in args.samplers.split(",") if s.strip()]
@@ -73,32 +109,16 @@ def cmd_compare(args) -> int:
         raise ConfigError(["compare needs at least 2 sampler kinds"])
     if args.seeds < 1:
         raise ConfigError(["compare needs at least 1 seed"])
-    seeds = range(cfg.seed, cfg.seed + args.seeds)
-    # every run config is built, and so validated, before the first run trains;
-    # a sampler listed twice maps to the same runs, which train once
-    runs = {
-        (sampler, seed): _with_overrides(cfg, **{"sampler.kind": sampler, "seed": seed})
-        for sampler in samplers
-        for seed in seeds
-    }
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    finals = {
-        key: _final_metrics(train(run_cfg, out / _run_dir_name(*key)))
-        for key, run_cfg in runs.items()
-    }
+    seeds, finals = _train_block(cfg, "sampler.kind", samplers, args.seeds, out, _run_dir_name)
     rows = ["sampler,seed,final_r1,final_nmi"]
     for sampler in samplers:
         for seed in seeds:
             r1, nmi = finals[sampler, seed]
             rows.append(f"{sampler},{seed},{r1!r},{nmi!r}")
-    for sampler in samplers:
-        med_r1 = statistics.median(finals[sampler, seed][0] for seed in seeds)
-        med_nmi = statistics.median(finals[sampler, seed][1] for seed in seeds)
-        rows.append(f"{sampler},median,{med_r1!r},{med_nmi!r}")
-    table = out / "comparison.csv"
-    table.write_text("\n".join(rows) + "\n")
-    print(table)
+    medians = _medians(samplers, seeds, finals)
+    rows += [f"{sampler},median,{r1!r},{nmi!r}" for sampler, r1, nmi in medians]
+    _write_table(out / "comparison.csv", rows, "sampler", medians)
     return 0
 
 
@@ -109,40 +129,31 @@ def cmd_sweep(args) -> int:
         raise ConfigError(["sweep needs at least one value"])
     if args.seeds < 1:
         raise ConfigError(["sweep needs at least 1 seed"])
-    seeds = range(cfg.seed, cfg.seed + args.seeds)
-    # every run config is built, and so validated, before the first run trains;
-    # a value listed twice maps to the same runs, which train once
-    runs = {
-        (value, seed): _with_overrides(cfg, **{args.param: value, "seed": seed})
-        for value in values
-        for seed in seeds
-    }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    finals = {}
-    for (value, seed), run_cfg in runs.items():
+
+    def run_dir(value: str, seed: int) -> str:
         tag = value.replace("/", "_").replace(":", "_").replace(",", "+")
-        finals[value, seed] = _final_metrics(train(run_cfg, out / f"{args.param}={tag}-s{seed}"))
+        return f"{args.param}={tag}-s{seed}"
+
+    out = Path(args.out)
+    seeds, finals = _train_block(cfg, args.param, values, args.seeds, out, run_dir)
     rows = [f"{args.param},seed,final_r1,final_nmi"]
-    for value in values:
+    medians = _medians(values, seeds, finals)
+    for value, med_r1, med_nmi in medians:
         for seed in seeds:
             r1, nmi = finals[value, seed]
             rows.append(f"{value},{seed},{r1!r},{nmi!r}")
-        med_r1 = statistics.median(finals[value, seed][0] for seed in seeds)
-        med_nmi = statistics.median(finals[value, seed][1] for seed in seeds)
         rows.append(f"{value},median,{med_r1!r},{med_nmi!r}")
-    table = out / "sweep.csv"
-    table.write_text("\n".join(rows) + "\n")
-    print(table)
+    _write_table(out / "sweep.csv", rows, args.param, medians)
     return 0
 
 
 def cmd_gen_data(args) -> int:
-    if args.classes < 1 or args.per_class < 1 or args.dim < 1:
-        raise ConfigError(["classes, per-class and dim must all be >= 1"])
-    dataset = generate_synthetic(
-        args.classes, args.per_class, args.dim, args.spread, args.std, args.seed
-    )
+    try:
+        dataset = generate_synthetic(
+            args.classes, args.per_class, args.dim, args.spread, args.std, args.seed
+        )
+    except ValueError as exc:  # generate_synthetic checks its arguments
+        raise ConfigError([str(exc)]) from None
     save_dataset(dataset, args.out)
     print(f"{args.out}: {dataset.n} rows, {dataset.n_classes} classes, dim {dataset.input_dim}")
     return 0

@@ -104,26 +104,28 @@ def layer_views(flat: np.ndarray, dims) -> tuple[list, list]:
 
 
 class FlatParams:
-    """Parameters held in one flat float64 buffer, `params`.
+    """A ReLU MLP held in one flat float64 buffer, `params`, and run by one layer loop.
 
-    Subclasses keep their per-layer arrays as views of the buffer (see
-    layer_views), so an in-place write to the buffer is seen by every layer
-    and no step copies parameters between layouts. Every write through
-    set_params or step bumps a version counter, so caches taken before it
-    are rejected.
+    `weights`/`biases` are views of the buffer (see layer_views), so no step
+    copies parameters between layouts; backprop writes the same views of a
+    second buffer. Every write through set_params or step bumps a version,
+    so caches taken before it are rejected. Subclasses add what follows the
+    last linear layer: the embedding's normalization, the policy's heads.
     """
 
     dims: tuple
     params: np.ndarray
     _version: int
 
-    def _allocate(self, dims) -> tuple[list, list]:
-        """Zeroed buffer for an MLP with layer widths dims; returns its (weights, biases) views."""
+    def _allocate(self, dims) -> None:
+        """Zeroed parameter and gradient buffers for layer widths dims, and their per-layer views."""
         self.dims = tuple(dims)
         widths = zip(self.dims[:-1], self.dims[1:])
         self.params = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in widths))
+        self._grad = np.zeros_like(self.params)
+        self.weights, self.biases = layer_views(self.params, self.dims)
+        self._grad_w, self._grad_b = layer_views(self._grad, self.dims)
         self._version = 0
-        return layer_views(self.params, self.dims)
 
     @property
     def n_params(self) -> int:
@@ -145,14 +147,38 @@ class FlatParams:
         opt.step(self.params, grads)
         self._version += 1
 
+    def _forward_layers(self, x: np.ndarray, params: np.ndarray | None = None):
+        """(output, pre_acts, acts) of rows x; params, laid out like get_params(), replaces `params`."""
+        weights, biases = self.weights, self.biases
+        if params is not None:
+            weights, biases = layer_views(np.asarray(params, dtype=np.float64), self.dims)
+        pre_acts, acts = [], []
+        a = x
+        for w, b in zip(weights[:-1], biases[:-1]):
+            z = a @ w + b
+            pre_acts.append(z)
+            a = np.maximum(z, 0.0)
+            acts.append(a)
+        return a @ weights[-1] + biases[-1], pre_acts, acts
+
+    def _backward_layers(self, cache, dz: np.ndarray) -> np.ndarray:
+        """Backprop dz, the gradient w.r.t. the output rows, to the flat parameter gradient.
+
+        The result is the gradient buffer, which the next call overwrites.
+        """
+        if cache.version != self._version:
+            raise ValueError("stale cache: parameters changed since the forward pass")
+        for layer in range(len(self.weights) - 1, -1, -1):
+            a_prev = cache.acts[layer - 1] if layer > 0 else cache.inputs
+            np.matmul(a_prev.T, dz, out=self._grad_w[layer])
+            dz.sum(axis=0, out=self._grad_b[layer])
+            if layer > 0:
+                dz = (dz @ self.weights[layer].T) * (cache.pre_acts[layer - 1] > 0.0)
+        return self._grad
+
 
 class EmbeddingModel(FlatParams):
-    """MLP input_dim -> hidden... -> embedding_dim with unit-norm output rows.
-
-    weights[l] and biases[l] are views of the flat buffer `params`;
-    get_params returns a copy of it. backward_from_embedding_grads writes
-    into a second flat buffer of the same layout, which it returns.
-    """
+    """MLP input_dim -> hidden... -> embedding_dim with unit-norm output rows."""
 
     def __init__(self, input_dim: int, hidden, embedding_dim: int, rng: np.random.Generator):
         if input_dim < 1 or embedding_dim < 2:
@@ -160,7 +186,7 @@ class EmbeddingModel(FlatParams):
         self.input_dim = int(input_dim)
         self.hidden = tuple(int(h) for h in hidden)
         self.embedding_dim = int(embedding_dim)
-        self._bind_buffers()
+        self._allocate((self.input_dim, *self.hidden, self.embedding_dim))
         for i, w in enumerate(self.weights):
             fan_in = w.shape[0]
             scale = np.sqrt(2.0 / fan_in) if i < len(self.weights) - 1 else np.sqrt(1.0 / fan_in)
@@ -168,50 +194,23 @@ class EmbeddingModel(FlatParams):
         # tiny random output bias keeps the pre-norm row away from exact 0
         self.biases[-1][...] = rng.uniform(-0.01, 0.01, size=self.embedding_dim)
 
-    def _bind_buffers(self) -> None:
-        """Zeroed parameter and gradient buffers, with the per-layer views of each."""
-        dims = (self.input_dim, *self.hidden, self.embedding_dim)
-        self.weights, self.biases = self._allocate(dims)
-        self._grad = np.zeros_like(self.params)
-        self._grad_w, self._grad_b = layer_views(self._grad, dims)
-
     def forward(self, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
         """Embed a batch of raw feature rows; returns (embeddings, cache)."""
         x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
         if x.shape[1] != self.input_dim:
             raise ValueError(f"dimension mismatch: model expects {self.input_dim}, got {x.shape[1]}")
-        pre_acts, acts = [], []
-        a = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = a @ w + b
-            pre_acts.append(z)
-            a = np.maximum(z, 0.0)
-            acts.append(a)
-        y = a @ self.weights[-1] + self.biases[-1]
+        y, pre_acts, acts = self._forward_layers(x)
         norms = np.maximum(np.linalg.norm(y, axis=1, keepdims=True), _NORM_FLOOR)
         emb = y / norms
         cache = ForwardCache(x, pre_acts, acts, y, norms, emb, self._version)
         return emb, cache
 
     def backward_from_embedding_grads(self, cache: ForwardCache, d_emb: np.ndarray) -> np.ndarray:
-        """Backprop upstream gradients w.r.t. the embeddings down to a flat parameter gradient.
-
-        The result is the model's gradient buffer, which the next call
-        overwrites; copy it to keep it.
-        """
-        if cache.version != self._version:
-            raise ValueError("stale cache: parameters changed since the forward pass")
+        """Backprop upstream gradients w.r.t. the embeddings (see _backward_layers)."""
         emb = cache.embeddings
         # normalization: emb = y / |y|, so the output layer's dz = dy = (I - emb emb^T) d_emb / |y| rowwise
         dz = (d_emb - np.sum(d_emb * emb, axis=1, keepdims=True) * emb) / cache.norms
-        for layer in range(len(self.weights) - 1, -1, -1):
-            a_prev = cache.acts[layer - 1] if layer > 0 else cache.inputs
-            np.matmul(a_prev.T, dz, out=self._grad_w[layer])
-            dz.sum(axis=0, out=self._grad_b[layer])
-            if layer > 0:
-                da = dz @ self.weights[layer].T
-                dz = da * (cache.pre_acts[layer - 1] > 0.0)
-        return self._grad
+        return self._backward_layers(cache, dz)
 
     # ---- checkpointing ----
 
@@ -234,7 +233,7 @@ class EmbeddingModel(FlatParams):
         model.input_dim = int(payload["input_dim"])
         model.hidden = tuple(int(h) for h in payload["hidden"])
         model.embedding_dim = int(payload["embedding_dim"])
-        model._bind_buffers()
+        model._allocate((model.input_dim, *model.hidden, model.embedding_dim))
         layers = payload["layers"]
         if len(layers) != len(model.weights):
             raise ValueError(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metrics import METRIC_FIELDS, RunningTracks
-from .model import Adam, FlatParams, layer_views
+from .model import Adam, FlatParams
 
 RL_ALGORITHMS = ("reinforce", "reinforce-ema", "a2c", "ppo-ema", "ppo-a2c")
 
@@ -85,11 +85,9 @@ def build_state(
 
 @dataclass
 class PolicyCache:
-    state: np.ndarray
-    z1: np.ndarray
-    a1: np.ndarray
-    z2: np.ndarray
-    a2: np.ndarray
+    inputs: np.ndarray  # the state as one row
+    pre_acts: list
+    acts: list
     logits: np.ndarray
     value: float | None
     version: int
@@ -98,7 +96,8 @@ class PolicyCache:
 class PolicyNetwork(FlatParams):
     """state -> 128 -> 128 (ReLU) -> K*3 logits, plus optional value scalar.
 
-    w1..b3 are views of the flat buffer `params` (see FlatParams).
+    FlatParams runs the layers on the state as one row; the network splits
+    the output row into the K 3-way heads and the value.
     """
 
     def __init__(
@@ -116,16 +115,15 @@ class PolicyNetwork(FlatParams):
         self.has_value = bool(has_value)
         self.hidden = int(hidden)
         n_out = 3 * self.k_bins + (1 if self.has_value else 0)
-        (self.w1, self.w2, self.w3), (self.b1, self.b2, self.b3) = self._allocate(
-            (self.state_dim, self.hidden, self.hidden, n_out)
-        )
-        self.w1[...] = rng.normal(0.0, np.sqrt(2.0 / self.state_dim), size=self.w1.shape)
-        self.w2[...] = rng.normal(0.0, np.sqrt(2.0 / self.hidden), size=self.w2.shape)
-        self.w3[...] = rng.normal(0.0, 0.01 * np.sqrt(1.0 / self.hidden), size=self.w3.shape)
+        self._allocate((self.state_dim, self.hidden, self.hidden, n_out))
+        w1, w2, w3 = self.weights
+        w1[...] = rng.normal(0.0, np.sqrt(2.0 / self.state_dim), size=w1.shape)
+        w2[...] = rng.normal(0.0, np.sqrt(2.0 / self.hidden), size=w2.shape)
+        w3[...] = rng.normal(0.0, 0.01 * np.sqrt(1.0 / self.hidden), size=w3.shape)
 
     @property
     def n_out(self) -> int:
-        return self.b3.size
+        return self.biases[-1].size
 
     def forward(self, state: np.ndarray, params: np.ndarray | None = None) -> PolicyCache:
         """Logits and value at state.
@@ -137,38 +135,22 @@ class PolicyNetwork(FlatParams):
         s = np.asarray(state, dtype=np.float64)
         if s.shape != (self.state_dim,):
             raise ValueError(f"state dimension mismatch: expected {self.state_dim}, got {s.shape}")
-        flat = self.params if params is None else np.asarray(params, dtype=np.float64)
-        (w1, w2, w3), (b1, b2, b3) = layer_views(flat, self.dims)
+        x = s[None, :]
+        out, pre_acts, acts = self._forward_layers(x, params)
+        logits = out[0, : 3 * self.k_bins].reshape(self.k_bins, 3)
+        value = float(out[0, -1]) if self.has_value else None
         version = self._version if params is None else -1
-        z1 = s @ w1 + b1
-        a1 = np.maximum(z1, 0.0)
-        z2 = a1 @ w2 + b2
-        a2 = np.maximum(z2, 0.0)
-        out = a2 @ w3 + b3
-        logits = out[: 3 * self.k_bins].reshape(self.k_bins, 3)
-        value = float(out[-1]) if self.has_value else None
-        return PolicyCache(s, z1, a1, z2, a2, logits, value, version)
+        return PolicyCache(x, pre_acts, acts, logits, value, version)
 
     def backward(self, cache: PolicyCache, d_logits: np.ndarray, d_value: float = 0.0) -> np.ndarray:
-        """Flat parameter gradient given output-side gradients (a new array)."""
-        if cache.version != self._version:
-            raise ValueError("stale cache: parameters changed since the forward pass")
-        grad = np.empty(self.n_params)
-        (g_w1, g_w2, g_w3), (g_b1, g_b2, g_b3) = layer_views(grad, self.dims)
-        d_out = g_b3
-        d_out[: 3 * self.k_bins] = np.asarray(d_logits, dtype=np.float64).ravel()
-        if self.has_value:
-            d_out[-1] = d_value
-        elif d_value != 0.0:
+        """Flat parameter gradient given output-side gradients (see FlatParams._backward_layers)."""
+        if d_value != 0.0 and not self.has_value:
             raise ValueError("value gradient supplied but the network has no value head")
-        np.outer(cache.a2, d_out, out=g_w3)
-        da2 = self.w3 @ d_out
-        np.multiply(da2, cache.z2 > 0.0, out=g_b2)
-        np.outer(cache.a1, g_b2, out=g_w2)
-        da1 = self.w2 @ g_b2
-        np.multiply(da1, cache.z1 > 0.0, out=g_b1)
-        np.outer(cache.state, g_b1, out=g_w1)
-        return grad
+        d_out = np.empty((1, self.n_out))
+        d_out[0, : 3 * self.k_bins] = np.asarray(d_logits, dtype=np.float64).ravel()
+        if self.has_value:
+            d_out[0, -1] = d_value
+        return self._backward_layers(cache, d_out)
 
     # ---- probability helpers ----
 
@@ -178,17 +160,13 @@ class PolicyNetwork(FlatParams):
         return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
     def log_prob(self, cache: PolicyCache, trits: np.ndarray) -> float:
-        logsm = self.log_softmax(cache.logits)
-        return float(logsm[np.arange(self.k_bins), trits].sum())
+        return log_prob_and_score(cache.logits, trits)[0]
 
     def log_prob_grad(self, state: np.ndarray, trits: np.ndarray) -> tuple[float, np.ndarray]:
         """(log pi(a|s), gradient of it w.r.t. the flat parameters)."""
         cache = self.forward(state)
-        logsm = self.log_softmax(cache.logits)
-        lp = float(logsm[np.arange(self.k_bins), trits].sum())
-        d_logits = -np.exp(logsm)
-        d_logits[np.arange(self.k_bins), trits] += 1.0
-        return lp, self.backward(cache, d_logits)
+        lp, score = log_prob_and_score(cache.logits, trits)
+        return lp, self.backward(cache, score)
 
     def value_grad(self, state: np.ndarray) -> tuple[float, np.ndarray]:
         """(V(s), gradient of it w.r.t. the flat parameters)."""
@@ -228,19 +206,28 @@ class PolicyNetwork(FlatParams):
 # Actions and reward
 # -------------------------
 
+def log_prob_and_score(logits: np.ndarray, trits: np.ndarray) -> tuple[float, np.ndarray]:
+    """(log pi(a|s), onehot(a) - softmax(logits)) for the K heads' logits and chosen trits.
+
+    The second item is the gradient of the joint log-prob w.r.t. the logits.
+    """
+    logsm = PolicyNetwork.log_softmax(logits)
+    heads = np.arange(logsm.shape[0])
+    score = -np.exp(logsm)
+    score[heads, trits] += 1.0
+    return float(logsm[heads, trits].sum()), score
+
+
 def sample_action(logits: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, float]:
     """Draw each bin's trit from its softmax; returns (trits, joint log-prob).
 
     Trit meaning: 0 decrease, 1 maintain, 2 increase.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    k = logits.shape[0]
-    logsm = PolicyNetwork.log_softmax(logits)
-    cum = np.cumsum(np.exp(logsm), axis=1)
-    u = rng.random(k)
-    trits = np.minimum((u[:, None] >= cum).sum(axis=1), 2)
-    lp = float(logsm[np.arange(k), trits].sum())
-    return trits.astype(np.int64), lp
+    cum = np.cumsum(np.exp(PolicyNetwork.log_softmax(logits)), axis=1)
+    u = rng.random(logits.shape[0])
+    trits = np.minimum((u[:, None] >= cum).sum(axis=1), 2).astype(np.int64)
+    return trits, log_prob_and_score(logits, trits)[0]
 
 
 def identity_trits(k: int) -> np.ndarray:
@@ -347,8 +334,7 @@ class PolicyUpdater:
         for tr in transitions:
             lp_old = self._old_log_prob(tr.state, tr.trits) if self.uses_ppo else 0.0
             cache = self.policy.forward(tr.state)
-            logsm = self.policy.log_softmax(cache.logits)
-            lp_new = float(logsm[np.arange(self.policy.k_bins), tr.trits].sum())
+            lp_new, d_logits = log_prob_and_score(cache.logits, tr.trits)
             if self.uses_value:
                 advantage = tr.reward - cache.value
             elif self.uses_ema:
@@ -365,8 +351,6 @@ class PolicyUpdater:
             else:
                 ratio = 1.0
                 coef = advantage
-            d_logits = -np.exp(logsm)
-            d_logits[np.arange(self.policy.k_bins), tr.trits] += 1.0
             d_logits *= -coef
             d_value = 0.0
             if self.uses_value:

@@ -120,7 +120,7 @@ def kink_free_policy_setup(seed, has_value):
     for _ in range(60):
         s = rng.standard_normal(5)
         cache = policy.forward(s)
-        if min(np.abs(cache.z1).min(), np.abs(cache.z2).min()) > 1e-3:
+        if min(np.abs(z).min() for z in cache.pre_acts) > 1e-3:
             return policy, s
     raise AssertionError("could not find a kink-free probe state")
 

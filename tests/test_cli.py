@@ -91,6 +91,16 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
 
 
+def assert_printed_medians_match_csv(stdout: str, table, name: str) -> None:
+    """The text table printed after the CSV path holds the CSV's median rows, in order."""
+    lines = stdout.splitlines()
+    start = lines.index(str(table))
+    assert lines[start + 1].split() == [name, "final", "R@1", "final", "NMI"]
+    printed = [line.split() for line in lines[start + 2 :]]
+    medians = [row.split(",") for row in table.read_text().splitlines() if ",median," in row]
+    assert printed == [[key, f"{float(r1):.4f}", f"{float(nmi):.4f}"] for key, _, r1, nmi in medians]
+
+
 class TestCompare:
     def test_two_samplers_two_seeds(self, base_cfg, tmp_path, capsys):
         out = tmp_path / "cmp"
@@ -105,6 +115,13 @@ class TestCompare:
         for sampler in ("random", "semihard"):
             for seed in (0, 1):
                 assert (out / f"{sampler}-s{seed}" / "metrics.csv").exists()
+
+    def test_prints_the_median_rows(self, base_cfg, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        rc = main(["compare", "--config", str(base_cfg), "--samplers", "random,pads,random",
+                   "--seeds", "3", "--out", str(out)])
+        assert rc == 0
+        assert_printed_medians_match_csv(capsys.readouterr().out, out / "comparison.csv", "sampler")
 
     def test_same_sampler_twice_gives_identical_medians(self, base_cfg, tmp_path, capsys):
         out = tmp_path / "cmp"
@@ -184,6 +201,14 @@ class TestSweep:
         assert (out / "pmf.k=6-s0" / "metrics.csv").exists()
         assert (out / "pmf.k=8-s0" / "metrics.csv").exists()
 
+    def test_prints_the_median_rows(self, base_cfg, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--config", str(base_cfg), "--param", "pmf.k",
+                   "--values", "6,10,6", "--seeds", "3", "--out", str(out),
+                   "--set", "sampler.kind=pads"])
+        assert rc == 0
+        assert_printed_medians_match_csv(capsys.readouterr().out, out / "sweep.csv", "pmf.k")
+
     def test_value_listed_twice_trains_each_run_once(self, base_cfg, tmp_path, monkeypatch, capsys):
         calls = []
         real_train = cli.train
@@ -231,9 +256,16 @@ class TestGenData:
         ds = load_dataset(out)
         assert ds.n == 15 and ds.n_classes == 3 and ds.input_dim == 4
 
-    def test_invalid_args_exit_one(self, tmp_path, capsys):
-        rc = main(["gen-data", "--out", str(tmp_path / "ds.csv"), "--classes", "0"])
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--classes", "0"), ("--per-class", "0"), ("--dim", "0"), ("--std", "-1")],
+        ids=["classes", "per-class", "dim", "std"],
+    )
+    def test_invalid_args_exit_one(self, tmp_path, capsys, flag, value):
+        rc = main(["gen-data", "--out", str(tmp_path / "ds.csv"), flag, value])
         assert rc == 1
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not (tmp_path / "ds.csv").exists()
 
 
 class TestPlotData:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tripletlab.metrics import RunningTracks
+from tripletlab.model import Adam, layer_views
 from tripletlab.rl import (
     ALGORITHM_CHOICES,
     RL_ALGORITHMS,
@@ -31,7 +32,7 @@ def safe_state(policy, seed=0, margin=1e-3, tries=60):
     for _ in range(tries):
         s = rng.standard_normal(policy.state_dim)
         cache = policy.forward(s)
-        if min(np.abs(cache.z1).min(), np.abs(cache.z2).min()) > margin:
+        if min(np.abs(z).min() for z in cache.pre_acts) > margin:
             return s
     raise AssertionError("could not find a kink-free probe state")
 
@@ -48,6 +49,40 @@ def fd_grad(f, x0, h=1e-5):
 
 def rel_err(a, b):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-7)
+
+
+def reference_policy_forward(policy, state, params=None):
+    """The hand-unrolled three-layer forward the policy had before it ran on FlatParams' layer loop.
+
+    Returns (z1, a1, z2, a2, logits, value) for a 1-D state.
+    """
+    flat = policy.params if params is None else params
+    (w1, w2, w3), (b1, b2, b3) = layer_views(flat, policy.dims)
+    z1 = state @ w1 + b1
+    a1 = np.maximum(z1, 0.0)
+    z2 = a1 @ w2 + b2
+    a2 = np.maximum(z2, 0.0)
+    out = a2 @ w3 + b3
+    logits = out[: 3 * policy.k_bins].reshape(policy.k_bins, 3)
+    value = float(out[-1]) if policy.has_value else None
+    return z1, a1, z2, a2, logits, value
+
+
+def reference_policy_backward(policy, state, d_logits, d_value=0.0):
+    """The hand-unrolled backward that went with reference_policy_forward, by outer products."""
+    z1, a1, z2, a2, _, _ = reference_policy_forward(policy, state)
+    grad = np.empty(policy.n_params)
+    (g_w1, g_w2, g_w3), (g_b1, g_b2, g_b3) = layer_views(grad, policy.dims)
+    d_out = g_b3
+    d_out[: 3 * policy.k_bins] = np.asarray(d_logits, dtype=np.float64).ravel()
+    if policy.has_value:
+        d_out[-1] = d_value
+    np.outer(a2, d_out, out=g_w3)
+    np.multiply(policy.weights[2] @ d_out, z2 > 0.0, out=g_b2)
+    np.outer(a1, g_b2, out=g_w2)
+    np.multiply(policy.weights[1] @ g_b2, z1 > 0.0, out=g_b1)
+    np.outer(state, g_b1, out=g_w1)
+    return grad
 
 
 class TestStateVector:
@@ -177,7 +212,7 @@ class TestPolicyNetwork:
         policy = make_policy(seed=12, has_value=True)
 
         def bound(net):
-            layers = [net.w1, net.b1, net.w2, net.b2, net.w3, net.b3]
+            layers = [layer for pair in zip(net.weights, net.biases) for layer in pair]
             flat = np.concatenate([layer.ravel() for layer in layers])
             return all(np.shares_memory(layer, net.params) for layer in layers) and np.array_equal(
                 flat, net.params
@@ -224,6 +259,99 @@ class TestPolicyNetwork:
     def test_checkpoint_kind_rejected(self):
         with pytest.raises(ValueError, match="unsupported checkpoint kind"):
             PolicyNetwork.from_dict({"kind": "mlp-unit-norm"})
+
+
+def zero_signs_cleared(a):
+    """a with every -0.0 turned into +0.0 (adding +0.0 changes nothing else)."""
+    return np.asarray(a) + 0.0
+
+
+class TestPolicyMatchesHandUnrolledReference:
+    """The shared layer loop against the policy's former three-layer code, compared by bytes.
+
+    The gradients are compared with signed zeros cleared on both sides: the
+    loop's weight gradient is a one-row matmul, which writes +0.0 where the
+    reference's np.outer writes -0.0 (a dead ReLU unit times a negative
+    upstream gradient). PolicyUpdater sums the gradient into a zeroed buffer
+    before Adam, which clears them in the same way.
+    """
+
+    SHAPES = [(5, 1, 4), (7, 3, 12), (9, 4, 8), (31, 30, 128), (6, 2, 1)]
+
+    @pytest.mark.parametrize("has_value", [False, True])
+    @pytest.mark.parametrize("state_dim_,k_bins,hidden", SHAPES)
+    def test_forward_and_backward_bytes(self, state_dim_, k_bins, hidden, has_value):
+        rng = np.random.default_rng(state_dim_ * 100 + k_bins * 10 + hidden + has_value)
+        policy = make_policy(
+            seed=hidden, state_dim_=state_dim_, k_bins=k_bins, has_value=has_value, hidden=hidden
+        )
+        for _ in range(6):
+            s = rng.standard_normal(state_dim_)
+            cache = policy.forward(s)
+            z1, a1, z2, a2, logits, value = reference_policy_forward(policy, s)
+            for got, want in zip([*cache.pre_acts, *cache.acts], [z1, z2, a1, a2]):
+                assert got[0].tobytes() == want.tobytes()
+            assert cache.logits.tobytes() == logits.tobytes()
+            assert repr(cache.value) == repr(value)
+
+            d_logits = rng.standard_normal((k_bins, 3))
+            d_value = float(rng.standard_normal()) if has_value else 0.0
+            want = reference_policy_backward(policy, s, d_logits, d_value)
+            got = policy.backward(cache, d_logits, d_value)
+            assert zero_signs_cleared(got).tobytes() == zero_signs_cleared(want).tobytes()
+
+            trits = rng.integers(0, 3, size=k_bins)
+            score = -np.exp(policy.log_softmax(logits))
+            score[np.arange(k_bins), trits] += 1.0
+            lp, grad = policy.log_prob_grad(s, trits)
+            assert lp == float(policy.log_softmax(logits)[np.arange(k_bins), trits].sum())
+            want = reference_policy_backward(policy, s, score)
+            assert zero_signs_cleared(grad).tobytes() == zero_signs_cleared(want).tobytes()
+            policy.set_params(policy.params + 0.05 * rng.standard_normal(policy.n_params))
+
+    @pytest.mark.parametrize("has_value", [False, True])
+    @pytest.mark.parametrize("state_dim_,k_bins,hidden", SHAPES)
+    def test_explicit_params_forward_bytes(self, state_dim_, k_bins, hidden, has_value):
+        rng = np.random.default_rng(hidden * 7 + k_bins + has_value)
+        policy = make_policy(
+            seed=k_bins, state_dim_=state_dim_, k_bins=k_bins, has_value=has_value, hidden=hidden
+        )
+        for _ in range(4):
+            s = rng.standard_normal(state_dim_)
+            theta = rng.standard_normal(policy.n_params) * 0.2
+            cache = policy.forward(s, theta)
+            z1, a1, z2, a2, logits, value = reference_policy_forward(policy, s, theta)
+            for got, want in zip([*cache.pre_acts, *cache.acts], [z1, z2, a1, a2]):
+                assert got[0].tobytes() == want.tobytes()
+            assert cache.logits.tobytes() == logits.tobytes()
+            assert repr(cache.value) == repr(value)
+
+    def test_gradient_sign_of_zero_never_reaches_adam(self, rng):
+        """The former a2c update, run on the reference gradient (which holds -0.0 where a hidden
+        unit is dead), moves the parameters to the same bytes as PolicyUpdater."""
+        policy = make_policy(seed=21, state_dim_=6, k_bins=3, has_value=True, hidden=16)
+        reference = make_policy(seed=21, state_dim_=6, k_bins=3, has_value=True, hidden=16)
+        updater = PolicyUpdater(policy, "a2c", lr=1e-2)
+        adam = Adam(lr=1e-2)
+        saw_negative_zero = False
+        for step in range(5):
+            s = rng.standard_normal(6)
+            tr = make_transition(policy, s, np.random.default_rng(step), reward=(-1) ** step)
+            *_, logits, value = reference_policy_forward(reference, s)
+            score = -np.exp(reference.log_softmax(logits))
+            score[np.arange(3), tr.trits] += 1.0
+            score *= -(tr.reward - value)
+            want = reference_policy_backward(
+                reference, s, score, 2.0 * updater.value_coef * (value - tr.reward)
+            )
+            saw_negative_zero |= bool(np.any((want == 0.0) & np.signbit(want)))
+            grad = np.zeros(reference.n_params)
+            grad += want
+            grad /= 1
+            reference.step(adam, grad)
+            updater.update([tr])
+            assert policy.params.tobytes() == reference.params.tobytes()
+        assert saw_negative_zero
 
 
 class TestActions:

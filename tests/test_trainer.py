@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -450,3 +452,15 @@ class TestVariants:
         loop.beta_class[:] = np.nan  # corrupt boundaries feed straight into the loss
         with pytest.raises(RuntimeError, match="non-finite loss; aborting run"):
             loop.run()
+
+
+def test_benchmark_tracer_targets_are_defined_on_their_owners():
+    """perfbench/tracing.py reads each wrapped name through vars(owner), so none may be inherited."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = tracing.targets()
+    assert targets
+    missing = [(owner.__name__, attr) for owner, attr, _, _ in targets if attr not in vars(owner)]
+    assert missing == []
