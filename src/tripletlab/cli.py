@@ -4,6 +4,8 @@ Subcommands:
   run        one training run from a config file plus overrides
   compare    sampler list x seeds, shared data split, medians table
   sweep      one config key over a value list x seeds, medians table
+  transfer   train a teacher, then its frozen policy and final PMF against
+             pads and random on regenerated data, medians table
   gen-data   write a synthetic dataset CSV
   plot-data  flatten a run's pmf.jsonl into long-format CSV for heatmaps
 
@@ -43,9 +45,9 @@ def _build_config(args):
     return cfg
 
 
-def _with_overrides(cfg, **kv):
+def _with_overrides(cfg, overrides: dict):
     flat = config_to_flat(cfg)
-    flat.update({k: str(v) for k, v in kv.items()})
+    flat.update({k: str(v) for k, v in overrides.items()})
     rebuilt, _ = config_from_flat(flat)
     return rebuilt
 
@@ -66,22 +68,29 @@ def _final_metrics(summary: dict) -> tuple[float, float]:
     return summary["final"]["r1"], summary["final"]["nmi"]
 
 
-def _train_block(cfg, param: str, values: list, n_seeds: int, out: Path, run_dir) -> tuple:
-    """Train param=value into out / run_dir(value, seed) for each value and seed from cfg.seed.
+def _block_configs(cfg, variants: dict, n_seeds: int) -> tuple:
+    """Build the config of every (variant, seed) run, seeds counting up from cfg.seed.
 
-    Returns the seeds and a map (value, seed) -> (final R@1, final NMI).
+    variants maps each variant's name to its config overrides. Building a
+    config validates it, so an invalid run anywhere in the block raises
+    ConfigError before anything trains. Returns the seeds and a map
+    (variant, seed) -> config.
     """
+    if n_seeds < 1:
+        raise ConfigError([f"--seeds must be at least 1, got {n_seeds}"])
     seeds = range(cfg.seed, cfg.seed + n_seeds)
-    # every run config is built, and so validated, before the first run trains;
-    # a value listed twice maps to the same runs, which train once
     runs = {
-        (value, seed): _with_overrides(cfg, **{param: value, "seed": seed})
-        for value in values
+        (name, seed): _with_overrides(cfg, {**overrides, "seed": seed})
+        for name, overrides in variants.items()
         for seed in seeds
     }
+    return seeds, runs
+
+
+def _train_runs(runs: dict, out: Path, run_dir) -> dict:
+    """Train each config into out / run_dir(*key); map each key to (final R@1, final NMI)."""
     out.mkdir(parents=True, exist_ok=True)
-    finals = {key: _final_metrics(train(run_cfg, out / run_dir(*key))) for key, run_cfg in runs.items()}
-    return seeds, finals
+    return {key: _final_metrics(train(run_cfg, out / run_dir(*key))) for key, run_cfg in runs.items()}
 
 
 def _medians(values: list, seeds, finals: dict) -> list:
@@ -102,23 +111,30 @@ def _write_table(path: Path, rows: list, name: str, medians: list) -> None:
         print(f"{value:<{width}}  {r1:9.4f}  {nmi:9.4f}")
 
 
+def _block_table(path: Path, name: str, keys: list, seeds, finals: dict) -> None:
+    """Write every run's row, then one median row per key, and print the medians.
+
+    A key listed twice gets its rows twice; its runs were trained once.
+    """
+    rows = [f"{name},seed,final_r1,final_nmi"]
+    for key in keys:
+        for seed in seeds:
+            r1, nmi = finals[key, seed]
+            rows.append(f"{key},{seed},{r1!r},{nmi!r}")
+    medians = _medians(keys, seeds, finals)
+    rows += [f"{key},median,{r1!r},{nmi!r}" for key, r1, nmi in medians]
+    _write_table(path, rows, name, medians)
+
+
 def cmd_compare(args) -> int:
     cfg = _build_config(args)
     samplers = [s.strip() for s in args.samplers.split(",") if s.strip()]
     if len(samplers) < 2:
         raise ConfigError(["compare needs at least 2 sampler kinds"])
-    if args.seeds < 1:
-        raise ConfigError(["compare needs at least 1 seed"])
+    seeds, runs = _block_configs(cfg, {s: {"sampler.kind": s} for s in samplers}, args.seeds)
     out = Path(args.out)
-    seeds, finals = _train_block(cfg, "sampler.kind", samplers, args.seeds, out, _run_dir_name)
-    rows = ["sampler,seed,final_r1,final_nmi"]
-    for sampler in samplers:
-        for seed in seeds:
-            r1, nmi = finals[sampler, seed]
-            rows.append(f"{sampler},{seed},{r1!r},{nmi!r}")
-    medians = _medians(samplers, seeds, finals)
-    rows += [f"{sampler},median,{r1!r},{nmi!r}" for sampler, r1, nmi in medians]
-    _write_table(out / "comparison.csv", rows, "sampler", medians)
+    finals = _train_runs(runs, out, _run_dir_name)
+    _block_table(out / "comparison.csv", "sampler", samplers, seeds, finals)
     return 0
 
 
@@ -127,15 +143,14 @@ def cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError(["sweep needs at least one value"])
-    if args.seeds < 1:
-        raise ConfigError(["sweep needs at least 1 seed"])
+    seeds, runs = _block_configs(cfg, {v: {args.param: v} for v in values}, args.seeds)
 
     def run_dir(value: str, seed: int) -> str:
         tag = value.replace("/", "_").replace(":", "_").replace(",", "+")
         return f"{args.param}={tag}-s{seed}"
 
     out = Path(args.out)
-    seeds, finals = _train_block(cfg, args.param, values, args.seeds, out, run_dir)
+    finals = _train_runs(runs, out, run_dir)
     rows = [f"{args.param},seed,final_r1,final_nmi"]
     medians = _medians(values, seeds, finals)
     for value, med_r1, med_nmi in medians:
@@ -144,6 +159,43 @@ def cmd_sweep(args) -> int:
             rows.append(f"{value},{seed},{r1!r},{nmi!r}")
         rows.append(f"{value},median,{med_r1!r},{med_nmi!r}")
     _write_table(out / "sweep.csv", rows, args.param, medians)
+    return 0
+
+
+def cmd_transfer(args) -> int:
+    cfg = _build_config(args)
+    out = Path(args.out)
+    teacher_dir = out / "teacher"
+    teacher = _with_overrides(cfg, {"seed": args.teacher_seed})
+    # only a pads run that learns its own policy writes the policy.json the students load
+    if (
+        teacher.sampler.kind != "pads"
+        or teacher.transfer.mode != "none"
+        or teacher.rl.algorithm == "frozen-identity"
+    ):
+        raise ConfigError([
+            "the transfer teacher must write policy.json, so it needs sampler.kind=pads, "
+            "transfer.mode=none and an rl.algorithm other than frozen-identity; got "
+            f"{teacher.sampler.kind}, {teacher.transfer.mode} and {teacher.rl.algorithm}"
+        ])
+    variants = {
+        "fixed-policy": {
+            "transfer.mode": "fixed-policy",
+            "transfer.policy_path": teacher_dir / "policy.json",
+        },
+        "fixed-final-pmf": {
+            "transfer.mode": "fixed-final-pmf",
+            "transfer.pmf_path": teacher_dir / "final_pmf.json",
+        },
+        "pads": {},
+        "random": {"sampler.kind": "random"},
+    }
+    students = _with_overrides(cfg, {"data.seed": args.student_data_seed})
+    # the teacher's files do not exist yet, and validation does not look for them
+    seeds, runs = _block_configs(students, variants, args.seeds)
+    train(teacher, teacher_dir)
+    finals = _train_runs(runs, out, _run_dir_name)
+    _block_table(out / "transfer.csv", "variant", list(variants), seeds, finals)
     return 0
 
 
@@ -216,6 +268,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seeds", type=int, default=1)
     p_sweep.add_argument("--out", required=True, help="directory for runs and sweep.csv")
     p_sweep.set_defaults(func=cmd_sweep)
+
+    p_tr = sub.add_parser(
+        "transfer", help="teacher's frozen policy and final PMF against pads and random"
+    )
+    add_config_args(p_tr)
+    p_tr.add_argument("--teacher-seed", type=int, default=0, help="seed of the teacher run")
+    p_tr.add_argument("--student-data-seed", type=int, default=1,
+                      help="data.seed of the students' regenerated dataset")
+    p_tr.add_argument("--seeds", type=int, default=3, help="student seeds per variant")
+    p_tr.add_argument("--out", default="runs/transfer",
+                      help="directory for teacher/, the student runs and transfer.csv")
+    p_tr.set_defaults(func=cmd_transfer)
 
     p_gen = sub.add_parser("gen-data", help="write a synthetic dataset CSV")
     p_gen.add_argument("--out", required=True)

@@ -2,8 +2,8 @@
 
 Everything downstream (losses, samplers, metrics) works with points on the
 unit sphere in D dimensions, so Euclidean distances live in [0, 2]. This
-module provides normalization, pairwise distances via the Gram identity,
-and the analytic density of distances between random points on the sphere,
+module provides pairwise distances via the Gram identity and the analytic
+density of distances between random points on the sphere,
 which static distance-weighted negative sampling inverts to flatten the
 distance histogram of drawn negatives.
 """
@@ -13,10 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class DegenerateEmbeddingError(ValueError):
-    """Raised when a vector cannot be projected onto the unit sphere."""
 
 
 @dataclass(frozen=True)
@@ -51,15 +47,6 @@ class EmbeddingBatch:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-
-def normalize_to_sphere(v: np.ndarray) -> np.ndarray:
-    """Project a vector onto the unit sphere, preserving direction."""
-    v = np.asarray(v, dtype=np.float64)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise DegenerateEmbeddingError("degenerate embedding: zero vector has no direction")
-    return v / norm
 
 
 def pairwise_distances(batch: EmbeddingBatch) -> np.ndarray:
@@ -101,11 +88,6 @@ def log_analytic_density(d: np.ndarray, dim: int) -> np.ndarray:
     if np.any(d <= 0.0) or np.any(d >= 2.0):
         raise ValueError("distances must lie strictly inside (0, 2)")
     return (dim - 2) * np.log(d) + 0.5 * (dim - 3) * (np.log1p(-0.5 * d) + np.log1p(0.5 * d))
-
-
-def analytic_density(d: np.ndarray, dim: int) -> np.ndarray:
-    """Unnormalized q(d); see log_analytic_density for the formula."""
-    return np.exp(log_analytic_density(d, dim))
 
 
 def inverse_density_weights(

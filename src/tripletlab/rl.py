@@ -230,10 +230,6 @@ def sample_action(logits: np.ndarray, rng: np.random.Generator) -> tuple[np.ndar
     return trits, log_prob_and_score(logits, trits)[0]
 
 
-def identity_trits(k: int) -> np.ndarray:
-    return np.ones(k, dtype=np.int64)
-
-
 def multipliers_from_trits(trits: np.ndarray, alpha: float, beta_up: float) -> np.ndarray:
     """trit -> multiplier map {0 -> alpha, 1 -> 1, 2 -> beta_up}."""
     if not 0.0 < alpha < 1.0:

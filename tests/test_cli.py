@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +246,80 @@ class TestSweep:
         assert rc == 1
         assert "pmf.k must be >= 2" in capsys.readouterr().err
         assert not list((tmp_path / "sweep").glob("*"))
+
+
+class TestTransfer:
+    VARIANTS = ("fixed-policy", "fixed-final-pmf", "pads", "random")
+
+    def test_teacher_and_students_two_seeds(self, base_cfg, tmp_path, capsys):
+        out = tmp_path / "transfer"
+        rc = main(["transfer", "--config", str(base_cfg), "--seeds", "2", "--out", str(out)])
+        assert rc == 0
+        assert (out / "teacher" / "policy.json").exists()
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == sorted(
+            ["teacher"] + [f"{v}-s{seed}" for v in self.VARIANTS for seed in (0, 1)]
+        )
+        table = out / "transfer.csv"
+        rows = table.read_text().splitlines()
+        assert rows[0] == "variant,seed,final_r1,final_nmi"
+        assert [r.split(",")[:2] for r in rows[1:]] == [
+            [v, str(seed)] for v in self.VARIANTS for seed in (0, 1)
+        ] + [[v, "median"] for v in self.VARIANTS]
+        assert_printed_medians_match_csv(capsys.readouterr().out, table, "variant")
+        for seed in (0, 1):
+            resolved = (out / f"fixed-policy-s{seed}" / "config.resolved").read_text().splitlines()
+            assert f"transfer.policy_path={out / 'teacher' / 'policy.json'}" in resolved
+            assert "data.seed=1" in resolved
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--set", "sampler.kind=random", "teacher must write policy.json"),
+            ("--set", "pmf.k=1", "pmf.k must be >= 2"),
+            ("--set", "rl.algorithm=frozen-identity", "teacher must write policy.json"),
+            ("--set", "transfer.mode=fixed-final-pmf", "teacher must write policy.json"),
+            ("--seeds", "0", "--seeds must be at least 1"),
+        ],
+        ids=["random-teacher", "pmf-k", "frozen-identity", "transfer-mode", "no-seeds"],
+    )
+    def test_invalid_config_trains_nothing(self, base_cfg, tmp_path, capsys, flag, value,
+                                           message):
+        rc = main(["transfer", "--config", str(base_cfg), flag, value,
+                   "--out", str(tmp_path / "transfer")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not list((tmp_path / "transfer").glob("*"))
+
+
+@pytest.mark.parametrize(
+    "command", [["compare", "--samplers", "random,pads"], ["sweep", "--param", "pmf.k",
+                                                           "--values", "6,8"]],
+    ids=["compare", "sweep"],
+)
+def test_zero_seeds_trains_nothing(base_cfg, tmp_path, capsys, command):
+    rc = main([*command, "--config", str(base_cfg), "--seeds", "0", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "--seeds must be at least 1" in capsys.readouterr().err
+    assert not list((tmp_path / "o").glob("*"))
+
+
+def readme_commands() -> list:
+    """Every `tripletlab ...` line of the README's code blocks, with `\\` continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = text.split("```")[1::2]
+    joined = "\n".join(blocks).replace("\\\n", " ")
+    return [line.strip() for line in joined.splitlines() if line.strip().startswith("tripletlab ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert any(c.startswith("tripletlab transfer ") for c in commands)
+    parser = cli.build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"the parser rejects the README command {command!r}")
 
 
 class TestGenData:

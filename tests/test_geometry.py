@@ -4,12 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripletlab.geometry import (
-    DegenerateEmbeddingError,
     EmbeddingBatch,
-    analytic_density,
     inverse_density_weights,
     log_analytic_density,
-    normalize_to_sphere,
     pairwise_distances,
 )
 
@@ -36,18 +33,6 @@ class TestEmbeddingBatch:
     def test_tolerates_1e6_norm_slack(self, rng):
         v = unit_rows(rng, 3, 6) * (1.0 + 5e-7)
         EmbeddingBatch(v, np.zeros(3, dtype=int))
-
-
-class TestNormalize:
-    def test_unit_result(self, rng):
-        v = rng.normal(size=7) * 3.0
-        out = normalize_to_sphere(v)
-        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(np.cross(out[:3], v[:3] / np.linalg.norm(v)), 0.0, atol=1e-12)
-
-    def test_zero_vector_message(self):
-        with pytest.raises(DegenerateEmbeddingError, match="degenerate embedding"):
-            normalize_to_sphere(np.zeros(4))
 
 
 class TestPairwiseDistances:
@@ -97,11 +82,11 @@ class TestAnalyticDensity:
         d = np.linspace(0.05, 1.95, 50)
         for dim in (3, 4, 8, 16, 30):
             direct = d ** (dim - 2) * (1.0 - 0.25 * d**2) ** (0.5 * (dim - 3))
-            assert np.allclose(analytic_density(d, dim), direct, rtol=1e-11)
+            assert np.allclose(np.exp(log_analytic_density(d, dim)), direct, rtol=1e-11)
 
     def test_dim3_is_linear_in_d(self):
         d = np.array([0.2, 0.4, 1.0, 1.6])
-        q = analytic_density(d, 3)
+        q = np.exp(log_analytic_density(d, 3))
         assert np.allclose(q / q[0], d / d[0], rtol=1e-12)
 
     def test_large_dim_stays_finite(self):
@@ -134,7 +119,7 @@ class TestInverseDensityWeights:
         # with a huge cap the weights are exactly proportional to 1/q
         d = rng.uniform(0.5, 1.5, size=10)
         w = inverse_density_weights(d, 6, clip_lambda=1e30)
-        q = analytic_density(d, 6)
+        q = np.exp(log_analytic_density(d, 6))
         ratio = w * q
         assert np.allclose(ratio, ratio[0], rtol=1e-9)
 

