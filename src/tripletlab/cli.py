@@ -143,6 +143,11 @@ def cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError(["sweep needs at least one value"])
+    if args.param == "seed":
+        # every run's seed comes from its seed block, which would override the swept value
+        raise ConfigError(
+            ["sweep cannot sweep seed; give the first seed with --seed and the count with --seeds"]
+        )
     seeds, runs = _block_configs(cfg, {v: {args.param: v} for v in values}, args.seeds)
 
     def run_dir(value: str, seed: int) -> str:

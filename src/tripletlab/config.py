@@ -11,6 +11,7 @@ back in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, is_dataclass
 
 from .data import require_valid_split
@@ -214,14 +215,15 @@ def _validate(values: dict) -> tuple[list, list]:
         errors += [f"pmf.init: {e}" for e in _raised(init_pmf, *bins, values["pmf.init"])]
     need(0.0 < values["pmf.alpha"] < 1.0, "pmf.alpha must lie in (0, 1)")
     need(values["pmf.beta"] > 1.0, "pmf.beta must exceed 1")
+    # under renormalized multiplicative updates, one decrease and one increase cancel iff alpha*beta = 1
     if (
         0.0 < values["pmf.alpha"] < 1.0
         and values["pmf.beta"] > 1.0
-        and abs(0.5 * (values["pmf.alpha"] + values["pmf.beta"]) - 1.0) > 1e-12
+        and abs(math.log(values["pmf.alpha"]) + math.log(values["pmf.beta"])) > 1e-12
     ):
         warnings_.append(
-            f"action multipliers average {(values['pmf.alpha'] + values['pmf.beta']) / 2:g}, not 1; "
-            "allowed, but updates drift the PMF even under balanced actions"
+            f"action multipliers multiply to {values['pmf.alpha'] * values['pmf.beta']:g}, not 1; "
+            "allowed, but a decrease and an increase of a bin do not cancel"
         )
     need(values["model.embedding_dim"] >= 2, "model.embedding_dim must be >= 2")
     if values["sampler.kind"] in ("distweighted", "curriculum-nonlinear"):

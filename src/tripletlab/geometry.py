@@ -1,67 +1,32 @@
 """Embedding-space primitives on the unit hypersphere.
 
 Everything downstream (losses, samplers, metrics) works with points on the
-unit sphere in D dimensions, so Euclidean distances live in [0, 2]. This
+unit sphere in D dimensions, so Euclidean distances live in [0, 2]. Points
+are plain (N, D) float arrays: EmbeddingModel.forward makes them unit-norm
+and refuses non-finite ones, and nothing here checks them again. This
 module provides pairwise distances via the Gram identity and the analytic
-density of distances between random points on the sphere,
-which static distance-weighted negative sampling inverts to flatten the
-distance histogram of drawn negatives.
+density of distances between random points on the sphere, which static
+distance-weighted negative sampling inverts to flatten the distance
+histogram of drawn negatives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class EmbeddingBatch:
-    """A batch of unit-norm embedding vectors with integer class labels.
+def pairwise_distances(vectors: np.ndarray) -> np.ndarray:
+    """All-pairs Euclidean distances between the unit rows of an (N, D) float array.
 
-    vectors: (N, D) array, each row L2-normalized within 1e-6.
-    labels: (N,) integer class ids.
+    Uses d^2 = 2 - 2<v, w> for unit rows v, w. The Gram form is one matmul
+    instead of N^2 norms; tiny negative d^2 from rounding is clamped to 0
+    before the sqrt, and the diagonal is set to exactly 0. The matrix is
+    exactly symmetric without a transposed add: numpy computes V @ V.T as
+    one symmetric rank-k update (BLAS syrk) that fills one triangle and
+    mirrors it. Every step after the matmul works in place on its buffer,
+    with the ufuncs of 2 - 2 * (V @ V.T), so one N x N array is allocated.
     """
-
-    vectors: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        vectors = np.asarray(self.vectors, dtype=np.float64)
-        labels = np.asarray(self.labels)
-        if vectors.ndim != 2 or vectors.shape[0] < 1 or vectors.shape[1] < 2:
-            raise ValueError(f"need an (N>=1, D>=2) matrix, got shape {vectors.shape}")
-        if labels.shape != (vectors.shape[0],):
-            raise ValueError("labels must be one integer per row")
-        norms = np.linalg.norm(vectors, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= 1e-6):
-            worst = float(np.max(np.abs(norms - 1.0)))
-            raise ValueError(f"rows must be unit-norm within 1e-6 (worst deviation {worst:.3g})")
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "labels", labels.astype(np.int64))
-
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-
-def pairwise_distances(batch: EmbeddingBatch) -> np.ndarray:
-    """All-pairs Euclidean distances via d^2 = 2 - 2<x, y> for unit vectors.
-
-    The Gram form is one matmul instead of N^2 norms; tiny negative d^2
-    from rounding is clamped to 0 before the sqrt, and the diagonal is set
-    to exactly 0. The matrix is exactly symmetric without a transposed
-    add: numpy computes v @ v.T as one symmetric rank-k update (BLAS syrk)
-    that fills one triangle and mirrors it. Every step after the matmul
-    works in place on its buffer, with the ufuncs of 2 - 2 * (v @ v.T), so
-    one N x N array is allocated.
-    """
-    v = batch.vectors
-    d = v @ v.T
+    d = vectors @ vectors.T
     d *= 2.0
     np.subtract(2.0, d, out=d)
     np.clip(d, 0.0, 4.0, out=d)

@@ -1,11 +1,13 @@
 """Retrieval and clustering quality measures on embedding batches.
 
-Everything is computed from pairwise distances of unit vectors; `evaluate`
-builds the distance matrix once and shares it. What depends on the labels
-alone (class groups, pair masks) is an `EvalPlan`, which a training run
-builds once for its fixed validation labels. Nearest-neighbor ranking is by
-(distance, index), so ties go to the smaller index, and it is computed by
-counting rather than sorting.
+A batch is a plain (N, D) array of unit rows plus an `EvalPlan`, the one
+holder of its labels and of what depends on them alone (class groups, pair
+masks); a training run builds the plan once for its fixed validation
+labels. Every function that takes a plan refuses one whose label count is
+not the number of rows. Everything is computed from pairwise distances;
+`evaluate` builds the distance matrix once and shares it. Nearest-neighbor
+ranking is by (distance, index), so ties go to the smaller index, and it is
+computed by counting rather than sorting.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EmbeddingBatch, pairwise_distances
+from .geometry import pairwise_distances
 
 
 #: column order of the per-episode metric vector used throughout
@@ -93,8 +95,9 @@ def update_tracks(tracks: RunningTracks, report: EvalReport) -> RunningTracks:
 
 
 class EvalPlan:
-    """The label-only part of an evaluation, built once for a fixed label vector.
+    """The labels of an evaluation and what depends on them alone, built once per label vector.
 
+    labels: one integer class id per row of the evaluated batch.
     groups: each class's row indices in ascending order, classes in label order.
     intra / inter: strict-upper-triangle masks of the same-class and the
     different-class pairs.
@@ -110,34 +113,28 @@ class EvalPlan:
         self.intra = upper & same
         self.inter = upper & ~same
 
-    @classmethod
-    def matching(cls, batch: EmbeddingBatch, plan: "EvalPlan | None") -> "EvalPlan":
-        """`plan`, checked against the batch labels, or a new plan for them when None."""
-        if plan is None:
-            return cls(batch.labels)
-        if not np.array_equal(plan.labels, batch.labels):
-            raise ValueError("evaluation plan was built for different labels")
-        return plan
+    def check_rows(self, n: int) -> None:
+        """Refuse a batch of n rows unless the plan has one label per row."""
+        if n != self.labels.size:
+            raise ValueError(f"evaluation plan has {self.labels.size} labels for {n} rows")
 
 
-def recall_at_k(
-    batch: EmbeddingBatch, ks=(1, 2, 4), dist: np.ndarray | None = None, plan: EvalPlan | None = None
-) -> dict:
+def recall_at_k(dist: np.ndarray, plan: EvalPlan, ks=(1, 2, 4)) -> dict:
     """Fraction of points whose k nearest others contain a same-label point.
 
     Others rank by (distance, index), computed without a sort: the nearest
     same-label j* (first index among ties, found by argmin over the row's
     class block, whose columns ascend) has rank #{d < d*} + #{d == d*,
     index < j*} less the row's own diagonal entry, and a row hits at k iff j*
-    exists and rank < min(k, n-1). A given `dist` matrix is not modified.
+    exists and rank < min(k, n-1). `dist` is the (N, N) distance matrix of
+    the plan's rows; it is not modified.
     """
     ks = tuple(int(k) for k in ks)
     if any(k < 1 for k in ks):
         raise ValueError("recall cutoffs must be >= 1")
-    plan = EvalPlan.matching(batch, plan)
-    if dist is None:
-        dist = pairwise_distances(batch)
-    rows = np.arange(batch.n)
+    n = dist.shape[0]
+    plan.check_rows(n)
+    rows = np.arange(n)
     nearest = rows.copy()  # a row without a same-label mate keeps itself
     for group in plan.groups:
         if group.size > 1:
@@ -148,20 +145,16 @@ def recall_at_k(
     d_star = dist[rows, nearest][:, None]
     ahead = (dist < d_star) | ((dist == d_star) & (rows < nearest[:, None]))
     rank = np.count_nonzero(ahead, axis=1) - ahead[rows, rows]
-    return {k: float(np.mean(found & (rank < min(k, batch.n - 1)))) for k in ks}
+    return {k: float(np.mean(found & (rank < min(k, n - 1)))) for k in ks}
 
 
-def class_distance_stats(
-    batch: EmbeddingBatch, dist: np.ndarray | None = None, plan: EvalPlan | None = None
-) -> tuple[float, float]:
+def class_distance_stats(dist: np.ndarray, plan: EvalPlan) -> tuple[float, float]:
     """(mean intra-class distance, mean inter-class distance) over unordered pairs.
 
-    A given `dist` matrix is not modified. A side with no pairs (all-singleton
-    classes, or a single class) is reported as 0.0 with a warning rather than NaN.
+    `dist` is not modified. A side with no pairs (all-singleton classes, or
+    a single class) is reported as 0.0 with a warning rather than NaN.
     """
-    plan = EvalPlan.matching(batch, plan)
-    if dist is None:
-        dist = pairwise_distances(batch)
+    plan.check_rows(dist.shape[0])
     out = []
     for side, vals in (("intra", dist[plan.intra]), ("inter", dist[plan.inter])):
         if vals.size == 0:
@@ -253,34 +246,28 @@ def nmi(labels_a: np.ndarray, labels_b: np.ndarray) -> float:
     return mi / (0.5 * (h_a + h_b))
 
 
-def clustering_nmi(batch: EmbeddingBatch, seed: int, max_iter: int = 300) -> float:
-    """NMI between ground-truth labels and k-means clusters, k = #classes.
+def clustering_nmi(vectors: np.ndarray, plan: EvalPlan, seed: int, max_iter: int = 300) -> float:
+    """NMI between the plan's labels and k-means clusters of the rows, k = #classes.
 
     The k-means seed is passed in explicitly: evaluations inside one
     training run share a fixed seed so the metric is a deterministic
     function of the embeddings.
     """
-    k = int(np.unique(batch.labels).size)
+    plan.check_rows(vectors.shape[0])
+    k = len(plan.groups)
     if k == 1:
         return 0.0
     rng = np.random.default_rng(seed)
-    assign = kmeans(batch.vectors, k, rng, max_iter=max_iter)
-    return nmi(batch.labels, assign)
+    assign = kmeans(vectors, k, rng, max_iter=max_iter)
+    return nmi(plan.labels, assign)
 
 
-def evaluate(
-    batch: EmbeddingBatch, ks=(1, 2, 4), kmeans_seed: int = 0, plan: EvalPlan | None = None
-) -> EvalReport:
-    """Full evaluation bundle used after every training episode, on one distance matrix.
-
-    `plan` is the batch labels' EvalPlan; a training run passes the one it
-    built for its validation labels, and without one it is built here.
-    """
-    plan = EvalPlan.matching(batch, plan)
-    dist = pairwise_distances(batch)
-    rec = recall_at_k(batch, ks, dist=dist, plan=plan)
-    score_nmi = clustering_nmi(batch, seed=kmeans_seed)
-    intra, inter = class_distance_stats(batch, dist=dist, plan=plan)
+def evaluate(vectors: np.ndarray, plan: EvalPlan, ks=(1, 2, 4), kmeans_seed: int = 0) -> EvalReport:
+    """Full evaluation bundle used after every training episode, on one distance matrix."""
+    dist = pairwise_distances(vectors)
+    rec = recall_at_k(dist, plan, ks)
+    score_nmi = clustering_nmi(vectors, plan, seed=kmeans_seed)
+    intra, inter = class_distance_stats(dist, plan)
     return EvalReport(recall_at=rec, nmi=score_nmi, intra=intra, inter=inter)
 
 

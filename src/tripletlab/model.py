@@ -42,11 +42,11 @@ class LossConfig:
         problems = []
         if self.kind not in ("triplet", "margin"):
             problems.append(f"unknown loss kind {self.kind!r}; loss.kind must be triplet or margin")
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             problems.append("loss.gamma must be positive")
-        if self.beta_margin <= 0:
+        if not self.beta_margin > 0:
             problems.append("loss.beta_margin must be positive")
-        if self.beta_lr < 0:
+        if not self.beta_lr >= 0:
             problems.append("loss.beta_lr must be nonnegative")
         if problems:
             raise ValueError("\n".join(problems))
@@ -195,12 +195,19 @@ class EmbeddingModel(FlatParams):
         self.biases[-1][...] = rng.uniform(-0.01, 0.01, size=self.embedding_dim)
 
     def forward(self, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-        """Embed a batch of raw feature rows; returns (embeddings, cache)."""
+        """Embed a batch of raw feature rows; returns (embeddings, cache).
+
+        Raises FloatingPointError if a row's norm before normalization is not
+        finite (an inf or nan output, or one too large to normalize), so
+        nothing downstream sees a non-finite embedding.
+        """
         x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
         if x.shape[1] != self.input_dim:
             raise ValueError(f"dimension mismatch: model expects {self.input_dim}, got {x.shape[1]}")
         y, pre_acts, acts = self._forward_layers(x)
         norms = np.maximum(np.linalg.norm(y, axis=1, keepdims=True), _NORM_FLOOR)
+        if not np.all(np.isfinite(norms)):
+            raise FloatingPointError("non-finite embeddings from the model's forward pass")
         emb = y / norms
         cache = ForwardCache(x, pre_acts, acts, y, norms, emb, self._version)
         return emb, cache

@@ -74,9 +74,9 @@ class SamplingPMF:
         if p.ndim != 1:
             raise ValueError(f"bin probabilities must be one-dimensional, got shape {p.shape}")
         _check_bins(self.lambda_min, self.lambda_max, p.size)
-        if np.any(p < 0.0):
+        if not np.all(p >= 0.0):
             raise ValueError("bin probabilities must be nonnegative")
-        if abs(p.sum() - 1.0) > 1e-9:
+        if not abs(p.sum() - 1.0) <= 1e-9:
             raise ValueError(f"bin probabilities must sum to 1, got {p.sum()!r}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "edges", np.linspace(self.lambda_min, self.lambda_max, p.size + 1))

@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import RunConfig, resolved_lines
 from .data import generate_synthetic, load_dataset, split_validation
-from .geometry import EmbeddingBatch, pairwise_distances
+from .geometry import pairwise_distances
 from .metrics import EvalPlan, evaluate, eval_score, update_tracks, RunningTracks
 from .model import (
     Adam,
@@ -219,7 +219,7 @@ class TrainLoop:
         cfg = self.cfg
         labels = self.dataset.labels[batch_rows]
         emb, cache = self.model.forward(self.dataset.features[batch_rows])
-        dist = pairwise_distances(EmbeddingBatch(emb, labels))
+        dist = pairwise_distances(emb)
         cand, anchors = self.cand, self.anchors
         if self.kind == "random":
             neg = sample_negative_random(cand, self.rng_negative)
@@ -249,8 +249,7 @@ class TrainLoop:
 
     def _evaluate(self, plan: EvalPlan):
         emb, _ = self.model.forward(self.dataset.features[self.val_idx])
-        batch = EmbeddingBatch(emb, plan.labels)
-        return evaluate(batch, ks=(1, 2, 4), kmeans_seed=self.metric_seed, plan=plan)
+        return evaluate(emb, plan, ks=(1, 2, 4), kmeans_seed=self.metric_seed)
 
     # ---- full run ----
 

@@ -18,13 +18,8 @@ from scipy import stats
 
 from tripletlab.cli import main as cli_main
 from tripletlab.config import config_from_flat
-from tripletlab.geometry import (
-    EmbeddingBatch,
-    inverse_density_weights,
-    log_analytic_density,
-    pairwise_distances,
-)
-from tripletlab.metrics import class_distance_stats, nmi, recall_at_k
+from tripletlab.geometry import inverse_density_weights, log_analytic_density, pairwise_distances
+from tripletlab.metrics import EvalPlan, class_distance_stats, nmi, recall_at_k
 from tripletlab.model import EmbeddingModel, LossConfig, backward, triplet_losses
 from tripletlab.rl import PolicyNetwork, PolicyUpdater, Transition, compute_reward, sample_action
 from tripletlab.samplers import SamplingPMF, apply_action, init_pmf, sample_negative_semihard
@@ -149,7 +144,7 @@ def test_02_inverse_density_flattens_distances():
         n, dim = 512, 128
         v = rng.standard_normal((n, dim))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        dist = pairwise_distances(EmbeddingBatch(v, np.zeros(n, dtype=np.int64)))
+        dist = pairwise_distances(v)
         draws, pool = [], []
         per = 100_000 // n
         for anchor in range(n):
@@ -181,8 +176,8 @@ def test_03_oracle_equivalence():
             v /= np.linalg.norm(v, axis=1, keepdims=True)
             labels = rng.integers(0, int(rng.integers(2, 5)), size=n)
             labels[: labels.max() + 1] = np.arange(labels.max() + 1)
-            batch = EmbeddingBatch(v, labels)
-            dist = pairwise_distances(batch)
+            dist = pairwise_distances(v)
+            plan = EvalPlan(labels)
 
             # semihard: exhaustive scan, exact discrete match
             anchor = int(rng.integers(n))
@@ -202,7 +197,7 @@ def test_03_oracle_equivalence():
                 assert got == want
 
             # recall@k: per-point scan with (distance, index) ordering
-            got_rec = recall_at_k(batch, ks=(1, 2, 4))
+            got_rec = recall_at_k(dist, plan, ks=(1, 2, 4))
             for k in (1, 2, 4):
                 hits = 0
                 for i in range(n):
@@ -240,7 +235,7 @@ def test_03_oracle_equivalence():
 
             with _warnings.catch_warnings():
                 _warnings.simplefilter("ignore")
-                intra, inter = class_distance_stats(batch)
+                intra, inter = class_distance_stats(dist, plan)
             if intra_pairs:
                 assert abs(intra - np.mean(intra_pairs)) < 1e-9
             if inter_pairs:

@@ -92,6 +92,14 @@ class TestRun:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_diverged_run_exits_two_naming_nonfinite_embeddings(self, base_cfg, tmp_path, capsys):
+        # one Adam step moves each parameter by about lr, and the next forward pass overflows
+        rc = main(["run", "--config", str(base_cfg), "--set", "sampler.kind=distweighted",
+                   "--set", "model.lr=1e300", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "error: non-finite embeddings" in capsys.readouterr().err
+
 
 def assert_printed_medians_match_csv(stdout: str, table, name: str) -> None:
     """The text table printed after the CSV path holds the CSV's median rows, in order."""
@@ -240,6 +248,14 @@ class TestSweep:
         assert rc == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_sweeping_the_seed_exits_one(self, base_cfg, tmp_path, capsys):
+        rc = main(["sweep", "--config", str(base_cfg), "--param", "seed",
+                   "--values", "5,9", "--out", str(tmp_path / "sweep")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--seed" in err and "--seeds" in err
+        assert not (tmp_path / "sweep").exists()
+
     def test_invalid_later_value_trains_nothing(self, base_cfg, tmp_path, capsys):
         rc = main(["sweep", "--config", str(base_cfg), "--param", "pmf.k",
                    "--values", "30,1", "--out", str(tmp_path / "sweep")])
@@ -320,6 +336,13 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(command, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"the parser rejects the README command {command!r}")
+
+
+def test_every_public_name_resolves():
+    import tripletlab
+
+    assert tripletlab.__all__
+    assert [name for name in tripletlab.__all__ if not hasattr(tripletlab, name)] == []
 
 
 class TestGenData:

@@ -107,10 +107,10 @@ class TestValidation:
             build({"pmf.beta": "0.9"})
 
     def test_unbalanced_multipliers_only_warn(self):
-        _, warns = config_from_flat({})
-        assert any("average 1.025" in w for w in warns)
-        _, warns = config_from_flat({"pmf.beta": "1.2"})
+        _, warns = config_from_flat({})  # the paper's 0.8 and 1.25 multiply to exactly 1
         assert not warns
+        _, warns = config_from_flat({"pmf.beta": "1.2"})
+        assert any("multiply to 0.96" in w for w in warns)
 
     def test_density_sampler_needs_dim_three(self):
         with pytest.raises(ConfigError, match="model.embedding_dim >= 3"):
@@ -155,6 +155,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match="require sampler.kind=pads"):
             build({"transfer.mode": "fixed-final-pmf", "sampler.kind": "random"})
         build({"transfer.mode": "fixed-final-pmf"})  # empty pmf_path freezes the init PMF
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("loss.gamma", "loss.gamma must be positive"),
+            ("loss.beta_margin", "loss.beta_margin must be positive"),
+            ("loss.beta_lr", "loss.beta_lr must be nonnegative"),
+        ],
+    )
+    def test_nan_loss_values_rejected(self, key, message):
+        with pytest.raises(ConfigError) as exc:
+            build({key: "nan"})
+        assert exc.value.errors == [message]
 
     def test_state_recalls_subset(self):
         with pytest.raises(ConfigError, match="subset of 1,2,4"):

@@ -3,36 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripletlab.geometry import (
-    EmbeddingBatch,
-    inverse_density_weights,
-    log_analytic_density,
-    pairwise_distances,
-)
+from tripletlab.geometry import inverse_density_weights, log_analytic_density, pairwise_distances
 
-from conftest import random_labels, unit_rows
-
-
-class TestEmbeddingBatch:
-    def test_accepts_unit_rows(self, rng):
-        batch = EmbeddingBatch(unit_rows(rng, 5, 8), np.arange(5))
-        assert batch.n == 5 and batch.dim == 8
-
-    def test_rejects_non_unit_rows(self, rng):
-        v = unit_rows(rng, 4, 8)
-        v[2] *= 1.5
-        with pytest.raises(ValueError, match="unit-norm"):
-            EmbeddingBatch(v, np.arange(4))
-
-    def test_rejects_bad_shapes(self, rng):
-        with pytest.raises(ValueError, match=r"N>=1, D>=2"):
-            EmbeddingBatch(np.ones((3, 1)), np.arange(3))
-        with pytest.raises(ValueError, match="one integer per row"):
-            EmbeddingBatch(unit_rows(rng, 3, 4), np.arange(2))
-
-    def test_tolerates_1e6_norm_slack(self, rng):
-        v = unit_rows(rng, 3, 6) * (1.0 + 5e-7)
-        EmbeddingBatch(v, np.zeros(3, dtype=int))
+from conftest import unit_rows
 
 
 class TestPairwiseDistances:
@@ -40,11 +13,9 @@ class TestPairwiseDistances:
         # independent route: direct norm of differences per pair
         for _ in range(20):
             n, d = int(rng.integers(2, 24)), int(rng.integers(2, 16))
-            batch = EmbeddingBatch(unit_rows(rng, n, d), random_labels(rng, n, 2))
-            dist = pairwise_distances(batch)
-            brute = np.array(
-                [[np.linalg.norm(batch.vectors[i] - batch.vectors[j]) for j in range(n)] for i in range(n)]
-            )
+            v = unit_rows(rng, n, d)
+            dist = pairwise_distances(v)
+            brute = np.array([[np.linalg.norm(v[i] - v[j]) for j in range(n)] for i in range(n)])
             assert np.max(np.abs(dist - brute)) < 1e-9
 
     def test_symmetric_zero_diagonal_in_range(self, rng):
@@ -55,24 +26,21 @@ class TestPairwiseDistances:
             wide = np.zeros((n, 24))
             wide[:, ::2] = v
             for rows in (v, np.asfortranarray(v), wide[:, ::2]):
-                batch = EmbeddingBatch(rows, random_labels(rng, n, 4))
-                assert np.array_equal(batch.vectors, v)
-                dist = pairwise_distances(batch)
+                dist = pairwise_distances(rows)
                 assert np.array_equal(dist, dist.T)
                 assert np.all(np.diag(dist) == 0.0)
                 assert dist.min() >= 0.0 and dist.max() <= 2.0
 
     def test_antipodal_pair(self):
         v = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        dist = pairwise_distances(EmbeddingBatch(v, np.array([0, 1])))
+        dist = pairwise_distances(v)
         assert dist[0, 1] == pytest.approx(2.0, abs=1e-12)
 
     def test_rotation_invariance(self, rng):
         v = unit_rows(rng, 16, 8)
         q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
-        labels = random_labels(rng, 16, 3)
-        d1 = pairwise_distances(EmbeddingBatch(v, labels))
-        d2 = pairwise_distances(EmbeddingBatch(v @ q.T, labels))
+        d1 = pairwise_distances(v)
+        d2 = pairwise_distances(v @ q.T)
         assert np.max(np.abs(d1 - d2)) < 1e-9
 
 
@@ -144,7 +112,7 @@ class TestInverseDensityWeights:
         # reweighted histogram of distances approaches uniform where unclipped
         dim = 64
         v = unit_rows(rng, 400, dim)
-        d = pairwise_distances(EmbeddingBatch(v, np.zeros(400, dtype=int)))
+        d = pairwise_distances(v)
         iu = np.triu_indices(400, k=1)
         dvals = d[iu]
         w = inverse_density_weights(dvals, dim, clip_lambda=1e300)
@@ -167,17 +135,15 @@ class TestInverseDensityWeights:
 )
 def test_pairwise_distance_properties(n, dim, seed):
     rng = np.random.default_rng(seed)
-    batch = EmbeddingBatch(unit_rows(rng, n, dim), np.zeros(n, dtype=int))
-    dist = pairwise_distances(batch)
+    dist = pairwise_distances(unit_rows(rng, n, dim))
     assert dist.shape == (n, n)
     assert np.array_equal(dist, dist.T)
     assert np.all(dist >= 0.0) and np.all(dist <= 2.0)
     assert np.all(np.diag(dist) == 0.0)
 
 
-def reference_pairwise_distances(batch: EmbeddingBatch) -> np.ndarray:
+def reference_pairwise_distances(v: np.ndarray) -> np.ndarray:
     """pairwise_distances in expression form (a new array per step), kept as the bit-level reference."""
-    v = batch.vectors
     d2 = 2.0 - 2.0 * (v @ v.T)
     np.clip(d2, 0.0, 4.0, out=d2)
     np.fill_diagonal(d2, 0.0)
@@ -197,9 +163,8 @@ def test_pairwise_distances_match_expression_form_bit_for_bit(n):
     v = unit_rows(rng, n, 32)
     v[n // 2 :: 7] = v[0]  # repeated rows give exact zero distances off the diagonal
     for layout, rows in row_layouts(v).items():
-        batch = EmbeddingBatch(rows, np.zeros(n, dtype=int))
-        got = pairwise_distances(batch)
-        assert got.tobytes() == reference_pairwise_distances(batch).tobytes(), layout
+        got = pairwise_distances(rows)
+        assert got.tobytes() == reference_pairwise_distances(rows).tobytes(), layout
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tripletlab.metrics as metrics
-from tripletlab.geometry import EmbeddingBatch, pairwise_distances
+from tripletlab.geometry import pairwise_distances
 from tripletlab.metrics import (
     METRIC_FIELDS,
     EvalPlan,
@@ -31,26 +31,34 @@ def unit_norm_rows(m: np.ndarray) -> np.ndarray:
 
 
 def blob_batch(rng, n_per_class=8, n_classes=3, dim=6, spread=0.05):
-    """Well-separated unit-vector blobs: one tight cluster per class."""
+    """(vectors, labels) of well-separated unit-vector blobs: one tight cluster per class."""
     centers = unit_rows(rng, n_classes, dim)
     rows, labels = [], []
     for c in range(n_classes):
         pts = centers[c] + spread * rng.standard_normal((n_per_class, dim))
         rows.append(pts)
         labels.extend([c] * n_per_class)
-    return EmbeddingBatch(unit_norm_rows(np.vstack(rows)), np.array(labels))
+    return unit_norm_rows(np.vstack(rows)), np.array(labels)
 
 
-def recall_oracle(batch, ks):
+def recall_of(vectors, labels, ks=(1, 2, 4)):
+    return recall_at_k(pairwise_distances(vectors), EvalPlan(labels), ks)
+
+
+def class_stats_of(vectors, labels):
+    return class_distance_stats(pairwise_distances(vectors), EvalPlan(labels))
+
+
+def recall_oracle(vectors, labels, ks):
     """Exhaustive per-point scan with explicit (distance, index) ordering."""
-    dist = pairwise_distances(batch)
-    n = batch.n
+    dist = pairwise_distances(vectors)
+    n = labels.size
     out = {}
     for k in ks:
         hits = 0
         for i in range(n):
             order = sorted((j for j in range(n) if j != i), key=lambda j: (dist[i, j], j))
-            if any(batch.labels[j] == batch.labels[i] for j in order[:k]):
+            if any(labels[j] == labels[i] for j in order[:k]):
                 hits += 1
         out[k] = hits / n
     return out
@@ -65,26 +73,26 @@ def tie_heavy_batch(rng):
     labels = random_labels(rng, n, 3)
     singletons = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
     labels[singletons] = 100 + np.arange(singletons.size)
-    return EmbeddingBatch(vectors, labels)
+    return vectors, labels
 
 
-def reference_recall_at_k(batch, ks, dist):
+def reference_recall_at_k(labels, ks, dist):
     """recall_at_k with the masked copy np.where(same, dist, inf), kept as the bit-level reference."""
-    rows = np.arange(batch.n)
-    same = batch.labels[:, None] == batch.labels[None, :]
+    rows = np.arange(labels.size)
+    same = labels[:, None] == labels[None, :]
     np.fill_diagonal(same, False)
     nearest = np.where(same, dist, np.inf).argmin(axis=1)
     d_star = dist[rows, nearest][:, None]
     ahead = (dist < d_star) | ((dist == d_star) & (rows < nearest[:, None]))
     rank = np.count_nonzero(ahead, axis=1) - ahead[rows, rows]
     found = same[rows, nearest]
-    return {k: float(np.mean(found & (rank < min(k, batch.n - 1)))) for k in ks}
+    return {k: float(np.mean(found & (rank < min(k, labels.size - 1)))) for k in ks}
 
 
-def reference_class_distance_stats(batch, dist):
+def reference_class_distance_stats(labels, dist):
     """class_distance_stats building its masks per call, kept as the bit-level reference."""
-    upper = ~np.tri(batch.n, dtype=bool)
-    same = batch.labels[:, None] == batch.labels[None, :]
+    upper = ~np.tri(labels.size, dtype=bool)
+    same = labels[:, None] == labels[None, :]
     out = []
     for vals in (dist[upper & same], dist[upper & ~same]):
         out.append(float(vals.mean()) if vals.size else 0.0)
@@ -119,17 +127,17 @@ def reference_kmeans(x, k, rng, max_iter=300, empties=None):
 
 
 def random_batch(rng, n):
-    """n unit rows near a few class centers, labels in shuffled order, some singleton classes."""
+    """(vectors, labels): n unit rows near a few class centers, labels in shuffled order, some singleton classes."""
     n_classes = int(rng.integers(2, 17))
     labels = rng.integers(0, n_classes, size=n)
     labels[rng.choice(n, size=min(n, 3), replace=False)] = 100 + np.arange(min(n, 3))
     centers = unit_rows(rng, 103, 16)
     vectors = unit_norm_rows(centers[labels] + 0.7 * rng.standard_normal((n, 16)))
-    return EmbeddingBatch(vectors, labels)
+    return vectors, labels
 
 
 def reference_batches():
-    """Tie-heavy batches, then random batches of up to 1200 rows."""
+    """(vectors, labels) of tie-heavy batches, then of random batches of up to 1200 rows."""
     rng = np.random.default_rng(99)
     batches = [tie_heavy_batch(rng) for _ in range(40)]
     batches += [random_batch(rng, n) for n in (2, 3, 9, 31, 120, 240, 600, 1200)]
@@ -141,102 +149,88 @@ class TestRecall:
         for trial in range(60):
             if trial < 30:
                 n = int(rng.integers(5, 25))
-                batch = EmbeddingBatch(unit_rows(rng, n, 5), random_labels(rng, n, 3))
+                vectors, labels = unit_rows(rng, n, 5), random_labels(rng, n, 3)
             else:
-                batch = tie_heavy_batch(rng)
-            got = recall_at_k(batch, ks=(1, 2, 4))
-            with_plan = recall_at_k(batch, ks=(1, 2, 4), plan=EvalPlan(batch.labels))
-            want = recall_oracle(batch, (1, 2, 4))
+                vectors, labels = tie_heavy_batch(rng)
+            got = recall_of(vectors, labels)
+            want = recall_oracle(vectors, labels, (1, 2, 4))
             for k in (1, 2, 4):
                 assert got[k] == pytest.approx(want[k], abs=1e-12)
-                assert with_plan[k] == pytest.approx(want[k], abs=1e-12)
 
     def test_matches_masked_copy_reference_bit_for_bit(self):
-        for batch in reference_batches():
-            dist = pairwise_distances(batch)
-            plan = EvalPlan(batch.labels)
-            want = reference_recall_at_k(batch, (1, 2, 4), dist)
-            for given_plan in (None, plan):
-                got = recall_at_k(batch, dist=dist, plan=given_plan)
-                assert list(got) == list(want)
-                assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+        for vectors, labels in reference_batches():
+            dist = pairwise_distances(vectors)
+            want = reference_recall_at_k(labels, (1, 2, 4), dist)
+            got = recall_at_k(dist, EvalPlan(labels))
+            assert list(got) == list(want)
+            assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
 
     def test_tie_breaks_by_lower_index(self):
         # three identical points: every neighbor list is a pure tie, so the
         # ranking is decided entirely by index order
         v = np.tile(unit_norm_rows(np.array([[1.0, 1.0, 0.0]])), (3, 1))
-        batch = EmbeddingBatch(v, np.array([0, 1, 0]))
         # point 0 -> nearest is 1 (miss), 1 -> nearest is 0 (miss), 2 -> nearest is 0 (hit)
-        assert recall_at_k(batch, ks=(1,))[1] == pytest.approx(1 / 3)
+        assert recall_of(v, np.array([0, 1, 0]), ks=(1,))[1] == pytest.approx(1 / 3)
 
     def test_perfect_and_zero(self, rng):
-        batch = blob_batch(rng)
-        assert recall_at_k(batch, ks=(1,))[1] == 1.0
-        singletons = EmbeddingBatch(unit_rows(rng, 6, 4), np.arange(6))
-        assert recall_at_k(singletons, ks=(1, 2, 4))[4] == 0.0
+        assert recall_of(*blob_batch(rng), ks=(1,))[1] == 1.0
+        assert recall_of(unit_rows(rng, 6, 4), np.arange(6))[4] == 0.0
 
     def test_rotation_invariant(self, rng):
         n, dim = 40, 8
         vecs = unit_rows(rng, n, dim)
         labels = random_labels(rng, n, 4)
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-        a = recall_at_k(EmbeddingBatch(vecs, labels))
-        b = recall_at_k(EmbeddingBatch(unit_norm_rows(vecs @ q), labels))
+        a = recall_of(vecs, labels)
+        b = recall_of(unit_norm_rows(vecs @ q), labels)
         assert a == b
 
     def test_k_larger_than_batch(self, rng):
-        batch = EmbeddingBatch(unit_rows(rng, 3, 4), np.array([0, 0, 1]))
-        out = recall_at_k(batch, ks=(50,))
+        out = recall_of(unit_rows(rng, 3, 4), np.array([0, 0, 1]), ks=(50,))
         # cutoff saturates at n-1: both label-0 points find each other
         assert out[50] == pytest.approx(2 / 3)
 
     def test_invalid_cutoff(self, rng):
-        batch = EmbeddingBatch(unit_rows(rng, 4, 4), np.array([0, 0, 1, 1]))
         with pytest.raises(ValueError, match=">= 1"):
-            recall_at_k(batch, ks=(0,))
+            recall_of(unit_rows(rng, 4, 4), np.array([0, 0, 1, 1]), ks=(0,))
 
 
 class TestClassDistanceStats:
     def test_matches_pair_enumeration(self, rng):
         for _ in range(20):
             n = int(rng.integers(4, 20))
-            batch = EmbeddingBatch(unit_rows(rng, n, 5), random_labels(rng, n, 3))
-            dist = pairwise_distances(batch)
+            vectors, labels = unit_rows(rng, n, 5), random_labels(rng, n, 3)
+            dist = pairwise_distances(vectors)
             intra_pairs, inter_pairs = [], []
             for i in range(n):
                 for j in range(i + 1, n):
-                    (intra_pairs if batch.labels[i] == batch.labels[j] else inter_pairs).append(
-                        dist[i, j]
-                    )
-            intra, inter = class_distance_stats(batch)
+                    (intra_pairs if labels[i] == labels[j] else inter_pairs).append(dist[i, j])
+            intra, inter = class_distance_stats(dist, EvalPlan(labels))
             assert intra == pytest.approx(np.mean(intra_pairs), abs=1e-12)
             assert inter == pytest.approx(np.mean(inter_pairs), abs=1e-12)
 
     def test_all_singletons_warns(self, rng):
-        batch = EmbeddingBatch(unit_rows(rng, 5, 4), np.arange(5))
         with pytest.warns(UserWarning, match="no intra-class pairs"):
-            intra, inter = class_distance_stats(batch)
+            intra, inter = class_stats_of(unit_rows(rng, 5, 4), np.arange(5))
         assert intra == 0.0 and inter > 0.0
 
     def test_single_class_warns(self, rng):
-        batch = EmbeddingBatch(unit_rows(rng, 5, 4), np.zeros(5, dtype=int))
         with pytest.warns(UserWarning, match="no inter-class pairs"):
-            intra, inter = class_distance_stats(batch)
+            intra, inter = class_stats_of(unit_rows(rng, 5, 4), np.zeros(5, dtype=int))
         assert inter == 0.0 and intra > 0.0
 
     def test_separated_blobs(self, rng):
-        intra, inter = class_distance_stats(blob_batch(rng))
+        intra, inter = class_stats_of(*blob_batch(rng))
         assert 0.0 < intra < 0.3 < inter
 
     def test_matches_mask_building_reference_bit_for_bit(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # singleton-only or one-class batches
-            for batch in reference_batches():
-                dist = pairwise_distances(batch)
-                want = np.array(reference_class_distance_stats(batch, dist))
-                for plan in (None, EvalPlan(batch.labels)):
-                    got = np.array(class_distance_stats(batch, dist=dist, plan=plan))
-                    assert got.tobytes() == want.tobytes()
+            for vectors, labels in reference_batches():
+                dist = pairwise_distances(vectors)
+                want = np.array(reference_class_distance_stats(labels, dist))
+                got = np.array(class_distance_stats(dist, EvalPlan(labels)))
+                assert got.tobytes() == want.tobytes()
 
 
 class TestEvalPlan:
@@ -249,17 +243,19 @@ class TestEvalPlan:
         assert np.array_equal(plan.intra, upper & same)
         assert np.array_equal(plan.inter, upper & ~same)
 
-    def test_rejects_a_batch_with_other_labels(self, rng):
-        batch = EmbeddingBatch(unit_rows(rng, 6, 4), np.array([0, 0, 1, 1, 2, 2]))
-        plan = EvalPlan(np.array([0, 0, 1, 1, 2, 3]))
-        for call in (
-            lambda: recall_at_k(batch, plan=plan),
-            lambda: class_distance_stats(batch, plan=plan),
-            lambda: evaluate(batch, plan=plan),
-            lambda: evaluate(batch, plan=EvalPlan(np.zeros(5, dtype=int))),
-        ):
-            with pytest.raises(ValueError, match="different labels"):
-                call()
+    def test_rejects_a_batch_with_another_row_count(self, rng):
+        vectors = unit_rows(rng, 6, 4)
+        dist = pairwise_distances(vectors)
+        for n_labels in (5, 7):
+            plan = EvalPlan(np.arange(n_labels) % 3)
+            for call in (
+                lambda: recall_at_k(dist, plan),
+                lambda: class_distance_stats(dist, plan),
+                lambda: clustering_nmi(vectors, plan, seed=0),
+                lambda: evaluate(vectors, plan),
+            ):
+                with pytest.raises(ValueError, match=f"{n_labels} labels for 6 rows"):
+                    call()
 
 
 class TestNMI:
@@ -362,9 +358,9 @@ def test_nmi_symmetry_and_range(n, ca, cb, seed):
 
 class TestKMeans:
     def test_recovers_separated_blobs(self, rng):
-        batch = blob_batch(rng, n_per_class=10, n_classes=3)
-        assign = kmeans(batch.vectors, 3, np.random.default_rng(0))
-        assert nmi(assign, batch.labels) == pytest.approx(1.0, abs=1e-12)
+        vectors, labels = blob_batch(rng, n_per_class=10, n_classes=3)
+        assign = kmeans(vectors, 3, np.random.default_rng(0))
+        assert nmi(assign, labels) == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic_given_seed(self, rng):
         x = rng.standard_normal((40, 5))
@@ -414,18 +410,18 @@ class TestKMeans:
         assert empty_steps > 0
 
     def test_matches_reference_on_evaluation_batches(self):
-        for batch in reference_batches():
-            k = int(np.unique(batch.labels).size)
-            want = reference_kmeans(batch.vectors, k, np.random.default_rng(k))
-            assert kmeans(batch.vectors, k, np.random.default_rng(k)).tobytes() == want.tobytes()
+        for vectors, labels in reference_batches():
+            k = int(np.unique(labels).size)
+            want = reference_kmeans(vectors, k, np.random.default_rng(k))
+            assert kmeans(vectors, k, np.random.default_rng(k)).tobytes() == want.tobytes()
 
     def test_clustering_nmi_on_blobs(self, rng):
-        batch = blob_batch(rng, n_per_class=10)
-        assert clustering_nmi(batch, seed=3) == pytest.approx(1.0, abs=1e-9)
+        vectors, labels = blob_batch(rng, n_per_class=10)
+        assert clustering_nmi(vectors, EvalPlan(labels), seed=3) == pytest.approx(1.0, abs=1e-9)
 
     def test_clustering_nmi_single_class(self, rng):
-        batch = EmbeddingBatch(unit_rows(rng, 6, 4), np.zeros(6, dtype=int))
-        assert clustering_nmi(batch, seed=3) == 0.0
+        plan = EvalPlan(np.zeros(6, dtype=int))
+        assert clustering_nmi(unit_rows(rng, 6, 4), plan, seed=3) == 0.0
 
 
 class TestRunningTracks:
@@ -491,32 +487,28 @@ class TestEvalReport:
         assert np.array_equal(report.as_vector(), [0.5, 0.7, 0.9, 0.4, 0.2, 1.0])
 
     def test_evaluate_bundle_on_blobs(self, rng):
-        batch = blob_batch(rng, n_per_class=10)
-        report = evaluate(batch, kmeans_seed=5)
+        vectors, labels = blob_batch(rng, n_per_class=10)
+        report = evaluate(vectors, EvalPlan(labels), kmeans_seed=5)
         assert report.recall_at[1] == 1.0
         assert report.nmi == pytest.approx(1.0, abs=1e-9)
         assert report.inter > report.intra
         assert eval_score(report) == pytest.approx(report.recall_at[1] + report.nmi)
 
     def test_evaluate_shares_one_distance_matrix(self, rng, monkeypatch):
-        batch = tie_heavy_batch(rng)
+        vectors, labels = tie_heavy_batch(rng)
+        plan = EvalPlan(labels)
         handed_out = []
 
-        def counted(b):
-            handed_out.append(pairwise_distances(b))
+        def counted(v):
+            handed_out.append(pairwise_distances(v))
             return handed_out[-1]
 
         monkeypatch.setattr(metrics, "pairwise_distances", counted)
-        report = evaluate(batch, kmeans_seed=5)
+        report = evaluate(vectors, plan, kmeans_seed=5)
         monkeypatch.undo()
         assert len(handed_out) == 1
-        assert np.array_equal(handed_out[0], pairwise_distances(batch))
-        intra, inter = class_distance_stats(batch)
-        assert report.recall_at == recall_at_k(batch)
-        assert report.nmi == clustering_nmi(batch, seed=5)
-        assert (report.intra, report.inter) == (intra, inter)
-        # with a plan given, the same report from one more distance matrix
-        monkeypatch.setattr(metrics, "pairwise_distances", counted)
-        assert evaluate(batch, kmeans_seed=5, plan=EvalPlan(batch.labels)) == report
-        monkeypatch.undo()
-        assert len(handed_out) == 2
+        dist = pairwise_distances(vectors)
+        assert np.array_equal(handed_out[0], dist)
+        assert report.recall_at == recall_at_k(dist, plan)
+        assert report.nmi == clustering_nmi(vectors, plan, seed=5)
+        assert (report.intra, report.inter) == class_distance_stats(dist, plan)

@@ -95,6 +95,14 @@ class TestLossValues:
             LossConfig(kind="contrastive")
         with pytest.raises(ValueError, match="gamma"):
             LossConfig(gamma=0.0)
+        nan = float("nan")  # every comparison with nan is false, so each check must state what holds
+        with pytest.raises(ValueError) as exc:
+            LossConfig(gamma=nan, beta_margin=nan, beta_lr=nan)
+        assert str(exc.value).splitlines() == [
+            "loss.gamma must be positive",
+            "loss.beta_margin must be positive",
+            "loss.beta_lr must be nonnegative",
+        ]
 
 
 class TestForward:
@@ -102,6 +110,17 @@ class TestForward:
         model = EmbeddingModel(7, (16,), 5, rng)
         emb, _ = model.forward(rng.normal(size=(11, 7)))
         assert np.allclose(np.linalg.norm(emb, axis=1), 1.0, atol=1e-12)
+
+    def test_non_finite_embeddings_rejected(self, rng):
+        model = EmbeddingModel(7, (16,), 5, rng)
+        x = rng.normal(size=(4, 7))
+        x[2, 3] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite embeddings"):
+            model.forward(x)
+        model.set_params(np.full(model.n_params, 1e200))  # overflows in the second layer
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="non-finite embeddings"):
+                model.forward(rng.normal(size=(4, 7)))
 
     def test_dimension_mismatch(self, rng):
         model = EmbeddingModel(7, (16,), 5, rng)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from tripletlab.geometry import EmbeddingBatch, inverse_density_weights, pairwise_distances
+from tripletlab.geometry import inverse_density_weights, pairwise_distances
 from tripletlab.samplers import (
     SAMPLER_KINDS,
     SamplingPMF,
@@ -39,10 +39,14 @@ class TestSamplingPMF:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="sum to 1"):
             SamplingPMF(0.1, 1.4, np.full(4, 0.3))
+        with pytest.raises(ValueError, match="sum to 1"):
+            SamplingPMF(0.1, 1.4, np.array([np.inf, 0.0, 0.0]))
 
     def test_rejects_negative_mass(self):
         with pytest.raises(ValueError, match="nonnegative"):
             SamplingPMF(0.1, 1.4, np.array([0.6, 0.6, -0.2]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            SamplingPMF(0.1, 1.4, np.array([np.nan, 0.5, 0.5]))
 
     def test_bin_of_edges(self):
         pmf = SamplingPMF(0.0, 1.0, np.full(4, 0.25))
@@ -142,7 +146,7 @@ def sphere_batch(seed, n_classes=4, per_class=4, dim=8):
     v = rng.normal(size=(n_classes * per_class, dim))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     labels = np.repeat(np.arange(n_classes), per_class)
-    return labels, pairwise_distances(EmbeddingBatch(v, labels))
+    return labels, pairwise_distances(v)
 
 
 class TestSemihard:

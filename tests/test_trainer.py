@@ -445,6 +445,22 @@ class TestVariants:
         for snap in snaps:
             assert snap["p"] == teacher_final["p"]
 
+    def test_fixed_final_pmf_file_with_nan_is_refused(self, tmp_path):
+        path = tmp_path / "final_pmf.json"
+        path.write_text(json.dumps({"p": [float("nan")] + [1.0 / 7] * 7}))  # pmf.k = 8
+        cfg = small_flat(**{"transfer.mode": "fixed-final-pmf", "transfer.pmf_path": str(path)})
+        with pytest.raises(ValueError, match="nonnegative"):
+            TrainLoop(cfg, tmp_path / "run")
+
+    @pytest.mark.parametrize("kind", ["random", "semihard", "distweighted", "pads"])
+    def test_nonfinite_embeddings_abort_the_step(self, tmp_path, kind):
+        loop = TrainLoop(small_flat(**{"sampler.kind": kind}), tmp_path / "run")
+        rows, pos = loop._plan_episode(1)
+        loop.model.set_params(np.full(loop.model.n_params, 1e200))  # overflows in the second layer
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="non-finite embeddings"):
+                loop._train_step(rows[0], pos[0])
+
     def test_nonfinite_loss_aborts(self, tmp_path):
         cfg = small_flat(**{"loss.kind": "margin", "loss.learnable_beta": "true",
                             "sampler.kind": "semihard"})
