@@ -138,14 +138,14 @@ def recall_at_k(dist: np.ndarray, plan: EvalPlan, ks=(1, 2, 4)) -> dict:
     nearest = rows.copy()  # a row without a same-label mate keeps itself
     for group in plan.groups:
         if group.size > 1:
-            block = dist[np.ix_(group, group)]
+            block = dist[group[:, None], group]
             np.fill_diagonal(block, np.inf)
             nearest[group] = group[block.argmin(axis=1)]
     found = nearest != rows
     d_star = dist[rows, nearest][:, None]
     ahead = (dist < d_star) | ((dist == d_star) & (rows < nearest[:, None]))
-    rank = np.count_nonzero(ahead, axis=1) - ahead[rows, rows]
-    return {k: float(np.mean(found & (rank < min(k, n - 1)))) for k in ks}
+    rank = np.add.reduce(ahead, axis=1) - ahead[rows, rows]
+    return {k: float(np.count_nonzero(found & (rank < min(k, n - 1))) / n) for k in ks}
 
 
 def class_distance_stats(dist: np.ndarray, plan: EvalPlan) -> tuple[float, float]:
@@ -173,16 +173,18 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     centers = np.empty((k, x.shape[1]))
     first = int(rng.integers(n))
     centers[0] = x[first]
-    d2 = np.sum((x - centers[0]) ** 2, axis=1)
+    diff = x - centers[0]
+    d2 = np.add.reduce(diff * diff, axis=1)
     for i in range(1, k):
-        total = d2.sum()
+        total = np.add.reduce(d2)
         if total <= 0.0:
             centers[i:] = x[int(rng.integers(n))]
             break
         probs = d2 / total
         idx = int(rng.choice(n, p=probs))
         centers[i] = x[idx]
-        d2 = np.minimum(d2, np.sum((x - centers[i]) ** 2, axis=1))
+        np.subtract(x, centers[i], out=diff)
+        np.minimum(d2, np.add.reduce(diff * diff, axis=1), out=d2)
     return centers
 
 
@@ -198,19 +200,20 @@ def kmeans(x: np.ndarray, k: int, rng: np.random.Generator, max_iter: int = 300)
     assign = np.zeros(n, dtype=np.int64)
     for iteration in range(max_iter):
         d2 = x_sq - 2.0 * (x @ centers.T) + np.einsum("ij,ij->i", centers, centers)
-        new_assign = np.argmin(d2, axis=1)
-        if iteration > 0 and np.array_equal(new_assign, assign):
+        new_assign = d2.argmin(axis=1)
+        if iteration > 0 and np.logical_and.reduce(new_assign == assign):
             break
         assign = new_assign
         # every (cluster, coordinate) member sum from one bincount pass in point order
         bins = (assign[:, None] * x.shape[1] + coords).ravel()
         sums = np.bincount(bins, weights=x.ravel(), minlength=centers.size).reshape(centers.shape)
         counts = np.bincount(assign, minlength=k)
-        filled = counts > 0
-        centers[filled] = sums[filled] / counts[filled, None]
-        if not filled.all():
+        # an empty cluster's quotient 0/1 is overwritten by its re-seed below
+        np.divide(sums, np.maximum(counts, 1)[:, None], out=centers)
+        empty = counts == 0
+        if np.logical_or.reduce(empty):
             # re-seed an empty cluster at the point farthest from its center
-            centers[~filled] = x[int(np.argmax(np.min(d2, axis=1)))]
+            centers[empty] = x[int(d2.min(axis=1).argmax())]
     return assign
 
 

@@ -68,7 +68,12 @@ def margin_loss(d_ap, d_an, gamma: float, beta_margin):
 # Embedding MLP
 # -------------------------
 
-_NORM_FLOOR = 1e-30  # keeps the normalization finite if a pre-norm row is exactly 0
+_NORM_FLOOR = 1e-30  # smallest pre-norm row norm that forward normalizes; floors margin distances
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row: np.linalg.norm(x, axis=1)'s arithmetic for real x, without its dispatch."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
 @dataclass
@@ -79,7 +84,7 @@ class ForwardCache:
     pre_acts: list        # z_l = a_{l-1} W_l + b_l for each hidden layer
     acts: list            # relu(z_l)
     pre_norm: np.ndarray  # final linear output y
-    norms: np.ndarray     # row norms of y (floored)
+    norms: np.ndarray     # row norms of y, (N, 1), each finite and at least _NORM_FLOOR
     embeddings: np.ndarray
     version: int
 
@@ -171,7 +176,7 @@ class FlatParams:
         for layer in range(len(self.weights) - 1, -1, -1):
             a_prev = cache.acts[layer - 1] if layer > 0 else cache.inputs
             np.matmul(a_prev.T, dz, out=self._grad_w[layer])
-            dz.sum(axis=0, out=self._grad_b[layer])
+            np.add.reduce(dz, axis=0, out=self._grad_b[layer])
             if layer > 0:
                 dz = (dz @ self.weights[layer].T) * (cache.pre_acts[layer - 1] > 0.0)
         return self._grad
@@ -198,16 +203,20 @@ class EmbeddingModel(FlatParams):
         """Embed a batch of raw feature rows; returns (embeddings, cache).
 
         Raises FloatingPointError if a row's norm before normalization is not
-        finite (an inf or nan output, or one too large to normalize), so
-        nothing downstream sees a non-finite embedding.
+        finite (an inf or nan output, or one too large to normalize) or is
+        below _NORM_FLOOR (a row with no direction), so nothing downstream
+        sees an embedding that is not a unit row.
         """
         x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
         if x.shape[1] != self.input_dim:
             raise ValueError(f"dimension mismatch: model expects {self.input_dim}, got {x.shape[1]}")
         y, pre_acts, acts = self._forward_layers(x)
-        norms = np.maximum(np.linalg.norm(y, axis=1, keepdims=True), _NORM_FLOOR)
-        if not np.all(np.isfinite(norms)):
-            raise FloatingPointError("non-finite embeddings from the model's forward pass")
+        norms = row_norms(y)[:, None]
+        if not np.logical_and.reduce(np.isfinite(norms) & (norms >= _NORM_FLOOR), axis=None):
+            raise FloatingPointError(
+                "non-finite embeddings from the model's forward pass "
+                f"(a row norm is not finite or below {_NORM_FLOOR})"
+            )
         emb = y / norms
         cache = ForwardCache(x, pre_acts, acts, y, norms, emb, self._version)
         return emb, cache
@@ -216,7 +225,7 @@ class EmbeddingModel(FlatParams):
         """Backprop upstream gradients w.r.t. the embeddings (see _backward_layers)."""
         emb = cache.embeddings
         # normalization: emb = y / |y|, so the output layer's dz = dy = (I - emb emb^T) d_emb / |y| rowwise
-        dz = (d_emb - np.sum(d_emb * emb, axis=1, keepdims=True) * emb) / cache.norms
+        dz = (d_emb - np.add.reduce(d_emb * emb, axis=1, keepdims=True) * emb) / cache.norms
         return self._backward_layers(cache, dz)
 
     # ---- checkpointing ----
@@ -267,8 +276,8 @@ def triplet_losses(
     """Per-triplet loss values for rows (anchor, positive, negative) of indices."""
     triplets = np.asarray(triplets)
     a, p, n = triplets[:, 0], triplets[:, 1], triplets[:, 2]
-    d_ap = np.linalg.norm(emb[a] - emb[p], axis=1)
-    d_an = np.linalg.norm(emb[a] - emb[n], axis=1)
+    d_ap = row_norms(emb[a] - emb[p])
+    d_an = row_norms(emb[a] - emb[n])
     if loss.kind == "triplet":
         return triplet_loss(d_ap, d_an, loss.gamma)
     beta = loss.beta_margin if boundaries is None else boundaries
@@ -291,17 +300,15 @@ def embedding_grads(
     diff_an = emb[a] - emb[n]
     t = triplets.shape[0]
     if loss.kind == "triplet":
-        d_ap2 = np.sum(diff_ap**2, axis=1)
-        d_an2 = np.sum(diff_an**2, axis=1)
+        d_ap2 = np.add.reduce(diff_ap * diff_ap, axis=1)
+        d_an2 = np.add.reduce(diff_an * diff_an, axis=1)
         active = (d_ap2 - d_an2 + loss.gamma) > 0.0
         scale = np.where(active, 2.0 / t, 0.0)[:, None]
         blocks = (scale * (diff_ap - diff_an), -scale * diff_ap, scale * diff_an)
     else:
-        beta = np.broadcast_to(
-            loss.beta_margin if boundaries is None else boundaries, (t,)
-        )
-        d_ap = np.maximum(np.linalg.norm(diff_ap, axis=1), _NORM_FLOOR)
-        d_an = np.maximum(np.linalg.norm(diff_an, axis=1), _NORM_FLOOR)
+        beta = loss.beta_margin if boundaries is None else boundaries
+        d_ap = np.maximum(row_norms(diff_ap), _NORM_FLOOR)
+        d_an = np.maximum(row_norms(diff_an), _NORM_FLOOR)
         pos_active = (loss.gamma + d_ap - beta) > 0.0
         neg_active = (loss.gamma - d_an + beta) > 0.0
         unit_ap = diff_ap / d_ap[:, None]
@@ -340,8 +347,8 @@ def margin_boundary_grads(
     """d(mean loss)/d(beta) per triplet for the margin loss: -1[pos hinge] + 1[neg hinge]."""
     triplets = np.asarray(triplets)
     a, p, n = triplets[:, 0], triplets[:, 1], triplets[:, 2]
-    d_ap = np.linalg.norm(emb[a] - emb[p], axis=1)
-    d_an = np.linalg.norm(emb[a] - emb[n], axis=1)
+    d_ap = row_norms(emb[a] - emb[p])
+    d_an = row_norms(emb[a] - emb[n])
     t = triplets.shape[0]
     pos_active = (loss.gamma + d_ap - boundaries) > 0.0
     neg_active = (loss.gamma - d_an + boundaries) > 0.0
@@ -376,7 +383,7 @@ class Adam:
         grads = np.asarray(grads, dtype=np.float64)
         if params.shape != grads.shape:
             raise ValueError("parameter/gradient shape mismatch")
-        if not np.all(np.isfinite(grads)):
+        if not np.logical_and.reduce(np.isfinite(grads), axis=None):
             raise FloatingPointError("non-finite gradient passed to optimizer")
         if self.m is None:
             self.m = np.zeros_like(params)

@@ -93,10 +93,9 @@ class SamplingPMF:
     def bin_of(self, d: np.ndarray) -> np.ndarray:
         """Bin index per distance, -1 for out-of-range. The last bin is closed."""
         d = np.asarray(d, dtype=np.float64)
-        idx = np.searchsorted(self.edges, d, side="right") - 1
-        idx = np.where(d == self.lambda_max, self.k - 1, idx)
-        in_range = (d >= self.lambda_min) & (d <= self.lambda_max)
-        return np.where(in_range, idx, -1)
+        # edges[-1] is lambda_max exactly, so only d == lambda_max reaches index k in range
+        idx = np.minimum(self.edges.searchsorted(d, side="right") - 1, self.k - 1)
+        return np.where((d >= self.lambda_min) & (d <= self.lambda_max), idx, -1)
 
     def snapshot(self, episode: int) -> dict:
         """JSON-line payload: {episode, edges: K+1 floats, p: K floats}."""
@@ -182,16 +181,16 @@ def draw_rows(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     A zero weight leaves the running sum unchanged, so it is never drawn;
     u * total is held below total, which rounding can reach for a subnormal total.
     """
-    cdf = np.cumsum(weights, axis=1, dtype=np.float64)
+    cdf = np.add.accumulate(weights, axis=1, dtype=np.float64)
     total = cdf[:, -1]
-    if not (total > 0.0).all():
+    if not np.logical_and.reduce(total > 0.0):
         raise ValueError("no negative candidates")
     u = np.minimum(rng.random(total.size) * total, np.nextafter(total, 0.0))
-    return np.count_nonzero(cdf <= u[:, None], axis=1)
+    return np.add.reduce(cdf <= u[:, None], axis=1)
 
 
 def _require_candidates(mask: np.ndarray) -> None:
-    if not np.all(mask.any(axis=1)):
+    if not np.logical_and.reduce(np.logical_or.reduce(mask, axis=1)):
         raise ValueError("no negative candidates")
 
 
@@ -220,14 +219,17 @@ def adaptive_weights(pmf: SamplingPMF, mask, dist) -> tuple[np.ndarray, np.ndarr
     """
     bins = np.where(mask, pmf.bin_of(dist), -1)
     inside = bins >= 0
-    flat = np.arange(bins.shape[0])[:, None] * pmf.k + bins  # (row, bin) in a row-major table
-    counts = np.bincount(flat[inside], minlength=bins.shape[0] * pmf.k).reshape(-1, pmf.k)
+    rows, k = bins.shape[0], pmf.k
+    flat = np.arange(rows)[:, None] * k + bins  # (row, bin) in a row-major table
+    counts = np.bincount(flat[inside], minlength=rows * k).reshape(rows, k)
     mass = np.where(counts > 0, pmf.p, 0.0)
-    zero_mass = mass.sum(axis=1) == 0.0
-    mass[zero_mass] = counts[zero_mass] > 0
+    zero_mass = np.add.reduce(mass, axis=1) == 0.0
+    if np.logical_or.reduce(zero_mass):
+        mass[zero_mass] = counts[zero_mass] > 0
     weights = np.where(inside, (mass / np.maximum(counts, 1)).ravel()[flat], 0.0)
-    fallback = ~inside.any(axis=1)
-    weights[fallback] = mask[fallback]
+    fallback = ~np.logical_or.reduce(inside, axis=1)
+    if np.logical_or.reduce(fallback):
+        weights[fallback] = mask[fallback]
     return weights, fallback
 
 
@@ -240,9 +242,9 @@ def sample_negative_semihard(d_ap: np.ndarray, mask: np.ndarray, dist: np.ndarra
     index on ties; if none is farther, the farthest candidate."""
     _require_candidates(mask)
     beyond = mask & (dist > np.asarray(d_ap)[:, None])
-    closest = np.argmin(np.where(beyond, dist, np.inf), axis=1)
-    farthest = np.argmax(np.where(mask, dist, -np.inf), axis=1)
-    return np.where(beyond.any(axis=1), closest, farthest)
+    closest = np.where(beyond, dist, np.inf).argmin(axis=1)
+    farthest = np.where(mask, dist, -np.inf).argmax(axis=1)
+    return np.where(np.logical_or.reduce(beyond, axis=1), closest, farthest)
 
 
 def sample_negative_distweighted(mask, dist, dim: int, rng, clip_lambda=None) -> np.ndarray:
@@ -253,7 +255,7 @@ def sample_negative_distweighted(mask, dist, dim: int, rng, clip_lambda=None) ->
 def sample_negative_adaptive(pmf: SamplingPMF, mask, dist, rng) -> tuple[np.ndarray, int]:
     """Draw per row by adaptive_weights; returns (columns, number of fallback rows)."""
     weights, fallback = adaptive_weights(pmf, mask, dist)
-    return draw_rows(weights, rng), int(fallback.sum())
+    return draw_rows(weights, rng), int(np.count_nonzero(fallback))
 
 
 # -------------------------

@@ -124,7 +124,8 @@ class TrainLoop:
         block_labels = np.repeat(np.arange(self.classes_per_batch), s)
         self_reg = cfg.sampler.kind in PMF_SAMPLER_KINDS and cfg.sampler.self_reg
         self.same, self.cand = triplet_masks(block_labels, self_reg)
-        self.anchors = np.arange(block_labels.size)
+        # rows (anchor, positive, negative); each step writes the last two columns in place
+        self.triplets = np.repeat(np.arange(block_labels.size)[:, None], 3, axis=1)
 
         self.model = EmbeddingModel(
             self.dataset.input_dim, cfg.model.hidden, cfg.model.embedding_dim, self.rng_model
@@ -216,15 +217,14 @@ class TrainLoop:
         return rows, pos
 
     def _train_step(self, batch_rows: np.ndarray, pos: np.ndarray):
-        cfg = self.cfg
-        labels = self.dataset.labels[batch_rows]
+        cfg, triplets = self.cfg, self.triplets
         emb, cache = self.model.forward(self.dataset.features[batch_rows])
         dist = pairwise_distances(emb)
-        cand, anchors = self.cand, self.anchors
+        cand = self.cand
         if self.kind == "random":
             neg = sample_negative_random(cand, self.rng_negative)
         elif self.kind == "semihard":
-            neg = sample_negative_semihard(dist[anchors, pos], cand, dist)
+            neg = sample_negative_semihard(dist[triplets[:, 0], pos], cand, dist)
         elif self.kind == "distweighted":
             clip = cfg.sampler.clip_lambda if cfg.sampler.clip_lambda > 0 else None
             neg = sample_negative_distweighted(
@@ -233,10 +233,11 @@ class TrainLoop:
         else:
             neg, n_fallbacks = sample_negative_adaptive(self.pmf, cand, dist, self.rng_negative)
             self.fallbacks += n_fallbacks
-        triplets = np.stack([anchors, pos, neg], axis=1)
-        boundaries = None if self.beta_class is None else self.beta_class[labels]
+        triplets[:, 1], triplets[:, 2] = pos, neg
+        labels = None if self.beta_class is None else self.dataset.labels[batch_rows]
+        boundaries = None if labels is None else self.beta_class[labels]
         losses = triplet_losses(emb, triplets, cfg.loss, boundaries)
-        if not np.all(np.isfinite(losses)):
+        if not np.logical_and.reduce(np.isfinite(losses)):
             raise RuntimeError("non-finite loss; aborting run")
         grad = backward(self.model, cache, triplets, cfg.loss, boundaries)
         self.model.step(self.opt, grad)
@@ -255,7 +256,7 @@ class TrainLoop:
 
     def run(self) -> dict:
         cfg = self.cfg
-        started = time.time()
+        started = time.perf_counter()
         n_episodes = cfg.n_episodes
         leftover = cfg.train.total_iterations - n_episodes * cfg.train.m
         if leftover:
@@ -343,7 +344,7 @@ class TrainLoop:
             "episodes": self.cfg.n_episodes,
             "final": final,
             "adaptive_fallbacks": self.fallbacks,
-            "seconds": round(time.time() - started, 3),
+            "seconds": round(time.perf_counter() - started, 3),
         }
         (self.out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
         return summary

@@ -1,5 +1,12 @@
-import numpy as np
-import pytest
+import os
+
+# pin BLAS to one thread before numpy is first imported, as README "Testing" prescribes;
+# a caller's explicit setting still wins
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 
 def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:

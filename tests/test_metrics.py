@@ -397,7 +397,7 @@ class TestKMeans:
         # a few distinct points, each repeated: k-means++ never picks a point at
         # distance 0, so with k above the number of distinct points it seeds
         # duplicate centers, and heavy repeats make Lloyd steps empty clusters
-        empty_steps = 0
+        empty_steps = filled_steps = 0
         for seed in range(200):
             rng = np.random.default_rng(seed)
             distinct = rng.standard_normal((int(rng.integers(3, 7)), 2))
@@ -406,8 +406,10 @@ class TestKMeans:
             empties = []
             want = reference_kmeans(x, k, np.random.default_rng(seed), empties=empties)
             empty_steps += sum(empties)
+            filled_steps += empties.count(0)
             assert kmeans(x, k, np.random.default_rng(seed)).tobytes() == want.tobytes()
-        assert empty_steps > 0
+        # both kinds of Lloyd step: every cluster filled, and some cluster re-seeded
+        assert empty_steps > 0 and filled_steps > 0
 
     def test_matches_reference_on_evaluation_batches(self):
         for vectors, labels in reference_batches():

@@ -122,6 +122,14 @@ class TestForward:
             with pytest.raises(FloatingPointError, match="non-finite embeddings"):
                 model.forward(rng.normal(size=(4, 7)))
 
+    def test_zero_pre_norm_rows_rejected(self, rng):
+        # a row with no direction has no unit embedding; passed on as zeros, it would
+        # sit at distance sqrt(2) from an identical row in pairwise_distances
+        model = EmbeddingModel(4, (8,), 3, rng)
+        model.set_params(np.zeros(model.n_params))
+        with pytest.raises(FloatingPointError, match=r"non-finite embeddings .* below 1e-30"):
+            model.forward(np.ones((2, 4)))
+
     def test_dimension_mismatch(self, rng):
         model = EmbeddingModel(7, (16,), 5, rng)
         with pytest.raises(ValueError, match="dimension mismatch"):

@@ -353,6 +353,64 @@ class TestBatchedRowLaws:
         assert not np.any(plain[same])
 
 
+def reference_bin_of(pmf, d):
+    """SamplingPMF.bin_of in its earlier, three-pass form, kept as the bit-level reference."""
+    d = np.asarray(d, dtype=np.float64)
+    idx = np.searchsorted(pmf.edges, d, side="right") - 1
+    idx = np.where(d == pmf.lambda_max, pmf.k - 1, idx)
+    in_range = (d >= pmf.lambda_min) & (d <= pmf.lambda_max)
+    return np.where(in_range, idx, -1)
+
+
+def reference_adaptive_weights(pmf, mask, dist):
+    """adaptive_weights in its earlier form, which rewrites the zero-mass and
+    fallback rows unconditionally, kept as the bit-level reference."""
+    bins = np.where(mask, reference_bin_of(pmf, dist), -1)
+    inside = bins >= 0
+    flat = np.arange(bins.shape[0])[:, None] * pmf.k + bins
+    counts = np.bincount(flat[inside], minlength=bins.shape[0] * pmf.k).reshape(-1, pmf.k)
+    mass = np.where(counts > 0, pmf.p, 0.0)
+    zero_mass = mass.sum(axis=1) == 0.0
+    mass[zero_mass] = counts[zero_mass] > 0
+    weights = np.where(inside, (mass / np.maximum(counts, 1)).ravel()[flat], 0.0)
+    fallback = ~inside.any(axis=1)
+    weights[fallback] = mask[fallback]
+    return weights, fallback, zero_mass & ~fallback
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(2, 9),
+    interval=st.sampled_from([(0.0, 2.0), (0.2, 1.0), (0.35, 1.4), (1e-3, 0.7)]),
+    n_classes=st.integers(2, 4),
+    per_class=st.integers(1, 5),
+    self_reg=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_adaptive_weights_match_reference_bytes(k, interval, n_classes, per_class, self_reg, seed):
+    rng = np.random.default_rng(seed)
+    lo, hi = interval
+    mass = rng.integers(0, 3, size=k).astype(np.float64)
+    zero = int(rng.integers(k))
+    mass[zero], mass[(zero + 1) % k] = 0.0, mass[(zero + 1) % k] + 1.0
+    pmf = SamplingPMF(lo, hi, mass / mass.sum())
+    _, mask = triplet_masks(np.repeat(np.arange(n_classes), per_class), self_reg)
+    # every edge (lambda_min and lambda_max among them), its neighbours, and points outside
+    edges = pmf.edges
+    pool = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0), [0.0, 2.0]])
+    dist = rng.choice(pool, size=mask.shape)
+    between = rng.random(mask.shape) < 0.3
+    dist[between] = rng.uniform(0.0, 2.0, size=np.count_nonzero(between))
+    dist[0] = 0.5 * (hi + 2.5)  # nothing in range: a fallback row
+    dist[1] = pmf.centers[zero]  # only a zero-mass bin occupied
+    want, want_fallback, want_zero_mass = reference_adaptive_weights(pmf, mask, dist)
+    assert want_fallback[0] and want_zero_mass[1]
+    weights, fallback = adaptive_weights(pmf, mask, dist)
+    assert weights.tobytes() == want.tobytes()
+    assert fallback.tobytes() == want_fallback.tobytes()
+    assert pmf.bin_of(dist).tobytes() == reference_bin_of(pmf, dist).tobytes()
+
+
 def test_kind_validation_lists_all_kinds():
     with pytest.raises(ValueError) as exc:
         require_valid_kind("hardest")
