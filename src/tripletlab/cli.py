@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .config import ConfigError, config_from_flat, config_to_flat, load_config
 from .data import generate_synthetic, save_dataset
-from .trainer import train
+from .trainer import learns_policy, train
 
 
 def _overrides_from_args(pairs) -> dict:
@@ -172,12 +172,8 @@ def cmd_transfer(args) -> int:
     out = Path(args.out)
     teacher_dir = out / "teacher"
     teacher = _with_overrides(cfg, {"seed": args.teacher_seed})
-    # only a pads run that learns its own policy writes the policy.json the students load
-    if (
-        teacher.sampler.kind != "pads"
-        or teacher.transfer.mode != "none"
-        or teacher.rl.algorithm == "frozen-identity"
-    ):
+    # only a run that learns its own policy writes the policy.json the students load
+    if not learns_policy(teacher):
         raise ConfigError([
             "the transfer teacher must write policy.json, so it needs sampler.kind=pads, "
             "transfer.mode=none and an rl.algorithm other than frozen-identity; got "

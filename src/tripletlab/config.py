@@ -275,6 +275,8 @@ def _validate(values: dict) -> tuple[list, list]:
             errors.append("transfer modes require sampler.kind=pads")
         if values["transfer.mode"] == "fixed-policy" and not values["transfer.policy_path"]:
             errors.append("transfer.mode=fixed-policy requires transfer.policy_path")
+        if values["transfer.mode"] == "fixed-policy" and values["rl.algorithm"] == "frozen-identity":
+            errors.append("rl.algorithm=frozen-identity runs no policy; fixed-policy needs one")
     return errors, warnings_
 
 

@@ -60,10 +60,13 @@ class LabeledDataset:
     def n_classes(self) -> int:
         return int(self.labels.max()) + 1
 
-    @property
-    def class_index(self) -> dict:
-        """label -> row indices (ascending)."""
-        return {int(c): np.where(self.labels == c)[0] for c in range(self.n_classes)}
+
+def group_by_label(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, starts, sizes): positions of `labels` grouped by label, groups in label order and
+    ascending within each; group i is order[starts[i] : starts[i] + sizes[i]]."""
+    order = np.argsort(labels, kind="stable")
+    _, starts, sizes = np.unique(labels[order], return_index=True, return_counts=True)
+    return order, starts, sizes
 
 
 def generate_synthetic(
@@ -207,7 +210,8 @@ def split_validation(
     rng = np.random.default_rng(seed)
     if mode == "per-class":
         train_parts, val_parts = [], []
-        for label, idx in sorted(dataset.class_index.items()):
+        order, starts, _ = group_by_label(dataset.labels)
+        for label, idx in enumerate(np.split(order, starts[1:])):
             if idx.size < 2:
                 raise ValueError(f"class {label} has fewer than 2 samples; cannot split per-class")
             n_val = max(1, int(round(fraction * idx.size)))

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import group_by_label
 from .geometry import pairwise_distances
 
 
@@ -89,11 +90,6 @@ class RunningTracks:
         return out
 
 
-def update_tracks(tracks: RunningTracks, report: EvalReport) -> RunningTracks:
-    """Record one evaluation; returns the same (mutated) tracks object."""
-    return tracks.append(report.as_vector())
-
-
 class EvalPlan:
     """The labels of an evaluation and what depends on them alone, built once per label vector.
 
@@ -105,8 +101,7 @@ class EvalPlan:
 
     def __init__(self, labels):
         self.labels = np.asarray(labels)
-        order = np.argsort(self.labels, kind="stable")
-        _, starts = np.unique(self.labels[order], return_index=True)
+        order, starts, _ = group_by_label(self.labels)
         self.groups = tuple(np.split(order, starts[1:]))
         upper = ~np.tri(self.labels.size, dtype=bool)
         same = self.labels[:, None] == self.labels[None, :]

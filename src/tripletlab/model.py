@@ -245,11 +245,12 @@ class EmbeddingModel(FlatParams):
     def from_dict(cls, payload: dict) -> "EmbeddingModel":
         if payload.get("kind") != "mlp-unit-norm":
             raise ValueError(f"unsupported checkpoint kind {payload.get('kind')!r}")
-        model = cls.__new__(cls)
-        model.input_dim = int(payload["input_dim"])
-        model.hidden = tuple(int(h) for h in payload["hidden"])
-        model.embedding_dim = int(payload["embedding_dim"])
-        model._allocate((model.input_dim, *model.hidden, model.embedding_dim))
+        model = cls(
+            int(payload["input_dim"]),
+            payload["hidden"],
+            int(payload["embedding_dim"]),
+            np.random.default_rng(0),
+        )
         layers = payload["layers"]
         if len(layers) != len(model.weights):
             raise ValueError(

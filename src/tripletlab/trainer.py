@@ -29,9 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, resolved_lines
-from .data import generate_synthetic, load_dataset, split_validation
+from .data import generate_synthetic, group_by_label, load_dataset, split_validation
 from .geometry import pairwise_distances
-from .metrics import EvalPlan, evaluate, eval_score, update_tracks, RunningTracks
+from .metrics import METRIC_FIELDS, EvalPlan, evaluate, eval_score, RunningTracks
 from .model import (
     Adam,
     EmbeddingModel,
@@ -65,8 +65,14 @@ from .samplers import (
     triplet_masks,
 )
 
-CSV_HEADER = "episode,r1,r2,r4,nmi,intra,inter,reward"
+CSV_HEADER = ",".join(("episode", *METRIC_FIELDS, "reward"))
 PLAN_KEYS = 1 << 20  # within-class keys drawn at once by TrainLoop._plan_episode
+
+
+def learns_policy(cfg: RunConfig) -> bool:
+    """Whether a run trains its own policy; another pads run keeps its PMF unless given a policy."""
+    no_transfer = cfg.transfer.mode == "none"
+    return cfg.sampler.kind == "pads" and no_transfer and cfg.rl.algorithm != "frozen-identity"
 
 
 def _load_pmf_file(path, cfg: RunConfig) -> SamplingPMF:
@@ -109,18 +115,17 @@ class TrainLoop:
             self.dataset, cfg.train.val_fraction, cfg.train.split_mode, data_kids[1]
         )
         # train rows grouped by class (ascending within each), class i at class_starts[i]
-        order = np.argsort(self.dataset.labels[self.train_idx], kind="stable")
-        self.class_rows = self.train_idx[order]
-        class_ids, self.class_starts, self.class_sizes = np.unique(
-            self.dataset.labels[self.class_rows], return_index=True, return_counts=True
+        order, self.class_starts, self.class_sizes = group_by_label(
+            self.dataset.labels[self.train_idx]
         )
-        if class_ids.size < 2:
+        self.class_rows = self.train_idx[order]
+        if self.class_sizes.size < 2:
             raise ValueError("training split must contain at least 2 classes")
         # within-class keys per slot: the largest class, at least s for argpartition(kth=s-1)
         s = cfg.train.samples_per_class
         self.key_width = max(int(self.class_sizes.max()), s)
         # every batch is p distinct classes in blocks of s, so its masks are run constants
-        self.classes_per_batch = min(cfg.train.classes_per_batch, class_ids.size)
+        self.classes_per_batch = min(cfg.train.classes_per_batch, self.class_sizes.size)
         block_labels = np.repeat(np.arange(self.classes_per_batch), s)
         self_reg = cfg.sampler.kind in PMF_SAMPLER_KINDS and cfg.sampler.self_reg
         self.same, self.cand = triplet_masks(block_labels, self_reg)
@@ -136,31 +141,22 @@ class TrainLoop:
             self.beta_class = np.full(self.dataset.n_classes, cfg.loss.beta_margin)
 
         self.kind = cfg.sampler.kind
-        self.pmf = None
+        self.pmf = None  # curriculum kinds set theirs at the start of every episode
         self.policy = None
         self.updater = None
-        self.frozen_policy = False
-        if self.kind in PMF_SAMPLER_KINDS:
-            self.pmf = init_pmf(cfg.pmf.lambda_min, cfg.pmf.lambda_max, cfg.pmf.k, cfg.pmf.init)
         self.tracks = RunningTracks(cfg.train.running_averages, cfg.train.history)
         if self.kind == "pads":
+            self.pmf = init_pmf(cfg.pmf.lambda_min, cfg.pmf.lambda_max, cfg.pmf.k, cfg.pmf.init)
             self._setup_policy()
         self.fallbacks = 0
 
     def _setup_policy(self):
+        """Load the transferred PMF or policy, or build the policy of a run that learns one."""
         cfg = self.cfg
-        mode = cfg.transfer.mode
-        if mode == "fixed-final-pmf":
-            # a frozen PMF needs no policy at all; empty path means "freeze the init PMF"
-            if cfg.transfer.pmf_path:
-                self.pmf = _load_pmf_file(cfg.transfer.pmf_path, cfg)
-            return
-        if cfg.rl.algorithm == "frozen-identity":
-            # diagnostic mode: the maintain action every episode, no updates
-            self.frozen_policy = True
-            return
+        if cfg.transfer.mode == "fixed-final-pmf" and cfg.transfer.pmf_path:
+            self.pmf = _load_pmf_file(cfg.transfer.pmf_path, cfg)
         sdim = state_dim(cfg.pmf.k, self.tracks, cfg.rl.state_recalls)
-        if mode == "fixed-policy":
+        if cfg.transfer.mode == "fixed-policy":
             payload = json.loads(Path(cfg.transfer.policy_path).read_text())
             self.policy = PolicyNetwork.from_dict(payload)
             if self.policy.k_bins != cfg.pmf.k:
@@ -172,20 +168,20 @@ class TrainLoop:
                     f"transferred policy expects state dim {self.policy.state_dim}, "
                     f"this config builds {sdim}"
                 )
-            return
-        has_value = uses_value_head(cfg.rl.algorithm)
-        self.policy = PolicyNetwork(
-            sdim, cfg.pmf.k, has_value, self.rng_policy_init, hidden=cfg.rl.hidden
-        )
-        self.updater = PolicyUpdater(
-            self.policy,
-            cfg.rl.algorithm,
-            lr=cfg.rl.lr,
-            epsilon=cfg.ppo.epsilon,
-            old_refresh=cfg.ppo.old_refresh,
-            ema_decay=cfg.rl.ema_decay,
-            value_coef=cfg.rl.value_coef,
-        )
+        elif learns_policy(cfg):
+            has_value = uses_value_head(cfg.rl.algorithm)
+            self.policy = PolicyNetwork(
+                sdim, cfg.pmf.k, has_value, self.rng_policy_init, hidden=cfg.rl.hidden
+            )
+            self.updater = PolicyUpdater(
+                self.policy,
+                cfg.rl.algorithm,
+                lr=cfg.rl.lr,
+                epsilon=cfg.ppo.epsilon,
+                old_refresh=cfg.ppo.old_refresh,
+                ema_decay=cfg.rl.ema_decay,
+                value_coef=cfg.rl.value_coef,
+            )
 
     # ---- one DML iteration ----
 
@@ -268,13 +264,12 @@ class TrainLoop:
         eval_plan = EvalPlan(self.dataset.labels[self.val_idx])
         report = self._evaluate(eval_plan)
         e_prev = eval_score(report)
-        update_tracks(self.tracks, report)
+        self.tracks.append(report.as_vector())
 
         csv_rows = [CSV_HEADER]
         pmf_lines = []
         transition_lines = []
         pending = None  # (state, trits, logprob, value) awaiting its reward
-        adjusts = self.kind == "pads" and (self.policy is not None or self.frozen_policy)
 
         for ep in range(1, n_episodes + 1):
             if self.kind in ("curriculum-linear", "curriculum-nonlinear"):
@@ -295,21 +290,16 @@ class TrainLoop:
             e_now = eval_score(report)
             reward = compute_reward(e_now, e_prev)
             e_prev = e_now
-            update_tracks(self.tracks, report)
-            row = report.as_row()
-            csv_rows.append(
-                f"{ep},{row['r1']!r},{row['r2']!r},{row['r4']!r},"
-                f"{row['nmi']!r},{row['intra']!r},{row['inter']!r},{reward}"
-            )
-            if adjusts:
+            metrics = report.as_vector()
+            self.tracks.append(metrics)
+            csv_rows.append(",".join([str(ep), *map(repr, metrics.tolist()), str(reward)]))
+            if self.policy is not None:
                 if pending is not None:
                     tr = Transition(ep, pending[0], pending[1], pending[2], reward, pending[3])
                     if self.updater is not None:
                         self.updater.update([tr])
                     if cfg.train.log_transitions:
                         transition_lines.append(tr.to_json())
-                if self.frozen_policy:
-                    continue  # identity action: the PMF stays exactly as it is
                 progress = ep * cfg.train.m / cfg.train.total_iterations
                 state = build_state(self.tracks, self.pmf.p, min(progress, 1.0), cfg.rl.state_recalls)
                 cache = self.policy.forward(state)

@@ -92,6 +92,16 @@ class TestRun:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_frozen_identity_with_a_transferred_policy_exits_one(self, base_cfg, tmp_path, capsys):
+        rc = main(["run", "--config", str(base_cfg),
+                   "--set", "rl.algorithm=frozen-identity",
+                   "--set", "transfer.mode=fixed-policy",
+                   "--set", f"transfer.policy_path={tmp_path / 'missing.json'}",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "frozen-identity runs no policy" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_diverged_run_exits_two_naming_nonfinite_embeddings(self, base_cfg, tmp_path, capsys):
         # one Adam step moves each parameter by about lr, and the next forward pass overflows

@@ -156,6 +156,13 @@ class TestValidation:
             build({"transfer.mode": "fixed-final-pmf", "sampler.kind": "random"})
         build({"transfer.mode": "fixed-final-pmf"})  # empty pmf_path freezes the init PMF
 
+    def test_frozen_identity_refuses_a_transferred_policy(self):
+        # frozen-identity runs no policy, so it would silently ignore the one it was given
+        with pytest.raises(ConfigError, match="frozen-identity runs no policy"):
+            build({"transfer.mode": "fixed-policy", "transfer.policy_path": "policy.json",
+                   "rl.algorithm": "frozen-identity"})
+        build({"transfer.mode": "fixed-final-pmf", "rl.algorithm": "frozen-identity"})
+
     @pytest.mark.parametrize(
         "key, message",
         [

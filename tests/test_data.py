@@ -3,21 +3,25 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tripletlab.data import LabeledDataset, generate_synthetic, load_dataset, save_dataset
+from tripletlab.data import (
+    LabeledDataset,
+    generate_synthetic,
+    group_by_label,
+    load_dataset,
+    save_dataset,
+)
 
 
 class TestLabeledDataset:
     def test_properties(self):
         ds = LabeledDataset(np.zeros((6, 3)), np.array([0, 0, 1, 1, 2, 2]))
         assert ds.n == 6 and ds.input_dim == 3 and ds.n_classes == 3
-        assert {k: v.tolist() for k, v in ds.class_index.items()} == {
-            0: [0, 1],
-            1: [2, 3],
-            2: [4, 5],
-        }
+        order, starts, sizes = group_by_label(ds.labels)
+        assert order.tolist() == [0, 1, 2, 3, 4, 5]
+        assert starts.tolist() == [0, 2, 4] and sizes.tolist() == [2, 2, 2]
 
     def test_rejects_gapped_labels(self):
         with pytest.raises(ValueError, match="contiguous"):
@@ -57,7 +61,8 @@ class TestGenerate:
 
     def test_zero_noise_collapses_classes(self):
         ds = generate_synthetic(3, 5, 4, within_std=0.0, seed=1)
-        for c, idx in ds.class_index.items():
+        order, starts, _ = group_by_label(ds.labels)
+        for idx in np.split(order, starts[1:]):
             block = ds.features[idx]
             assert np.array_equal(block, np.tile(block[0], (5, 1)))
 
@@ -150,6 +155,23 @@ def test_generated_datasets_satisfy_invariants(n_classes, per_class, input_dim, 
     assert np.all(np.isfinite(ds.features))
     counts = np.bincount(ds.labels, minlength=n_classes)
     assert np.all(counts == per_class)
+
+
+def reference_class_groups(labels: np.ndarray) -> dict:
+    """label -> ascending positions, one np.where per label (the grouping group_by_label replaced)."""
+    return {int(c): np.where(labels == c)[0] for c in np.unique(labels)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=st.lists(st.integers(-3, 40), min_size=1, max_size=60))
+@example(labels=[5, 5, 5])  # a single class
+@example(labels=[7, 0, 3, 7, 0, 3, 3])  # unsorted and not contiguous, as a by-class split leaves them
+def test_group_by_label_matches_per_label_where(labels):
+    labels = np.array(labels)
+    order, starts, sizes = group_by_label(labels)
+    groups = [order[start : start + size].tolist() for start, size in zip(starts, sizes)]
+    assert groups == [idx.tolist() for idx in reference_class_groups(labels).values()]
+    assert np.array_equal(starts, np.cumsum(sizes) - sizes)
 
 
 @settings(max_examples=20, deadline=None)

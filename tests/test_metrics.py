@@ -20,7 +20,6 @@ from tripletlab.metrics import (
     kmeans,
     nmi,
     recall_at_k,
-    update_tracks,
 )
 
 from conftest import random_labels, unit_rows
@@ -474,11 +473,6 @@ class TestRunningTracks:
             RunningTracks().averages()
         with pytest.raises(ValueError, match=">= 1"):
             RunningTracks(lengths=(0,))
-
-    def test_update_tracks_appends_report_vector(self):
-        report = EvalReport(recall_at={1: 0.5, 2: 0.6, 4: 0.7}, nmi=0.4, intra=0.3, inter=1.1)
-        tracks = update_tracks(RunningTracks(), report)
-        assert np.array_equal(tracks.history_matrix()[-1], report.as_vector())
 
 
 class TestEvalReport:

@@ -224,6 +224,14 @@ class TestCheckpointShapes:
         with pytest.raises(ValueError, match=message):
             EmbeddingModel.from_dict({**payload, "layers": layers})
 
+    def test_one_dimensional_embedding_checkpoint_rejected(self, rng):
+        # the layers agree with embedding_dim 1, which no model may be built with
+        payload = EmbeddingModel(6, (12,), 2, rng).to_dict()
+        w, b = payload["layers"][-1]["w"], payload["layers"][-1]["b"]
+        payload["layers"][-1] = {"w": [row[:1] for row in w], "b": b[:1]}
+        with pytest.raises(ValueError, match="embedding_dim >= 2"):
+            EmbeddingModel.from_dict({**payload, "embedding_dim": 1})
+
     def test_dimension_fields_must_match_layers(self, rng):
         payload = EmbeddingModel(6, (12, 10), 4, rng).to_dict()
         with pytest.raises(ValueError, match="layer 0 'w'"):

@@ -13,7 +13,7 @@ from tripletlab.config import config_from_flat, config_to_flat, parse_kv_lines
 from tripletlab.data import LabeledDataset, generate_synthetic, save_dataset
 from tripletlab.rl import RL_ALGORITHMS
 from tripletlab.samplers import SAMPLER_KINDS, triplet_masks
-from tripletlab.trainer import CSV_HEADER, TrainLoop, split_validation, train
+from tripletlab.trainer import CSV_HEADER, TrainLoop, learns_policy, split_validation, train
 
 
 def small_flat(**overrides):
@@ -154,6 +154,15 @@ class TestEpisodeMechanics:
         rows = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
         assert rows[0] == CSV_HEADER
         assert [r.split(",")[-1] for r in rows[1:]] == ["0", "0", "0"]
+
+    def test_tracks_hold_the_metric_values_of_the_last_csv_row(self, tmp_path):
+        loop = TrainLoop(small_flat(**{"train.total_iterations": 5}), tmp_path / "run")
+        loop.run()
+        rows = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
+        assert rows[0] == "episode,r1,r2,r4,nmi,intra,inter,reward"
+        assert len(rows) == 2 and rows[1].startswith("1,")
+        last = [float(v) for v in rows[-1].split(",")[1:-1]]
+        assert loop.tracks.history_matrix()[-1].tolist() == last
 
     def test_three_episodes_three_rows_three_snapshots(self, tmp_path):
         cfg = small_flat()
@@ -348,6 +357,19 @@ class TestDeterminismAndReduction:
         assert not np.array_equal(a.dataset.features, c.dataset.features)
 
 
+#: run -> (overrides, learns its own policy, writes policy.json and transitions.jsonl)
+POLICY_RUNS = {
+    "pads": ({}, True, True),
+    "pads-frozen-identity": ({"rl.algorithm": "frozen-identity"}, False, False),
+    "fixed-policy": ({"transfer.mode": "fixed-policy"}, False, True),
+    "fixed-final-pmf": ({"transfer.mode": "fixed-final-pmf"}, False, False),
+    "fixed-final-pmf-frozen-identity": (
+        {"transfer.mode": "fixed-final-pmf", "rl.algorithm": "frozen-identity"}, False, False
+    ),
+    "random": ({"sampler.kind": "random"}, False, False),
+}
+
+
 class TestVariants:
     def test_all_sampler_kinds_run(self, tmp_path):
         for kind in ("random", "semihard", "distweighted", "curriculum-linear",
@@ -406,6 +428,26 @@ class TestVariants:
     def test_self_reg_includes_same_class_candidates(self, tmp_path):
         summary = train(small_flat(**{"sampler.self_reg": "true"}), tmp_path / "run")
         assert summary["episodes"] == 3
+
+    @pytest.mark.parametrize("overrides, learns, runs_policy", POLICY_RUNS.values(), ids=POLICY_RUNS)
+    def test_learns_policy_decides_the_updater_and_the_policy_files(
+        self, tmp_path, overrides, learns, runs_policy
+    ):
+        if overrides.get("transfer.mode") == "fixed-policy":
+            teacher = TrainLoop(small_flat(), tmp_path / "teacher").policy.to_dict()
+            (tmp_path / "policy.json").write_text(json.dumps(teacher))
+            overrides = {**overrides, "transfer.policy_path": tmp_path / "policy.json"}
+        # two episodes: the first transition is logged when episode 2 rewards episode 1's action
+        cfg = small_flat(**{"train.total_iterations": 10, **overrides})
+        loop = TrainLoop(cfg, tmp_path / "run")
+        assert learns_policy(cfg) == learns == (loop.updater is not None)
+        loop.run()
+        written = {p.name for p in (tmp_path / "run").iterdir()}
+        pmf_files = {"pmf.jsonl", "final_pmf.json"} if cfg.sampler.kind == "pads" else set()
+        policy_files = {"policy.json", "transitions.jsonl"} if runs_policy else set()
+        assert written & {"pmf.jsonl", "final_pmf.json", "policy.json", "transitions.jsonl"} == (
+            pmf_files | policy_files
+        )
 
     def test_fixed_policy_transfer(self, tmp_path):
         train(small_flat(), tmp_path / "teacher")
@@ -470,13 +512,38 @@ class TestVariants:
             loop.run()
 
 
-def test_benchmark_tracer_targets_are_defined_on_their_owners():
-    """perfbench/tracing.py reads each wrapped name through vars(owner), so none may be inherited."""
+def benchmark_tracer_targets() -> list:
+    """perfbench/tracing.py's targets(), read from the file without importing perfbench."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    targets = tracing.targets()
+    return tracing.targets()
+
+
+def test_benchmark_tracer_targets_are_defined_on_their_owners():
+    """perfbench/tracing.py reads each wrapped name through vars(owner), so none may be inherited."""
+    targets = benchmark_tracer_targets()
     assert targets
     missing = [(owner.__name__, attr) for owner, attr, _, _ in targets if attr not in vars(owner)]
     assert missing == []
+
+
+def test_benchmark_tracer_targets_in_trainer_are_called(tmp_path, monkeypatch):
+    """A name the benchmark wraps in trainer's namespace but trainer no longer calls leaves its span empty."""
+    names = [attr for owner, attr, _, _ in benchmark_tracer_targets() if owner is trainer]
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _original=getattr(trainer, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, name, counting)
+    save_dataset(generate_synthetic(4, 12, 6, seed=0), tmp_path / "ds.csv")
+    runs = [{"sampler.kind": kind} for kind in SAMPLER_KINDS] + [{
+        "sampler.kind": "semihard", "loss.kind": "margin", "loss.learnable_beta": "true",
+        "data.path": tmp_path / "ds.csv",
+    }]
+    for i, overrides in enumerate(runs):
+        train(small_flat(**{"train.total_iterations": 5, **overrides}), tmp_path / f"run{i}")
+    assert [name for name, n in calls.items() if n == 0] == []
