@@ -8,10 +8,27 @@ not the number of rows. Everything is computed from pairwise distances;
 `evaluate` builds the distance matrix once and shares it. Nearest-neighbor
 ranking is by (distance, index), so ties go to the smaller index, and it is
 computed by counting rather than sorting.
+
+k-means reads only the rows, never the distance matrix. So on a batch of at
+least OVERLAP_MIN_ROWS rows, when the process may run on two or more CPUs,
+`evaluate` runs k-means and NMI on one worker thread while the calling
+thread computes distances, recall and class distances; numpy releases the
+GIL inside the large array operations of both. Below that size the
+overlap gains nothing or loses: the worker's many small numpy calls hold
+the GIL. The report is the same to the bit either way: the two sides share
+only read-only inputs (the rows and the plan), k-means draws from its own
+generator seeded by `kmeans_seed`, and every call computes what it would
+compute alone. The worker calls `_cluster_agreement`, never
+`clustering_nmi`: a profiler that keeps one span stack and wraps the public
+names here would otherwise see a span open on the worker thread inside the
+caller's spans. On an overlapped evaluation the caller's wait for k-means
+is therefore part of `evaluate`'s own time.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -23,6 +40,9 @@ from .geometry import pairwise_distances
 
 #: column order of the per-episode metric vector used throughout
 METRIC_FIELDS = ("r1", "r2", "r4", "nmi", "intra", "inter")
+#: batches of at least this many rows overlap k-means with the distance work: in interleaved
+#: timings of `evaluate` the overlap lost below 320 rows, was even at 320 and won from 400
+OVERLAP_MIN_ROWS = 400
 
 
 @dataclass(frozen=True)
@@ -114,6 +134,13 @@ class EvalPlan:
             raise ValueError(f"evaluation plan has {self.labels.size} labels for {n} rows")
 
 
+def _cutoffs(ks) -> tuple:
+    ks = tuple(int(k) for k in ks)
+    if any(k < 1 for k in ks):
+        raise ValueError("recall cutoffs must be >= 1")
+    return ks
+
+
 def recall_at_k(dist: np.ndarray, plan: EvalPlan, ks=(1, 2, 4)) -> dict:
     """Fraction of points whose k nearest others contain a same-label point.
 
@@ -124,9 +151,7 @@ def recall_at_k(dist: np.ndarray, plan: EvalPlan, ks=(1, 2, 4)) -> dict:
     exists and rank < min(k, n-1). `dist` is the (N, N) distance matrix of
     the plan's rows; it is not modified.
     """
-    ks = tuple(int(k) for k in ks)
-    if any(k < 1 for k in ks):
-        raise ValueError("recall cutoffs must be >= 1")
+    ks = _cutoffs(ks)
     n = dist.shape[0]
     plan.check_rows(n)
     rows = np.arange(n)
@@ -244,6 +269,14 @@ def nmi(labels_a: np.ndarray, labels_b: np.ndarray) -> float:
     return mi / (0.5 * (h_a + h_b))
 
 
+def _cluster_agreement(vectors: np.ndarray, plan: EvalPlan, seed: int, max_iter: int = 300) -> float:
+    k = len(plan.groups)
+    if k == 1:
+        return 0.0
+    assign = kmeans(vectors, k, np.random.default_rng(seed), max_iter=max_iter)
+    return nmi(plan.labels, assign)
+
+
 def clustering_nmi(vectors: np.ndarray, plan: EvalPlan, seed: int, max_iter: int = 300) -> float:
     """NMI between the plan's labels and k-means clusters of the rows, k = #classes.
 
@@ -252,20 +285,63 @@ def clustering_nmi(vectors: np.ndarray, plan: EvalPlan, seed: int, max_iter: int
     function of the embeddings.
     """
     plan.check_rows(vectors.shape[0])
-    k = len(plan.groups)
-    if k == 1:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    assign = kmeans(vectors, k, rng, max_iter=max_iter)
-    return nmi(plan.labels, assign)
+    return _cluster_agreement(vectors, plan, seed, max_iter)
+
+
+def _overlaps(n_rows: int) -> bool:
+    """Whether `evaluate` runs k-means on a worker thread: a large batch and a second usable CPU."""
+    if n_rows < OVERLAP_MIN_ROWS:
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (cpus or 1) >= 2
+
+
+class _Worker(threading.Thread):
+    """fn(*args) on a thread of its own; result() waits for it and returns its value or raises its error."""
+
+    def __init__(self, fn, *args):
+        super().__init__(name=f"tripletlab-{fn.__name__}")
+        self._call = (fn, args)
+        self._value = self._error = None
+
+    def run(self) -> None:
+        fn, args = self._call
+        try:
+            self._value = fn(*args)
+        except BaseException as exc:  # raised again on the waiting thread by result()
+            self._error = exc
+
+    def result(self):
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._value
 
 
 def evaluate(vectors: np.ndarray, plan: EvalPlan, ks=(1, 2, 4), kmeans_seed: int = 0) -> EvalReport:
-    """Full evaluation bundle used after every training episode, on one distance matrix."""
-    dist = pairwise_distances(vectors)
-    rec = recall_at_k(dist, plan, ks)
-    score_nmi = clustering_nmi(vectors, plan, seed=kmeans_seed)
-    intra, inter = class_distance_stats(dist, plan)
+    """Full evaluation bundle used after every training episode, on one distance matrix.
+
+    Inputs are checked before any work starts. On a batch of at least
+    OVERLAP_MIN_ROWS rows, with a second usable CPU, k-means and NMI run on
+    one worker thread while this thread does the distance work; the worker
+    is always waited for, also when this thread raises.
+    """
+    n = vectors.shape[0]
+    plan.check_rows(n)
+    ks = _cutoffs(ks)
+    worker = None
+    if _overlaps(n):
+        # _cluster_agreement, not clustering_nmi: see the module docstring
+        worker = _Worker(_cluster_agreement, vectors, plan, kmeans_seed)
+        worker.start()
+    try:
+        dist = pairwise_distances(vectors)
+        rec = recall_at_k(dist, plan, ks)
+        intra, inter = class_distance_stats(dist, plan)
+    finally:
+        if worker is not None:
+            worker.join()
+    score_nmi = clustering_nmi(vectors, plan, seed=kmeans_seed) if worker is None else worker.result()
     return EvalReport(recall_at=rec, nmi=score_nmi, intra=intra, inter=inter)
 
 

@@ -1,4 +1,7 @@
+import importlib.util
 import os
+import threading
+from pathlib import Path
 
 # pin BLAS to one thread before numpy is first imported, as README "Testing" prescribes;
 # a caller's explicit setting still wins
@@ -29,3 +32,39 @@ def random_labels(rng: np.random.Generator, n: int, n_classes: int) -> np.ndarra
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def benchmark_tracer_targets() -> list:
+    """perfbench/tracing.py's targets(), read from the file without importing perfbench."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.targets()
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Names of the threads started while the test runs, in start order."""
+    started = []
+    real_start = threading.Thread.start
+
+    def start(self):
+        started.append(self.name)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+@pytest.fixture
+def overlap(monkeypatch):
+    """overlap(on): force `metrics.evaluate` onto its worker-thread path or off it, as on a 2-CPU host."""
+    import tripletlab.metrics as metrics
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def force(on: bool) -> None:
+        monkeypatch.setattr(metrics, "OVERLAP_MIN_ROWS", 0 if on else 1 << 62)
+
+    return force

@@ -1,4 +1,7 @@
 import math
+import os
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -22,7 +25,7 @@ from tripletlab.metrics import (
     recall_at_k,
 )
 
-from conftest import random_labels, unit_rows
+from conftest import benchmark_tracer_targets, random_labels, unit_rows
 
 
 def unit_norm_rows(m: np.ndarray) -> np.ndarray:
@@ -508,3 +511,101 @@ class TestEvalReport:
         assert report.recall_at == recall_at_k(dist, plan)
         assert report.nmi == clustering_nmi(vectors, plan, seed=5)
         assert (report.intra, report.inter) == class_distance_stats(dist, plan)
+
+
+class TestOverlappedEvaluation:
+    """`evaluate` runs k-means on a worker thread on large batches; the report may not tell."""
+
+    def test_matches_the_serial_report_bit_for_bit(self, overlap, thread_starts):
+        batches = reference_batches()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # singleton-only or one-class batches
+            for vectors, labels in batches:
+                plan = EvalPlan(labels)
+                overlap(False)
+                serial = evaluate(vectors, plan, kmeans_seed=5)
+                overlap(True)
+                overlapped = evaluate(vectors, plan, kmeans_seed=5)
+                assert overlapped.as_vector().tobytes() == serial.as_vector().tobytes()
+                assert overlapped.recall_at == serial.recall_at
+        assert len(thread_starts) == len(batches)
+
+    @pytest.mark.parametrize(
+        "extra_rows, cpus, on_worker",
+        [(-1, {0, 1}, False), (0, {0}, False), (0, {0, 1}, True)],
+        ids=["below-the-gate", "one-cpu", "gate-and-two-cpus"],
+    )
+    def test_worker_only_from_the_gate_with_two_cpus(
+        self, monkeypatch, thread_starts, extra_rows, cpus, on_worker
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+        kmeans_threads = []
+
+        def recording_kmeans(*args, **kwargs):
+            kmeans_threads.append(threading.current_thread())
+            return kmeans(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "kmeans", recording_kmeans)
+        vectors, labels = random_batch(np.random.default_rng(7), metrics.OVERLAP_MIN_ROWS + extra_rows)
+        evaluate(vectors, EvalPlan(labels))
+        assert len(thread_starts) == int(on_worker)
+        assert len(kmeans_threads) == 1
+        assert (kmeans_threads[0] is not threading.main_thread()) == on_worker
+
+    def test_worker_error_surfaces_with_its_type_and_message(self, monkeypatch, overlap, thread_starts):
+        def failing_kmeans(*args, **kwargs):
+            raise ArithmeticError("k-means diverged on the worker")
+
+        monkeypatch.setattr(metrics, "kmeans", failing_kmeans)
+        overlap(True)
+        vectors, labels = random_batch(np.random.default_rng(3), 50)
+        with pytest.raises(ArithmeticError, match="^k-means diverged on the worker$"):
+            evaluate(vectors, EvalPlan(labels))
+        assert len(thread_starts) == 1
+
+    def test_inputs_are_checked_before_any_thread_starts(self, overlap, thread_starts):
+        overlap(True)
+        vectors, labels = random_batch(np.random.default_rng(3), 50)
+        with pytest.raises(ValueError, match="51 labels for 50 rows"):
+            evaluate(vectors, EvalPlan(np.append(labels, 0)))
+        with pytest.raises(ValueError, match="recall cutoffs must be >= 1"):
+            evaluate(vectors, EvalPlan(labels), ks=(1, 0))
+        assert thread_starts == []
+
+    def test_no_k_means_outlives_a_raising_evaluation(self, monkeypatch, overlap):
+        finished = []
+
+        def slow_kmeans(*args, **kwargs):
+            time.sleep(0.2)
+            finished.append(kmeans(*args, **kwargs))
+            return finished[-1]
+
+        def failing_recall(*args, **kwargs):
+            raise RuntimeError("recall failed")
+
+        monkeypatch.setattr(metrics, "kmeans", slow_kmeans)
+        monkeypatch.setattr(metrics, "recall_at_k", failing_recall)
+        overlap(True)
+        alive = threading.active_count()
+        vectors, labels = random_batch(np.random.default_rng(3), 50)
+        with pytest.raises(RuntimeError, match="recall failed"):
+            evaluate(vectors, EvalPlan(labels))
+        assert len(finished) == 1
+        assert threading.active_count() == alive
+
+    def test_worker_calls_no_name_the_benchmark_traces(self, monkeypatch, overlap, thread_starts):
+        """perfbench's tracer keeps one span stack, so a span opened on the worker would corrupt it."""
+        callers = []
+        for owner, attr, _, _ in benchmark_tracer_targets():
+            if owner is metrics:
+                def recording(*args, _original=getattr(metrics, attr), **kwargs):
+                    callers.append(threading.current_thread())
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(metrics, attr, recording)
+        overlap(True)
+        vectors, labels = random_batch(np.random.default_rng(3), 50)
+        evaluate(vectors, EvalPlan(labels))
+        assert len(thread_starts) == 1
+        assert len(callers) == 3  # pairwise distances, recall and class distances
+        assert all(caller is threading.main_thread() for caller in callers)

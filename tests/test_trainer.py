@@ -1,6 +1,6 @@
-import importlib.util
 import itertools
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +11,11 @@ import tripletlab.metrics as metrics
 import tripletlab.trainer as trainer
 from tripletlab.config import config_from_flat, config_to_flat, parse_kv_lines
 from tripletlab.data import LabeledDataset, generate_synthetic, save_dataset
-from tripletlab.rl import RL_ALGORITHMS
+from tripletlab.rl import RL_ALGORITHMS, log_prob_and_score, sample_action
 from tripletlab.samplers import SAMPLER_KINDS, triplet_masks
 from tripletlab.trainer import CSV_HEADER, TrainLoop, learns_policy, split_validation, train
+
+from conftest import benchmark_tracer_targets
 
 
 def small_flat(**overrides):
@@ -336,6 +338,43 @@ class TestDeterminismAndReduction:
                 tmp_path / "control" / name
             ).read_bytes()
 
+    def test_all_maintain_policy_reduces_to_frozen_identity(self, tmp_path, monkeypatch):
+        """A run that learns its policy but always draws "maintain" keeps the initial PMF."""
+        init = {"pmf.init": "gaussian:0.9:0.3"}  # uneven, so a rescaled PMF shows in the bytes
+        train(small_flat(**init, **{"rl.algorithm": "frozen-identity"}), tmp_path / "frozen")
+        calls = dict.fromkeys(("build_state", "multipliers_from_trits", "apply_action"), 0)
+        for name in calls:
+            def counting(*args, _name=name, _original=getattr(trainer, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(trainer, name, counting)
+        drawn = []
+
+        def sample_maintain(logits, rng):
+            trits, _ = sample_action(logits, rng)  # the action stream advances as usual
+            trits = np.ones_like(trits)
+            drawn.append((trits, logits.copy()))
+            return trits, log_prob_and_score(logits, trits)[0]
+
+        monkeypatch.setattr(trainer, "sample_action", sample_maintain)
+        loop = TrainLoop(small_flat(**init), tmp_path / "maintain")
+        assert loop.updater is not None
+        initial_policy = loop.policy.to_dict()
+        loop.run()
+        assert len(drawn) == 3 and calls == dict.fromkeys(calls, 3)
+        for name in ("metrics.csv", "pmf.jsonl", "final_pmf.json", "model.json"):
+            assert (tmp_path / "maintain" / name).read_bytes() == (
+                tmp_path / "frozen" / name
+            ).read_bytes()
+        assert json.loads((tmp_path / "maintain" / "policy.json").read_text()) != initial_policy
+        lines = (tmp_path / "maintain" / "transitions.jsonl").read_text().splitlines()
+        assert len(lines) == 2  # the last action is never rewarded
+        for line, (trits, logits) in zip(lines, drawn):
+            logged = json.loads(line)
+            assert logged["action"] == trits.tolist()
+            assert logged["logprob"] == log_prob_and_score(logits, trits)[0]
+
     def test_config_resolved_reproduces_run(self, tmp_path):
         cfg = small_flat()
         train(cfg, tmp_path / "a")
@@ -355,6 +394,45 @@ class TestDeterminismAndReduction:
         assert np.array_equal(a.val_idx, b.val_idx)
         c = TrainLoop(small_flat(**{"data.seed": 9}), tmp_path / "c")
         assert not np.array_equal(a.dataset.features, c.dataset.features)
+
+
+def artifact_bytes(run_dir: Path) -> dict:
+    """Every artifact of a run by file name; summary.json without its wall time and directory."""
+    out = {}
+    for path in sorted(run_dir.iterdir()):
+        data = path.read_bytes()
+        if path.name == "summary.json":
+            summary = json.loads(data)
+            del summary["seconds"], summary["run_dir"]
+            data = json.dumps(summary).encode()
+        out[path.name] = data
+    return out
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"sampler.kind": kind} for kind in SAMPLER_KINDS]
+    + [{"loss.kind": "margin", "loss.learnable_beta": "true"}],
+    ids=[*SAMPLER_KINDS, "margin-learnable-beta"],
+)
+def test_overlapped_evaluation_leaves_every_artifact_unchanged(tmp_path, monkeypatch, overlap, overrides):
+    """k-means on the worker thread (gate lowered to every batch) against k-means in line."""
+    on_worker = []
+
+    def recording(*args, _original=metrics._cluster_agreement):
+        on_worker.append(threading.current_thread() is not threading.main_thread())
+        return _original(*args)
+
+    monkeypatch.setattr(metrics, "_cluster_agreement", recording)
+    cfg = small_flat(**overrides)
+    runs = {}
+    for name, on in (("serial", False), ("overlapped", True)):
+        overlap(on)
+        on_worker.clear()
+        train(cfg, tmp_path / name)
+        assert set(on_worker) == {on}
+        runs[name] = artifact_bytes(tmp_path / name)
+    assert runs["overlapped"] == runs["serial"]
 
 
 #: run -> (overrides, learns its own policy, writes policy.json and transitions.jsonl)
@@ -510,15 +588,6 @@ class TestVariants:
         loop.beta_class[:] = np.nan  # corrupt boundaries feed straight into the loss
         with pytest.raises(RuntimeError, match="non-finite loss; aborting run"):
             loop.run()
-
-
-def benchmark_tracer_targets() -> list:
-    """perfbench/tracing.py's targets(), read from the file without importing perfbench."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing.targets()
 
 
 def test_benchmark_tracer_targets_are_defined_on_their_owners():
