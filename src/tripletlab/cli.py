@@ -93,26 +93,8 @@ def _train_runs(runs: dict, out: Path, run_dir) -> dict:
     return {key: _final_metrics(train(run_cfg, out / run_dir(*key))) for key, run_cfg in runs.items()}
 
 
-def _medians(values: list, seeds, finals: dict) -> list:
-    """(value, median final R@1, median final NMI) for each value, over its seed block."""
-    return [
-        (value, *(statistics.median(finals[value, seed][i] for seed in seeds) for i in (0, 1)))
-        for value in values
-    ]
-
-
-def _write_table(path: Path, rows: list, name: str, medians: list) -> None:
-    """Write the CSV rows, print the table's path, then the median rows as a text table."""
-    path.write_text("\n".join(rows) + "\n")
-    print(path)
-    width = max(len(name), *(len(value) for value, _, _ in medians))
-    print(f"{name:<{width}}  final R@1  final NMI")
-    for value, r1, nmi in medians:
-        print(f"{value:<{width}}  {r1:9.4f}  {nmi:9.4f}")
-
-
 def _block_table(path: Path, name: str, keys: list, seeds, finals: dict) -> None:
-    """Write every run's row, then one median row per key, and print the medians.
+    """Write every run's row, then one median row per key; print the table's path and the medians.
 
     A key listed twice gets its rows twice; its runs were trained once.
     """
@@ -121,9 +103,17 @@ def _block_table(path: Path, name: str, keys: list, seeds, finals: dict) -> None
         for seed in seeds:
             r1, nmi = finals[key, seed]
             rows.append(f"{key},{seed},{r1!r},{nmi!r}")
-    medians = _medians(keys, seeds, finals)
+    medians = [
+        (key, *(statistics.median(finals[key, seed][i] for seed in seeds) for i in (0, 1)))
+        for key in keys
+    ]
     rows += [f"{key},median,{r1!r},{nmi!r}" for key, r1, nmi in medians]
-    _write_table(path, rows, name, medians)
+    path.write_text("\n".join(rows) + "\n")
+    print(path)
+    width = max(len(name), *(len(key) for key, _, _ in medians))
+    print(f"{name:<{width}}  final R@1  final NMI")
+    for key, r1, nmi in medians:
+        print(f"{key:<{width}}  {r1:9.4f}  {nmi:9.4f}")
 
 
 def cmd_compare(args) -> int:
@@ -156,14 +146,7 @@ def cmd_sweep(args) -> int:
 
     out = Path(args.out)
     finals = _train_runs(runs, out, run_dir)
-    rows = [f"{args.param},seed,final_r1,final_nmi"]
-    medians = _medians(values, seeds, finals)
-    for value, med_r1, med_nmi in medians:
-        for seed in seeds:
-            r1, nmi = finals[value, seed]
-            rows.append(f"{value},{seed},{r1!r},{nmi!r}")
-        rows.append(f"{value},median,{med_r1!r},{med_nmi!r}")
-    _write_table(out / "sweep.csv", rows, args.param, medians)
+    _block_table(out / "sweep.csv", args.param, values, seeds, finals)
     return 0
 
 

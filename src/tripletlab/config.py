@@ -243,7 +243,8 @@ def _validate(values: dict) -> tuple[list, list]:
     need(values["rl.hidden"] >= 1, "rl.hidden must be >= 1")
     need(
         len(values["rl.state_recalls"]) >= 1
-        and set(values["rl.state_recalls"]) <= {1, 2, 4},
+        and set(values["rl.state_recalls"]) <= {1, 2, 4}
+        and len(set(values["rl.state_recalls"])) == len(values["rl.state_recalls"]),
         "rl.state_recalls must be a nonempty subset of 1,2,4",
     )
     need(values["ppo.epsilon"] > 0, "ppo.epsilon must be positive")

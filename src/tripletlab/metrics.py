@@ -5,9 +5,10 @@ holder of its labels and of what depends on them alone (class groups, pair
 masks); a training run builds the plan once for its fixed validation
 labels. Every function that takes a plan refuses one whose label count is
 not the number of rows. Everything is computed from pairwise distances;
-`evaluate` builds the distance matrix once and shares it. Nearest-neighbor
-ranking is by (distance, index), so ties go to the smaller index, and it is
-computed by counting rather than sorting.
+`evaluate` builds the distance matrix once and shares it and returns one
+float64 row in METRIC_FIELDS order, the row a training run keeps per
+episode. Nearest-neighbor ranking is by (distance, index), so ties go to
+the smaller index, and it is computed by counting rather than sorting.
 
 k-means reads only the rows, never the distance matrix. So on a batch of at
 least OVERLAP_MIN_ROWS rows, when the process may run on two or more CPUs,
@@ -15,7 +16,7 @@ least OVERLAP_MIN_ROWS rows, when the process may run on two or more CPUs,
 thread computes distances, recall and class distances; numpy releases the
 GIL inside the large array operations of both. Below that size the
 overlap gains nothing or loses: the worker's many small numpy calls hold
-the GIL. The report is the same to the bit either way: the two sides share
+the GIL. The row is the same to the bit either way: the two sides share
 only read-only inputs (the rows and the plan), k-means draws from its own
 generator seeded by `kmeans_seed`, and every call computes what it would
 compute alone. The worker calls `_cluster_agreement`, never
@@ -30,7 +31,6 @@ from __future__ import annotations
 import os
 import threading
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,71 +43,6 @@ METRIC_FIELDS = ("r1", "r2", "r4", "nmi", "intra", "inter")
 #: batches of at least this many rows overlap k-means with the distance work: in interleaved
 #: timings of `evaluate` the overlap lost below 320 rows, was even at 320 and won from 400
 OVERLAP_MIN_ROWS = 400
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    recall_at: dict
-    nmi: float
-    intra: float
-    inter: float
-
-    def as_row(self) -> dict:
-        row = {f"r{k}": v for k, v in sorted(self.recall_at.items())}
-        row.update(nmi=self.nmi, intra=self.intra, inter=self.inter)
-        return row
-
-    def as_vector(self) -> np.ndarray:
-        row = self.as_row()
-        return np.array([row[f] for f in METRIC_FIELDS])
-
-
-class RunningTracks:
-    """Ring buffers of recent metric vectors feeding the policy state.
-
-    Keeps enough history for running averages at several lengths plus a
-    raw tail of the last `history` snapshots. Averages over fewer than
-    `length` entries use whatever is available.
-    """
-
-    def __init__(self, lengths=(2, 8, 16, 32), history: int = 20, n_metrics: int = len(METRIC_FIELDS)):
-        self.lengths = tuple(int(x) for x in lengths)
-        self.history = int(history)
-        self.n_metrics = int(n_metrics)
-        if min(self.lengths) < 1 or self.history < 1:
-            raise ValueError("average lengths and history must be >= 1")
-        self._capacity = max(max(self.lengths), self.history)
-        self._buf: list = []
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-    def append(self, values: np.ndarray) -> "RunningTracks":
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (self.n_metrics,):
-            raise ValueError(f"expected {self.n_metrics} metric values, got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("metric values must be finite")
-        self._buf.append(values.copy())
-        if len(self._buf) > self._capacity:
-            self._buf.pop(0)
-        return self
-
-    def averages(self) -> np.ndarray:
-        """(n_metrics, n_lengths) running means, most recent entries first."""
-        if not self._buf:
-            raise ValueError("no snapshots recorded yet")
-        stack = np.stack(self._buf)
-        cols = [stack[-min(l, len(self._buf)):].mean(axis=0) for l in self.lengths]
-        return np.stack(cols, axis=1)
-
-    def history_matrix(self) -> np.ndarray:
-        """(history, n_metrics) raw tail, oldest row first, zero-padded when short."""
-        out = np.zeros((self.history, self.n_metrics))
-        tail = self._buf[-self.history:]
-        if tail:
-            out[-len(tail):] = np.stack(tail)
-        return out
 
 
 class EvalPlan:
@@ -134,13 +69,6 @@ class EvalPlan:
             raise ValueError(f"evaluation plan has {self.labels.size} labels for {n} rows")
 
 
-def _cutoffs(ks) -> tuple:
-    ks = tuple(int(k) for k in ks)
-    if any(k < 1 for k in ks):
-        raise ValueError("recall cutoffs must be >= 1")
-    return ks
-
-
 def recall_at_k(dist: np.ndarray, plan: EvalPlan, ks=(1, 2, 4)) -> dict:
     """Fraction of points whose k nearest others contain a same-label point.
 
@@ -151,7 +79,9 @@ def recall_at_k(dist: np.ndarray, plan: EvalPlan, ks=(1, 2, 4)) -> dict:
     exists and rank < min(k, n-1). `dist` is the (N, N) distance matrix of
     the plan's rows; it is not modified.
     """
-    ks = _cutoffs(ks)
+    ks = tuple(int(k) for k in ks)
+    if any(k < 1 for k in ks):
+        raise ValueError("recall cutoffs must be >= 1")
     n = dist.shape[0]
     plan.check_rows(n)
     rows = np.arange(n)
@@ -318,17 +248,17 @@ class _Worker(threading.Thread):
         return self._value
 
 
-def evaluate(vectors: np.ndarray, plan: EvalPlan, ks=(1, 2, 4), kmeans_seed: int = 0) -> EvalReport:
-    """Full evaluation bundle used after every training episode, on one distance matrix.
+def evaluate(vectors: np.ndarray, plan: EvalPlan, kmeans_seed: int = 0) -> np.ndarray:
+    """Full evaluation after every training episode, one float64 row in METRIC_FIELDS order.
 
-    Inputs are checked before any work starts. On a batch of at least
-    OVERLAP_MIN_ROWS rows, with a second usable CPU, k-means and NMI run on
-    one worker thread while this thread does the distance work; the worker
-    is always waited for, also when this thread raises.
+    All of it comes from one distance matrix. Inputs are checked before any
+    work starts. On a batch of at least OVERLAP_MIN_ROWS rows, with a second
+    usable CPU, k-means and NMI run on one worker thread while this thread
+    does the distance work; the worker is always waited for, also when this
+    thread raises.
     """
     n = vectors.shape[0]
     plan.check_rows(n)
-    ks = _cutoffs(ks)
     worker = None
     if _overlaps(n):
         # _cluster_agreement, not clustering_nmi: see the module docstring
@@ -336,15 +266,15 @@ def evaluate(vectors: np.ndarray, plan: EvalPlan, ks=(1, 2, 4), kmeans_seed: int
         worker.start()
     try:
         dist = pairwise_distances(vectors)
-        rec = recall_at_k(dist, plan, ks)
+        rec = recall_at_k(dist, plan)  # its default cutoffs are the r1, r2, r4 columns
         intra, inter = class_distance_stats(dist, plan)
     finally:
         if worker is not None:
             worker.join()
     score_nmi = clustering_nmi(vectors, plan, seed=kmeans_seed) if worker is None else worker.result()
-    return EvalReport(recall_at=rec, nmi=score_nmi, intra=intra, inter=inter)
+    return np.array([*rec.values(), score_nmi, intra, inter])
 
 
-def eval_score(report: EvalReport) -> float:
-    """Scalar progress signal: recall@1 plus clustering agreement."""
-    return report.recall_at[1] + report.nmi
+def eval_score(row: np.ndarray) -> float:
+    """Scalar progress signal of one evaluation row: recall@1 (r1) plus clustering agreement (nmi)."""
+    return row[0] + row[3]

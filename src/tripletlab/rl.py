@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import METRIC_FIELDS, RunningTracks
+from .metrics import METRIC_FIELDS
 from .model import Adam, FlatParams
 
 RL_ALGORITHMS = ("reinforce", "reinforce-ema", "a2c", "ppo-ema", "ppo-a2c")
@@ -50,27 +50,41 @@ def state_metric_fields(recall_ks=(1, 2, 4)) -> tuple:
     return tuple(f"r{k}" for k in recall_ks) + ("nmi", "intra", "inter")
 
 
-def state_dim(k_bins: int, tracks: RunningTracks, recall_ks=(1, 2, 4)) -> int:
+def state_dim(k_bins: int, lengths, history: int, recall_ks=(1, 2, 4)) -> int:
+    """Size of the state build_state assembles for these running-average lengths and history."""
     n_metrics = len(state_metric_fields(recall_ks))
-    return n_metrics * len(tracks.lengths) + tracks.history * n_metrics + k_bins + 1
+    return n_metrics * len(lengths) + history * n_metrics + k_bins + 1
 
 
 def build_state(
-    tracks: RunningTracks, prev_pmf_probs: np.ndarray, progress: float, recall_ks=(1, 2, 4)
+    rows: np.ndarray,
+    lengths,
+    history: int,
+    prev_pmf_probs: np.ndarray,
+    progress: float,
+    recall_ks=(1, 2, 4),
 ) -> np.ndarray:
-    """Assemble the policy input, fixed layout:
+    """Assemble the policy input from the evaluation rows so far, oldest first, fixed layout:
 
     [running averages per metric (all lengths, metric-major) |
      raw history (oldest episode first, metrics within episode) |
      previous PMF probabilities | normalized training progress]
+
+    `rows` is (n, len(METRIC_FIELDS)), n >= 1. The average of length l is
+    the mean of the last min(l, n) rows; the history is the last `history`
+    rows, zero-padded in front when fewer exist.
     """
     if not 0.0 <= progress <= 1.0:
         raise ValueError(f"progress must lie in [0, 1], got {progress}")
     fields = state_metric_fields(recall_ks)
     cols = np.array([METRIC_FIELDS.index(f) for f in fields])
     scales = np.array([_STATE_SCALES[f] for f in fields])
-    avg = tracks.averages()[cols] * scales[:, None]
-    hist = tracks.history_matrix()[:, cols] * scales[None, :]
+    n = len(rows)
+    means = np.stack([rows[max(0, n - l):].mean(axis=0) for l in lengths], axis=1)
+    tail = np.zeros((history, len(METRIC_FIELDS)))
+    tail[history - min(n, history):] = rows[max(0, n - history):]
+    avg = means[cols] * scales[:, None]
+    hist = tail[:, cols] * scales[None, :]
     state = np.concatenate(
         [avg.ravel(), hist.ravel(), np.asarray(prev_pmf_probs, dtype=np.float64), [progress]]
     )
@@ -279,8 +293,8 @@ class Transition:
 class PolicyUpdater:
     """Owns the optimizer state and algorithm-specific baselines.
 
-    All algorithms share the pattern: compute a scalar coefficient per
-    transition, descend -coef * grad(log pi) plus (where enabled) the
+    All algorithms share the pattern: compute the transition's scalar
+    coefficient, descend -coef * grad(log pi) plus (where enabled) the
     value-regression gradient. PPO recomputes the reference log-prob from
     a lagged parameter copy and zeroes the coefficient when the clipped
     branch of the surrogate is active.
@@ -321,46 +335,35 @@ class PolicyUpdater:
     def _old_log_prob(self, state: np.ndarray, trits: np.ndarray) -> float:
         return self.policy.log_prob(self.policy.forward(state, self.old_params), trits)
 
-    def update(self, transitions: list) -> dict:
-        """One optimizer step over the given transitions (usually one)."""
-        if not transitions:
-            raise ValueError("need at least one transition")
-        grad = np.zeros(self.policy.n_params)
-        diag = {"coef": [], "ratio": [], "advantage": []}
-        for tr in transitions:
-            lp_old = self._old_log_prob(tr.state, tr.trits) if self.uses_ppo else 0.0
-            cache = self.policy.forward(tr.state)
-            lp_new, d_logits = log_prob_and_score(cache.logits, tr.trits)
-            if self.uses_value:
-                advantage = tr.reward - cache.value
-            elif self.uses_ema:
-                advantage = tr.reward - self.ema_baseline
+    def update(self, tr: Transition) -> dict:
+        """One optimizer step on one transition; returns its coef, ratio and advantage."""
+        lp_old = self._old_log_prob(tr.state, tr.trits) if self.uses_ppo else 0.0
+        cache = self.policy.forward(tr.state)
+        lp_new, d_logits = log_prob_and_score(cache.logits, tr.trits)
+        if self.uses_value:
+            advantage = tr.reward - cache.value
+        elif self.uses_ema:
+            advantage = tr.reward - self.ema_baseline
+        else:
+            advantage = float(tr.reward)
+        if self.uses_ppo:
+            ratio = float(np.exp(lp_new - lp_old))
+            clipped = min(max(ratio, 1.0 - self.epsilon), 1.0 + self.epsilon)
+            if ratio * advantage <= clipped * advantage:
+                coef = advantage * ratio
             else:
-                advantage = float(tr.reward)
-            if self.uses_ppo:
-                ratio = float(np.exp(lp_new - lp_old))
-                clipped = min(max(ratio, 1.0 - self.epsilon), 1.0 + self.epsilon)
-                if ratio * advantage <= clipped * advantage:
-                    coef = advantage * ratio
-                else:
-                    coef = 0.0  # clipped branch active: constant in theta
-            else:
-                ratio = 1.0
-                coef = advantage
-            d_logits *= -coef
-            d_value = 0.0
-            if self.uses_value:
-                d_value = 2.0 * self.value_coef * (cache.value - tr.reward)
-            grad += self.policy.backward(cache, d_logits, d_value)
-            diag["coef"].append(coef)
-            diag["ratio"].append(ratio)
-            diag["advantage"].append(float(advantage))
-        grad /= len(transitions)
-        self.policy.step(self.adam, grad)
+                coef = 0.0  # clipped branch active: constant in theta
+        else:
+            ratio = 1.0
+            coef = advantage
+        d_logits *= -coef
+        d_value = 0.0
+        if self.uses_value:
+            d_value = 2.0 * self.value_coef * (cache.value - tr.reward)
+        self.policy.step(self.adam, self.policy.backward(cache, d_logits, d_value))
         if self.uses_ema:
-            rewards = float(np.mean([tr.reward for tr in transitions]))
-            self.ema_baseline = self.ema_decay * self.ema_baseline + (1.0 - self.ema_decay) * rewards
+            self.ema_baseline = self.ema_decay * self.ema_baseline + (1.0 - self.ema_decay) * tr.reward
         self.n_updates += 1
         if self.uses_ppo and self.n_updates % self.old_refresh == 0:
             self.old_params = self.policy.get_params()
-        return diag
+        return {"coef": coef, "ratio": ratio, "advantage": float(advantage)}

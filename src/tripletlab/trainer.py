@@ -31,7 +31,7 @@ import numpy as np
 from .config import RunConfig, resolved_lines
 from .data import generate_synthetic, group_by_label, load_dataset, split_validation
 from .geometry import pairwise_distances
-from .metrics import METRIC_FIELDS, EvalPlan, evaluate, eval_score, RunningTracks
+from .metrics import METRIC_FIELDS, EvalPlan, evaluate, eval_score
 from .model import (
     Adam,
     EmbeddingModel,
@@ -144,7 +144,8 @@ class TrainLoop:
         self.pmf = None  # curriculum kinds set theirs at the start of every episode
         self.policy = None
         self.updater = None
-        self.tracks = RunningTracks(cfg.train.running_averages, cfg.train.history)
+        # row 0: the evaluation before training; row ep: the evaluation after episode ep
+        self.metrics = np.zeros((cfg.n_episodes + 1, len(METRIC_FIELDS)))
         if self.kind == "pads":
             self.pmf = init_pmf(cfg.pmf.lambda_min, cfg.pmf.lambda_max, cfg.pmf.k, cfg.pmf.init)
             self._setup_policy()
@@ -155,7 +156,7 @@ class TrainLoop:
         cfg = self.cfg
         if cfg.transfer.mode == "fixed-final-pmf" and cfg.transfer.pmf_path:
             self.pmf = _load_pmf_file(cfg.transfer.pmf_path, cfg)
-        sdim = state_dim(cfg.pmf.k, self.tracks, cfg.rl.state_recalls)
+        sdim = state_dim(cfg.pmf.k, cfg.train.running_averages, cfg.train.history, cfg.rl.state_recalls)
         if cfg.transfer.mode == "fixed-policy":
             payload = json.loads(Path(cfg.transfer.policy_path).read_text())
             self.policy = PolicyNetwork.from_dict(payload)
@@ -244,9 +245,9 @@ class TrainLoop:
 
     # ---- evaluation ----
 
-    def _evaluate(self, plan: EvalPlan):
+    def _evaluate(self, plan: EvalPlan, ep: int) -> None:
         emb, _ = self.model.forward(self.dataset.features[self.val_idx])
-        return evaluate(emb, plan, ks=(1, 2, 4), kmeans_seed=self.metric_seed)
+        self.metrics[ep] = evaluate(emb, plan, kmeans_seed=self.metric_seed)
 
     # ---- full run ----
 
@@ -262,11 +263,8 @@ class TrainLoop:
             )
         # the validation labels are fixed, so their masks and class groups are built once
         eval_plan = EvalPlan(self.dataset.labels[self.val_idx])
-        report = self._evaluate(eval_plan)
-        e_prev = eval_score(report)
-        self.tracks.append(report.as_vector())
-
-        csv_rows = [CSV_HEADER]
+        self._evaluate(eval_plan, 0)
+        rewards = []
         pmf_lines = []
         transition_lines = []
         pending = None  # (state, trits, logprob, value) awaiting its reward
@@ -286,32 +284,39 @@ class TrainLoop:
                 pmf_lines.append(json.dumps(self.pmf.snapshot(ep)))
             for rows, pos in zip(*self._plan_episode(cfg.train.m)):
                 self._train_step(rows, pos)
-            report = self._evaluate(eval_plan)
-            e_now = eval_score(report)
-            reward = compute_reward(e_now, e_prev)
-            e_prev = e_now
-            metrics = report.as_vector()
-            self.tracks.append(metrics)
-            csv_rows.append(",".join([str(ep), *map(repr, metrics.tolist()), str(reward)]))
+            self._evaluate(eval_plan, ep)
+            reward = compute_reward(eval_score(self.metrics[ep]), eval_score(self.metrics[ep - 1]))
+            rewards.append(reward)
             if self.policy is not None:
                 if pending is not None:
                     tr = Transition(ep, pending[0], pending[1], pending[2], reward, pending[3])
                     if self.updater is not None:
-                        self.updater.update([tr])
+                        self.updater.update(tr)
                     if cfg.train.log_transitions:
                         transition_lines.append(tr.to_json())
                 progress = ep * cfg.train.m / cfg.train.total_iterations
-                state = build_state(self.tracks, self.pmf.p, min(progress, 1.0), cfg.rl.state_recalls)
+                state = build_state(
+                    self.metrics[: ep + 1],
+                    cfg.train.running_averages,
+                    cfg.train.history,
+                    self.pmf.p,
+                    min(progress, 1.0),
+                    cfg.rl.state_recalls,
+                )
                 cache = self.policy.forward(state)
                 trits, logprob = sample_action(cache.logits, self.rng_policy_act)
                 pending = (state, trits, logprob, cache.value)
                 mult = multipliers_from_trits(trits, cfg.pmf.alpha, cfg.pmf.beta)
                 self.pmf = apply_action(self.pmf, mult)
 
-        return self._write_artifacts(csv_rows, pmf_lines, transition_lines, started, report)
+        return self._write_artifacts(rewards, pmf_lines, transition_lines, started)
 
-    def _write_artifacts(self, csv_rows, pmf_lines, transition_lines, started, final_report) -> dict:
+    def _write_artifacts(self, rewards, pmf_lines, transition_lines, started) -> dict:
         self.out_dir.mkdir(parents=True, exist_ok=True)
+        csv_rows = [CSV_HEADER] + [
+            ",".join([str(ep), *map(repr, self.metrics[ep].tolist()), str(reward)])
+            for ep, reward in enumerate(rewards, start=1)
+        ]
         (self.out_dir / "metrics.csv").write_text("\n".join(csv_rows) + "\n")
         (self.out_dir / "config.resolved").write_text("\n".join(resolved_lines(self.cfg)) + "\n")
         if pmf_lines:
@@ -328,11 +333,10 @@ class TrainLoop:
                 "p": self.pmf.p.tolist(),
             }
             (self.out_dir / "final_pmf.json").write_text(json.dumps(payload))
-        final = final_report.as_row()
         summary = {
             "run_dir": str(self.out_dir),
             "episodes": self.cfg.n_episodes,
-            "final": final,
+            "final": dict(zip(METRIC_FIELDS, self.metrics[-1].tolist())),
             "adaptive_fallbacks": self.fallbacks,
             "seconds": round(time.perf_counter() - started, 3),
         }

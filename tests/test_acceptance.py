@@ -312,11 +312,9 @@ def test_05_rl_correctness():
             old[-policy.n_out + 3 * k + trits[k]] -= 2.0
         updater.old_params = old
         before = policy.get_params()
-        diag = updater.update(
-            [Transition(1, s, trits, policy.log_prob(cache, trits), reward=1)]
-        )
-        assert abs(diag["ratio"][0] - 1.0) > updater.epsilon
-        assert diag["coef"] == [0.0]
+        diag = updater.update(Transition(1, s, trits, policy.log_prob(cache, trits), reward=1))
+        assert abs(diag["ratio"] - 1.0) > updater.epsilon
+        assert diag["coef"] == 0.0
         assert np.array_equal(policy.get_params(), before)
 
         # huge clip + synced reference makes the clipped rule collapse to a2c
@@ -328,9 +326,9 @@ def test_05_rl_correctness():
         cache = pol_a.forward(s)
         trits, lp = sample_action(cache.logits, np.random.default_rng(53))
         tr = Transition(1, s, trits, lp, reward=1, value=cache.value)
-        upd_a.update([tr])
-        diag_b = upd_b.update([tr])
-        assert diag_b["ratio"] == [1.0]
+        upd_a.update(tr)
+        diag_b = upd_b.update(tr)
+        assert diag_b["ratio"] == 1.0
         assert np.array_equal(pol_a.get_params(), pol_b.get_params())
 
 

@@ -246,11 +246,11 @@ class TestSweep:
         assert calls == [(10, 0), (10, 1), (6, 0), (6, 1)]
         rows = (out / "sweep.csv").read_text().splitlines()
         assert [r.split(",")[:2] for r in rows[1:]] == [
-            ["10", "0"], ["10", "1"], ["10", "median"],
-            ["6", "0"], ["6", "1"], ["6", "median"],
-            ["10", "0"], ["10", "1"], ["10", "median"],
+            ["10", "0"], ["10", "1"], ["6", "0"], ["6", "1"], ["10", "0"], ["10", "1"],
+            ["10", "median"], ["6", "median"], ["10", "median"],
         ]
-        assert rows[1:4] == rows[7:10]
+        assert rows[1:3] == rows[5:7]
+        assert rows[7] == rows[9]
 
     def test_sweep_bad_param_exits_one(self, base_cfg, tmp_path, capsys):
         rc = main(["sweep", "--config", str(base_cfg), "--param", "bogus.key",

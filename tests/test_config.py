@@ -180,6 +180,10 @@ class TestValidation:
         with pytest.raises(ConfigError, match="subset of 1,2,4"):
             build({"rl.state_recalls": "1,3"})
 
+    def test_state_recalls_repeated_value(self):
+        with pytest.raises(ConfigError, match="subset of 1,2,4"):
+            build({"rl.state_recalls": "1,1"})
+
 
 class TestRoundTrip:
     def test_resolved_lines_sorted_and_stable(self):

@@ -14,8 +14,6 @@ from tripletlab.geometry import pairwise_distances
 from tripletlab.metrics import (
     METRIC_FIELDS,
     EvalPlan,
-    EvalReport,
-    RunningTracks,
     class_distance_stats,
     clustering_nmi,
     eval_score,
@@ -195,6 +193,8 @@ class TestRecall:
     def test_invalid_cutoff(self, rng):
         with pytest.raises(ValueError, match=">= 1"):
             recall_of(unit_rows(rng, 4, 4), np.array([0, 0, 1, 1]), ks=(0,))
+        with pytest.raises(ValueError, match=">= 1"):
+            recall_of(unit_rows(rng, 4, 4), np.array([0, 0, 1, 1]), ks=(1, 0))
 
 
 class TestClassDistanceStats:
@@ -428,70 +428,27 @@ class TestKMeans:
         assert clustering_nmi(unit_rows(rng, 6, 4), plan, seed=3) == 0.0
 
 
-class TestRunningTracks:
-    def test_averages_hand_example(self):
-        tracks = RunningTracks(lengths=(2, 4), history=3, n_metrics=1)
-        for v in (1.0, 2.0, 3.0, 4.0):
-            tracks.append(np.array([v]))
-        avg = tracks.averages()
-        assert avg.shape == (1, 2)
-        assert avg[0, 0] == pytest.approx(3.5)   # mean of last 2
-        assert avg[0, 1] == pytest.approx(2.5)   # mean of last 4
-
-    def test_alternating_sequence_averages_to_half(self):
-        tracks = RunningTracks(lengths=(2, 8, 16, 32), history=20, n_metrics=1)
-        for i in range(32):
-            tracks.append(np.array([float(i % 2)]))
-        assert np.allclose(tracks.averages(), 0.5)
-
-    def test_short_buffer_uses_available(self):
-        tracks = RunningTracks(lengths=(8,), history=4, n_metrics=1)
-        tracks.append(np.array([2.0])).append(np.array([4.0]))
-        assert tracks.averages()[0, 0] == pytest.approx(3.0)
-
-    def test_history_zero_padded_oldest_first(self):
-        tracks = RunningTracks(lengths=(2,), history=5, n_metrics=2)
-        tracks.append(np.array([1.0, 10.0])).append(np.array([2.0, 20.0]))
-        mat = tracks.history_matrix()
-        assert mat.shape == (5, 2)
-        assert np.array_equal(mat[:3], np.zeros((3, 2)))
-        assert np.array_equal(mat[3], [1.0, 10.0])
-        assert np.array_equal(mat[4], [2.0, 20.0])
-
-    def test_capacity_covers_longest_consumer(self):
-        tracks = RunningTracks(lengths=(2,), history=2, n_metrics=1)
-        for v in (1.0, 2.0, 3.0):
-            tracks.append(np.array([v]))
-        assert len(tracks) == 2
-        assert tracks.averages()[0, 0] == pytest.approx(2.5)
-        assert np.array_equal(tracks.history_matrix().ravel(), [2.0, 3.0])
-
-    def test_validation(self):
-        tracks = RunningTracks(n_metrics=2)
-        with pytest.raises(ValueError, match="expected 2 metric values"):
-            tracks.append(np.array([1.0]))
-        with pytest.raises(ValueError, match="finite"):
-            tracks.append(np.array([1.0, np.nan]))
-        with pytest.raises(ValueError, match="no snapshots"):
-            RunningTracks().averages()
-        with pytest.raises(ValueError, match=">= 1"):
-            RunningTracks(lengths=(0,))
-
-
-class TestEvalReport:
-    def test_row_and_vector_ordering(self):
-        report = EvalReport(recall_at={4: 0.9, 1: 0.5, 2: 0.7}, nmi=0.4, intra=0.2, inter=1.0)
-        row = report.as_row()
-        assert list(row) == list(METRIC_FIELDS)
-        assert np.array_equal(report.as_vector(), [0.5, 0.7, 0.9, 0.4, 0.2, 1.0])
+class TestEvaluate:
+    def test_row_is_in_metric_fields_order(self, rng):
+        vectors, labels = tie_heavy_batch(rng)
+        plan = EvalPlan(labels)
+        row = evaluate(vectors, plan, kmeans_seed=5)
+        dist = pairwise_distances(vectors)
+        recall = recall_at_k(dist, plan)
+        named = {"r1": recall[1], "r2": recall[2], "r4": recall[4]}
+        named["nmi"] = clustering_nmi(vectors, plan, seed=5)
+        named["intra"], named["inter"] = class_distance_stats(dist, plan)
+        assert row.dtype == np.float64 and row.shape == (len(METRIC_FIELDS),)
+        assert row.tolist() == [named[f] for f in METRIC_FIELDS]
 
     def test_evaluate_bundle_on_blobs(self, rng):
         vectors, labels = blob_batch(rng, n_per_class=10)
-        report = evaluate(vectors, EvalPlan(labels), kmeans_seed=5)
-        assert report.recall_at[1] == 1.0
-        assert report.nmi == pytest.approx(1.0, abs=1e-9)
-        assert report.inter > report.intra
-        assert eval_score(report) == pytest.approx(report.recall_at[1] + report.nmi)
+        row = evaluate(vectors, EvalPlan(labels), kmeans_seed=5)
+        r1, _, _, score_nmi, intra, inter = row
+        assert r1 == 1.0
+        assert score_nmi == pytest.approx(1.0, abs=1e-9)
+        assert inter > intra
+        assert eval_score(row) == pytest.approx(r1 + score_nmi)
 
     def test_evaluate_shares_one_distance_matrix(self, rng, monkeypatch):
         vectors, labels = tie_heavy_batch(rng)
@@ -503,18 +460,18 @@ class TestEvalReport:
             return handed_out[-1]
 
         monkeypatch.setattr(metrics, "pairwise_distances", counted)
-        report = evaluate(vectors, plan, kmeans_seed=5)
+        row = evaluate(vectors, plan, kmeans_seed=5)
         monkeypatch.undo()
         assert len(handed_out) == 1
         dist = pairwise_distances(vectors)
         assert np.array_equal(handed_out[0], dist)
-        assert report.recall_at == recall_at_k(dist, plan)
-        assert report.nmi == clustering_nmi(vectors, plan, seed=5)
-        assert (report.intra, report.inter) == class_distance_stats(dist, plan)
+        assert row[:3].tolist() == list(recall_at_k(dist, plan).values())
+        assert row[3] == clustering_nmi(vectors, plan, seed=5)
+        assert tuple(row[4:].tolist()) == class_distance_stats(dist, plan)
 
 
 class TestOverlappedEvaluation:
-    """`evaluate` runs k-means on a worker thread on large batches; the report may not tell."""
+    """`evaluate` runs k-means on a worker thread on large batches; the row may not tell."""
 
     def test_matches_the_serial_report_bit_for_bit(self, overlap, thread_starts):
         batches = reference_batches()
@@ -526,8 +483,7 @@ class TestOverlappedEvaluation:
                 serial = evaluate(vectors, plan, kmeans_seed=5)
                 overlap(True)
                 overlapped = evaluate(vectors, plan, kmeans_seed=5)
-                assert overlapped.as_vector().tobytes() == serial.as_vector().tobytes()
-                assert overlapped.recall_at == serial.recall_at
+                assert overlapped.tobytes() == serial.tobytes()
         assert len(thread_starts) == len(batches)
 
     @pytest.mark.parametrize(
@@ -568,8 +524,6 @@ class TestOverlappedEvaluation:
         vectors, labels = random_batch(np.random.default_rng(3), 50)
         with pytest.raises(ValueError, match="51 labels for 50 rows"):
             evaluate(vectors, EvalPlan(np.append(labels, 0)))
-        with pytest.raises(ValueError, match="recall cutoffs must be >= 1"):
-            evaluate(vectors, EvalPlan(labels), ks=(1, 0))
         assert thread_starts == []
 
     def test_no_k_means_outlives_a_raising_evaluation(self, monkeypatch, overlap):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tripletlab.metrics import RunningTracks
+from tripletlab.metrics import METRIC_FIELDS
 from tripletlab.model import Adam, layer_views
 from tripletlab.rl import (
     ALGORITHM_CHOICES,
@@ -84,14 +84,27 @@ def reference_policy_backward(policy, state, d_logits, d_value=0.0):
     return grad
 
 
+def metric_rows(*values) -> np.ndarray:
+    """One evaluation row per value, every metric column holding that value."""
+    return np.repeat(np.array(values, dtype=np.float64)[:, None], len(METRIC_FIELDS), axis=1)
+
+
+def averages_and_history(rows, lengths, history):
+    """build_state's running averages (metric, length) and history (row, metric), scales undone."""
+    n = len(METRIC_FIELDS)
+    state = build_state(rows, lengths, history, np.array([1.0]), 0.0)
+    scales = np.array([1.0, 1.0, 1.0, 1.0, 0.5, 0.5])
+    avg = state[: n * len(lengths)].reshape(n, len(lengths)) / scales[:, None]
+    hist = state[n * len(lengths) : n * len(lengths) + history * n].reshape(history, n) / scales
+    return avg, hist
+
+
 class TestStateVector:
     def test_layout_hand_example(self):
-        tracks = RunningTracks(lengths=(2,), history=2, n_metrics=6)
         v1 = np.array([0.1, 0.2, 0.3, 0.4, 1.0, 2.0])
         v2 = np.array([0.5, 0.6, 0.7, 0.8, 1.2, 1.6])
-        tracks.append(v1).append(v2)
         pmf = np.array([0.25, 0.75])
-        state = build_state(tracks, pmf, progress=0.5)
+        state = build_state(np.stack([v1, v2]), (2,), 2, pmf, progress=0.5)
         # averages first (distances halved), then raw history oldest-first,
         # then the PMF, then progress
         want = np.concatenate(
@@ -104,32 +117,68 @@ class TestStateVector:
             ]
         )
         assert np.allclose(state, want, atol=1e-12)
-        assert state.size == state_dim(2, tracks)
+        assert state.size == state_dim(2, (2,), 2)
 
     def test_state_dim_default_shape(self):
-        tracks = RunningTracks()
         # 6 metrics * 4 lengths + 20 * 6 history + K bins + progress
-        assert state_dim(30, tracks) == 24 + 120 + 30 + 1
+        assert state_dim(30, (2, 8, 16, 32), 20) == 24 + 120 + 30 + 1
 
     def test_recall_subset(self):
         assert state_metric_fields((1,)) == ("r1", "nmi", "intra", "inter")
-        tracks = RunningTracks(lengths=(2,), history=2, n_metrics=6)
-        tracks.append(np.array([0.1, 0.2, 0.3, 0.4, 1.0, 2.0]))
-        state = build_state(tracks, np.array([1.0]), 0.0, recall_ks=(1,))
-        assert state.size == state_dim(1, tracks, recall_ks=(1,))
+        rows = np.array([[0.1, 0.2, 0.3, 0.4, 1.0, 2.0]])
+        state = build_state(rows, (2,), 2, np.array([1.0]), 0.0, recall_ks=(1,))
+        assert state.size == state_dim(1, (2,), 2, recall_ks=(1,))
         assert np.allclose(state[:4], [0.1, 0.4, 0.5, 1.0], atol=1e-12)
 
     def test_progress_bounds(self):
-        tracks = RunningTracks(n_metrics=6)
-        tracks.append(np.zeros(6))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            build_state(tracks, np.array([1.0]), 1.5)
+            build_state(np.zeros((1, 6)), (2, 8, 16, 32), 20, np.array([1.0]), 1.5)
 
     def test_rejects_non_finite(self):
-        tracks = RunningTracks(n_metrics=6)
-        tracks.append(np.zeros(6))
         with pytest.raises(ValueError, match="non-finite"):
-            build_state(tracks, np.array([np.nan]), 0.5)
+            build_state(np.zeros((1, 6)), (2, 8, 16, 32), 20, np.array([np.nan]), 0.5)
+
+    def test_averages_over_the_last_rows(self):
+        avg, _ = averages_and_history(metric_rows(1.0, 2.0, 3.0, 4.0), (2, 4), 3)
+        assert avg.shape == (6, 2)
+        assert np.allclose(avg[:, 0], 3.5)  # mean of the last 2
+        assert np.allclose(avg[:, 1], 2.5)  # mean of the last 4
+
+    def test_alternating_rows_average_to_half(self):
+        avg, _ = averages_and_history(metric_rows(*(i % 2 for i in range(32))), (2, 8, 16, 32), 20)
+        assert np.allclose(avg, 0.5)
+
+    def test_short_run_uses_the_rows_it_has(self):
+        avg, _ = averages_and_history(metric_rows(2.0, 4.0), (8,), 4)
+        assert np.allclose(avg, 3.0)
+
+    def test_history_zero_padded_oldest_first(self):
+        rows = np.outer([1.0, 2.0], [1.0, 10.0, 1.0, 1.0, 1.0, 1.0])
+        _, hist = averages_and_history(rows, (2,), 5)
+        assert hist.shape == (5, 6)
+        assert np.array_equal(hist[:3], np.zeros((3, 6)))
+        assert np.array_equal(hist[3], rows[0])
+        assert np.array_equal(hist[4], rows[1])
+
+    def test_rows_older_than_the_longest_consumer_are_ignored(self):
+        rows = metric_rows(1.0, 2.0, 3.0)
+        avg, hist = averages_and_history(rows, (2,), 2)
+        assert np.allclose(avg, 2.5)
+        assert np.array_equal(hist[:, 0], [2.0, 3.0])
+        full = build_state(rows, (2,), 2, np.array([1.0]), 0.0)
+        assert full.tobytes() == build_state(rows[1:], (2,), 2, np.array([1.0]), 0.0).tobytes()
+        changed = rows.copy()
+        changed[0] = np.nan
+        assert build_state(changed, (2,), 2, np.array([1.0]), 0.0).tobytes() == full.tobytes()
+
+    def test_non_finite_rows_are_refused(self):
+        rows = metric_rows(1.0, 2.0)
+        rows[-1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            build_state(rows, (8,), 1, np.array([1.0]), 0.5)
+        rows[-1, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            build_state(rows, (8,), 1, np.array([1.0]), 0.5)
 
 
 class TestPolicyNetwork:
@@ -223,7 +272,7 @@ class TestPolicyNetwork:
         assert bound(PolicyNetwork.from_dict(policy.to_dict()))
         updater = PolicyUpdater(policy, "a2c", lr=1e-3)
         buffer = policy.params
-        updater.update([make_transition(policy, rng.standard_normal(policy.state_dim), rng, reward=1)])
+        updater.update(make_transition(policy, rng.standard_normal(policy.state_dim), rng, reward=1))
         assert policy.params is buffer
         assert bound(policy)
 
@@ -326,8 +375,9 @@ class TestPolicyMatchesHandUnrolledReference:
             assert repr(cache.value) == repr(value)
 
     def test_gradient_sign_of_zero_never_reaches_adam(self, rng):
-        """The former a2c update, run on the reference gradient (which holds -0.0 where a hidden
-        unit is dead), moves the parameters to the same bytes as PolicyUpdater."""
+        """The former a2c update, which summed the reference gradient (holding -0.0 where a hidden
+        unit is dead) into zeros, moves the parameters to the same bytes as PolicyUpdater, which
+        steps on the gradient itself: Adam's moments cannot tell 0 + g from g."""
         policy = make_policy(seed=21, state_dim_=6, k_bins=3, has_value=True, hidden=16)
         reference = make_policy(seed=21, state_dim_=6, k_bins=3, has_value=True, hidden=16)
         updater = PolicyUpdater(policy, "a2c", lr=1e-2)
@@ -348,7 +398,7 @@ class TestPolicyMatchesHandUnrolledReference:
             grad += want
             grad /= 1
             reference.step(adam, grad)
-            updater.update([tr])
+            updater.update(tr)
             assert policy.params.tobytes() == reference.params.tobytes()
         assert saw_negative_zero
 
@@ -451,8 +501,8 @@ class TestPolicyUpdater:
         updater = PolicyUpdater(policy, "reinforce", lr=1e-3)
         before = policy.get_params()
         tr = make_transition(policy, rng.standard_normal(policy.state_dim), rng, reward=0)
-        diag = updater.update([tr])
-        assert diag["coef"] == [0.0]
+        diag = updater.update(tr)
+        assert diag["coef"] == 0.0
         assert np.array_equal(policy.get_params(), before)
 
     def test_a2c_zero_advantage_zero_value_error_is_noop(self, rng):
@@ -464,7 +514,7 @@ class TestPolicyUpdater:
         updater = PolicyUpdater(policy, "a2c", lr=1e-3)
         before = policy.get_params()
         tr = make_transition(policy, rng.standard_normal(policy.state_dim), rng, reward=0)
-        updater.update([tr])
+        updater.update(tr)
         assert np.array_equal(policy.get_params(), before)
 
     def test_reinforce_moves_logprob_with_reward_sign(self, rng):
@@ -474,7 +524,7 @@ class TestPolicyUpdater:
             s = rng.standard_normal(policy.state_dim)
             tr = make_transition(policy, s, rng, reward=reward)
             lp_before = tr.logprob
-            updater.update([tr])
+            updater.update(tr)
             lp_after = policy.log_prob(policy.forward(s), tr.trits)
             assert (lp_after - lp_before) * direction > 0.0
 
@@ -482,11 +532,11 @@ class TestPolicyUpdater:
         policy = make_policy(seed=5)
         updater = PolicyUpdater(policy, "reinforce-ema", lr=1e-4, ema_decay=0.9)
         s = rng.standard_normal(policy.state_dim)
-        diag = updater.update([make_transition(policy, s, rng, reward=1)])
+        diag = updater.update(make_transition(policy, s, rng, reward=1))
         # advantage uses the baseline from before this update
-        assert diag["advantage"] == [1.0]
+        assert diag["advantage"] == 1.0
         assert updater.ema_baseline == pytest.approx(0.1)
-        updater.update([make_transition(policy, s, rng, reward=-1)])
+        updater.update(make_transition(policy, s, rng, reward=-1))
         assert updater.ema_baseline == pytest.approx(0.9 * 0.1 - 0.1)
 
     def test_ppo_clipped_branch_freezes_policy(self, rng):
@@ -504,9 +554,9 @@ class TestPolicyUpdater:
         updater.old_params = old
         before = policy.get_params()
         tr = Transition(episode=1, state=s, trits=trits, logprob=lp, reward=1)
-        diag = updater.update([tr])
-        assert diag["ratio"][0] > 1.2
-        assert diag["coef"] == [0.0]
+        diag = updater.update(tr)
+        assert diag["ratio"] > 1.2
+        assert diag["coef"] == 0.0
         assert np.array_equal(policy.get_params(), before)
 
     def test_ppo_with_synced_reference_and_huge_clip_equals_a2c(self, rng):
@@ -518,9 +568,9 @@ class TestPolicyUpdater:
         for step in range(3):
             s = rng.standard_normal(pol_a.state_dim)
             tr = make_transition(pol_a, s, np.random.default_rng(step), reward=(-1) ** step)
-            diag_a = upd_a.update([tr])
-            diag_b = upd_b.update([tr])
-            assert diag_b["ratio"] == [1.0]
+            diag_a = upd_a.update(tr)
+            diag_b = upd_b.update(tr)
+            assert diag_b["ratio"] == 1.0
             assert diag_a["coef"] == diag_b["coef"]
             assert np.array_equal(pol_a.get_params(), pol_b.get_params())
 
@@ -528,11 +578,7 @@ class TestPolicyUpdater:
         policy = make_policy(seed=8, has_value=True)
         updater = PolicyUpdater(policy, "ppo-a2c", lr=1e-3, old_refresh=2)
         s = rng.standard_normal(policy.state_dim)
-        updater.update([make_transition(policy, s, rng, reward=1)])
+        updater.update(make_transition(policy, s, rng, reward=1))
         assert not np.array_equal(updater.old_params, policy.get_params())
-        updater.update([make_transition(policy, s, rng, reward=1)])
+        updater.update(make_transition(policy, s, rng, reward=1))
         assert np.array_equal(updater.old_params, policy.get_params())
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError, match="at least one transition"):
-            PolicyUpdater(make_policy(), "reinforce").update([])

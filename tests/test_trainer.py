@@ -157,14 +157,21 @@ class TestEpisodeMechanics:
         assert rows[0] == CSV_HEADER
         assert [r.split(",")[-1] for r in rows[1:]] == ["0", "0", "0"]
 
-    def test_tracks_hold_the_metric_values_of_the_last_csv_row(self, tmp_path):
-        loop = TrainLoop(small_flat(**{"train.total_iterations": 5}), tmp_path / "run")
-        loop.run()
+    def test_csv_rows_and_final_summary_read_the_metrics_array(self, tmp_path):
+        loop = TrainLoop(small_flat(), tmp_path / "run")
+        summary = loop.run()
+        assert loop.metrics.shape == (4, len(metrics.METRIC_FIELDS))  # before training, 3 episodes
         rows = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
         assert rows[0] == "episode,r1,r2,r4,nmi,intra,inter,reward"
-        assert len(rows) == 2 and rows[1].startswith("1,")
-        last = [float(v) for v in rows[-1].split(",")[1:-1]]
-        assert loop.tracks.history_matrix()[-1].tolist() == last
+        assert len(rows) == 4
+        for ep, row in enumerate(rows[1:], start=1):
+            episode, *values, reward = row.split(",")
+            assert episode == str(ep)
+            assert values == [repr(v) for v in loop.metrics[ep].tolist()]
+            gain = metrics.eval_score(loop.metrics[ep]) - metrics.eval_score(loop.metrics[ep - 1])
+            assert int(reward) == np.sign(gain)
+        assert summary["final"] == dict(zip(metrics.METRIC_FIELDS, loop.metrics[-1].tolist()))
+        assert json.loads((tmp_path / "run" / "summary.json").read_text())["final"] == summary["final"]
 
     def test_three_episodes_three_rows_three_snapshots(self, tmp_path):
         cfg = small_flat()
