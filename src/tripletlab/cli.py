@@ -20,7 +20,7 @@ import statistics
 import sys
 from pathlib import Path
 
-from .config import ConfigError, config_from_flat, config_to_flat, load_config
+from .config import ConfigError, DataConfig, config_from_flat, config_to_flat, load_config
 from .data import generate_synthetic, save_dataset
 from .trainer import learns_policy, train
 
@@ -158,9 +158,8 @@ def cmd_transfer(args) -> int:
     # only a run that learns its own policy writes the policy.json the students load
     if not learns_policy(teacher):
         raise ConfigError([
-            "the transfer teacher must write policy.json, so it needs sampler.kind=pads, "
-            "transfer.mode=none and an rl.algorithm other than frozen-identity; got "
-            f"{teacher.sampler.kind}, {teacher.transfer.mode} and {teacher.rl.algorithm}"
+            "the transfer teacher must write policy.json, so it needs sampler.kind=pads and "
+            f"transfer.mode=none; got {teacher.sampler.kind} and {teacher.transfer.mode}"
         ])
     variants = {
         "fixed-policy": {
@@ -265,14 +264,15 @@ def build_parser() -> argparse.ArgumentParser:
                       help="directory for teacher/, the student runs and transfer.csv")
     p_tr.set_defaults(func=cmd_transfer)
 
+    data = DataConfig()  # the same defaults as the data.* config keys
     p_gen = sub.add_parser("gen-data", help="write a synthetic dataset CSV")
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--classes", type=int, default=8)
-    p_gen.add_argument("--per-class", type=int, default=200)
-    p_gen.add_argument("--dim", type=int, default=20)
-    p_gen.add_argument("--spread", type=float, default=1.0)
-    p_gen.add_argument("--std", type=float, default=1.0)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--classes", type=int, default=data.n_classes)
+    p_gen.add_argument("--per-class", type=int, default=data.per_class)
+    p_gen.add_argument("--dim", type=int, default=data.input_dim)
+    p_gen.add_argument("--spread", type=float, default=data.center_spread)
+    p_gen.add_argument("--std", type=float, default=data.within_std)
+    p_gen.add_argument("--seed", type=int, default=data.seed)
     p_gen.set_defaults(func=cmd_gen_data)
 
     p_plot = sub.add_parser("plot-data", help="PMF progression as long-format CSV")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, is_dataclass
 
 from .data import require_valid_split
 from .model import LossConfig
-from .rl import ALGORITHM_CHOICES, require_valid_algorithm
+from .rl import require_valid_algorithm
 from .samplers import _check_bins, init_pmf, require_valid_kind
 
 TRANSFER_MODES = ("none", "fixed-policy", "fixed-final-pmf")
@@ -206,7 +206,7 @@ def _validate(values: dict) -> tuple[list, list]:
 
     errors += _raised(_build, LossConfig, values, "loss.")
     errors += _raised(require_valid_kind, values["sampler.kind"])
-    errors += _raised(require_valid_algorithm, values["rl.algorithm"], ALGORITHM_CHOICES)
+    errors += _raised(require_valid_algorithm, values["rl.algorithm"])
     need(values["sampler.clip_lambda"] >= 0, "sampler.clip_lambda must be nonnegative (0 = auto)")
     bins = (values["pmf.lambda_min"], values["pmf.lambda_max"], values["pmf.k"])
     bin_errors = _raised(_check_bins, *bins)
@@ -259,8 +259,9 @@ def _validate(values: dict) -> tuple[list, list]:
     errors += _raised(require_valid_split, values["train.val_fraction"], values["train.split_mode"])
     need(
         len(values["train.running_averages"]) >= 1
-        and all(l >= 1 for l in values["train.running_averages"]),
-        "train.running_averages must list positive lengths",
+        and all(l >= 1 for l in values["train.running_averages"])
+        and len(set(values["train.running_averages"])) == len(values["train.running_averages"]),
+        "train.running_averages must list distinct positive lengths",
     )
     need(values["train.history"] >= 1, "train.history must be >= 1")
     if not values["data.path"]:
@@ -276,8 +277,6 @@ def _validate(values: dict) -> tuple[list, list]:
             errors.append("transfer modes require sampler.kind=pads")
         if values["transfer.mode"] == "fixed-policy" and not values["transfer.policy_path"]:
             errors.append("transfer.mode=fixed-policy requires transfer.policy_path")
-        if values["transfer.mode"] == "fixed-policy" and values["rl.algorithm"] == "frozen-identity":
-            errors.append("rl.algorithm=frozen-identity runs no policy; fixed-policy needs one")
     return errors, warnings_
 
 

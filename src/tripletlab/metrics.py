@@ -199,15 +199,15 @@ def nmi(labels_a: np.ndarray, labels_b: np.ndarray) -> float:
     return mi / (0.5 * (h_a + h_b))
 
 
-def _cluster_agreement(vectors: np.ndarray, plan: EvalPlan, seed: int, max_iter: int = 300) -> float:
+def _cluster_agreement(vectors: np.ndarray, plan: EvalPlan, seed: int) -> float:
     k = len(plan.groups)
     if k == 1:
         return 0.0
-    assign = kmeans(vectors, k, np.random.default_rng(seed), max_iter=max_iter)
+    assign = kmeans(vectors, k, np.random.default_rng(seed))
     return nmi(plan.labels, assign)
 
 
-def clustering_nmi(vectors: np.ndarray, plan: EvalPlan, seed: int, max_iter: int = 300) -> float:
+def clustering_nmi(vectors: np.ndarray, plan: EvalPlan, seed: int) -> float:
     """NMI between the plan's labels and k-means clusters of the rows, k = #classes.
 
     The k-means seed is passed in explicitly: evaluations inside one
@@ -215,7 +215,7 @@ def clustering_nmi(vectors: np.ndarray, plan: EvalPlan, seed: int, max_iter: int
     function of the embeddings.
     """
     plan.check_rows(vectors.shape[0])
-    return _cluster_agreement(vectors, plan, seed, max_iter)
+    return _cluster_agreement(vectors, plan, seed)
 
 
 def _overlaps(n_rows: int) -> bool:

@@ -83,8 +83,7 @@ class ForwardCache:
     inputs: np.ndarray
     pre_acts: list        # z_l = a_{l-1} W_l + b_l for each hidden layer
     acts: list            # relu(z_l)
-    pre_norm: np.ndarray  # final linear output y
-    norms: np.ndarray     # row norms of y, (N, 1), each finite and at least _NORM_FLOOR
+    norms: np.ndarray     # row norms of the output layer's y, (N, 1), finite and >= _NORM_FLOOR
     embeddings: np.ndarray
     version: int
 
@@ -218,7 +217,7 @@ class EmbeddingModel(FlatParams):
                 f"(a row norm is not finite or below {_NORM_FLOOR})"
             )
         emb = y / norms
-        cache = ForwardCache(x, pre_acts, acts, y, norms, emb, self._version)
+        cache = ForwardCache(x, pre_acts, acts, norms, emb, self._version)
         return emb, cache
 
     def backward_from_embedding_grads(self, cache: ForwardCache, d_emb: np.ndarray) -> np.ndarray:

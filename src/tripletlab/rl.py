@@ -20,10 +20,6 @@ from .model import Adam, FlatParams
 
 RL_ALGORITHMS = ("reinforce", "reinforce-ema", "a2c", "ppo-ema", "ppo-a2c")
 
-#: accepted rl.algorithm values; frozen-identity is a diagnostic mode that
-#: always emits the maintain action and never updates (reduction testing)
-ALGORITHM_CHOICES = RL_ALGORITHMS + ("frozen-identity",)
-
 #: per-metric scale applied when metric values enter the state vector;
 #: distances live in [0, 2], everything else already in [0, 1]
 _STATE_SCALES = {"r1": 1.0, "r2": 1.0, "r4": 1.0, "nmi": 1.0, "intra": 0.5, "inter": 0.5}
@@ -34,10 +30,12 @@ def uses_value_head(algorithm: str) -> bool:
     return algorithm in ("a2c", "ppo-a2c")
 
 
-def require_valid_algorithm(kind: str, valid=RL_ALGORITHMS) -> str:
-    """kind, if it is one of valid: the updating algorithms, or ALGORITHM_CHOICES for a config."""
-    if kind not in valid:
-        raise ValueError(f"unknown rl algorithm {kind!r}; valid algorithms: {', '.join(valid)}")
+def require_valid_algorithm(kind: str) -> str:
+    """kind, if it is one of RL_ALGORITHMS."""
+    if kind not in RL_ALGORITHMS:
+        raise ValueError(
+            f"unknown rl algorithm {kind!r}; valid algorithms: {', '.join(RL_ALGORITHMS)}"
+        )
     return kind
 
 
@@ -172,22 +170,6 @@ class PolicyNetwork(FlatParams):
     def log_softmax(logits: np.ndarray) -> np.ndarray:
         shifted = logits - logits.max(axis=1, keepdims=True)
         return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-    def log_prob(self, cache: PolicyCache, trits: np.ndarray) -> float:
-        return log_prob_and_score(cache.logits, trits)[0]
-
-    def log_prob_grad(self, state: np.ndarray, trits: np.ndarray) -> tuple[float, np.ndarray]:
-        """(log pi(a|s), gradient of it w.r.t. the flat parameters)."""
-        cache = self.forward(state)
-        lp, score = log_prob_and_score(cache.logits, trits)
-        return lp, self.backward(cache, score)
-
-    def value_grad(self, state: np.ndarray) -> tuple[float, np.ndarray]:
-        """(V(s), gradient of it w.r.t. the flat parameters)."""
-        if not self.has_value:
-            raise ValueError("network has no value head")
-        cache = self.forward(state)
-        return cache.value, self.backward(cache, np.zeros((self.k_bins, 3)), d_value=1.0)
 
     # ---- checkpointing ----
 
@@ -333,7 +315,7 @@ class PolicyUpdater:
         return self.algorithm in ("reinforce-ema", "ppo-ema")
 
     def _old_log_prob(self, state: np.ndarray, trits: np.ndarray) -> float:
-        return self.policy.log_prob(self.policy.forward(state, self.old_params), trits)
+        return log_prob_and_score(self.policy.forward(state, self.old_params).logits, trits)[0]
 
     def update(self, tr: Transition) -> dict:
         """One optimizer step on one transition; returns its coef, ratio and advantage."""

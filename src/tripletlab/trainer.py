@@ -71,8 +71,7 @@ PLAN_KEYS = 1 << 20  # within-class keys drawn at once by TrainLoop._plan_episod
 
 def learns_policy(cfg: RunConfig) -> bool:
     """Whether a run trains its own policy; another pads run keeps its PMF unless given a policy."""
-    no_transfer = cfg.transfer.mode == "none"
-    return cfg.sampler.kind == "pads" and no_transfer and cfg.rl.algorithm != "frozen-identity"
+    return cfg.sampler.kind == "pads" and cfg.transfer.mode == "none"
 
 
 def _load_pmf_file(path, cfg: RunConfig) -> SamplingPMF:
@@ -267,7 +266,7 @@ class TrainLoop:
         rewards = []
         pmf_lines = []
         transition_lines = []
-        pending = None  # (state, trits, logprob, value) awaiting its reward
+        pending = None  # the last action's Transition; its episode and reward are set on arrival
 
         for ep in range(1, n_episodes + 1):
             if self.kind in ("curriculum-linear", "curriculum-nonlinear"):
@@ -289,11 +288,11 @@ class TrainLoop:
             rewards.append(reward)
             if self.policy is not None:
                 if pending is not None:
-                    tr = Transition(ep, pending[0], pending[1], pending[2], reward, pending[3])
+                    pending.episode, pending.reward = ep, reward
                     if self.updater is not None:
-                        self.updater.update(tr)
+                        self.updater.update(pending)
                     if cfg.train.log_transitions:
-                        transition_lines.append(tr.to_json())
+                        transition_lines.append(pending.to_json())
                 progress = ep * cfg.train.m / cfg.train.total_iterations
                 state = build_state(
                     self.metrics[: ep + 1],
@@ -305,7 +304,7 @@ class TrainLoop:
                 )
                 cache = self.policy.forward(state)
                 trits, logprob = sample_action(cache.logits, self.rng_policy_act)
-                pending = (state, trits, logprob, cache.value)
+                pending = Transition(0, state, trits, logprob, 0, cache.value)
                 mult = multipliers_from_trits(trits, cfg.pmf.alpha, cfg.pmf.beta)
                 self.pmf = apply_action(self.pmf, mult)
 

@@ -11,6 +11,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from tripletlab.rl import PolicyNetwork, log_prob_and_score, state_dim  # noqa: E402
+
 
 def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     """Random points on the unit sphere, rejection-free."""
@@ -27,6 +29,29 @@ def random_labels(rng: np.random.Generator, n: int, n_classes: int) -> np.ndarra
     """Labels with every class in 0..n_classes-1 present (needs n >= n_classes)."""
     labels = np.concatenate([np.arange(n_classes), rng.integers(0, n_classes, size=n - n_classes)])
     return labels[rng.permutation(n)]
+
+
+def log_prob_grad(policy, state, trits) -> tuple[float, np.ndarray]:
+    """(log pi(trits | state), its gradient w.r.t. the policy's flat parameters)."""
+    cache = policy.forward(state)
+    lp, score = log_prob_and_score(cache.logits, trits)
+    return lp, policy.backward(cache, score)
+
+
+def value_grad(policy, state) -> tuple[float, np.ndarray]:
+    """(V(state), its gradient w.r.t. the policy's flat parameters); needs a value head."""
+    cache = policy.forward(state)
+    return cache.value, policy.backward(cache, np.zeros((policy.k_bins, 3)), d_value=1.0)
+
+
+def maintain_policy(cfg, has_value: bool) -> PolicyNetwork:
+    """A policy for cfg's state whose every draw is "maintain": with zero last-layer weights each
+    head's logits are its bias [-1e3, 0, -1e3], and exp(-1e3) underflows to exactly 0."""
+    sdim = state_dim(cfg.pmf.k, cfg.train.running_averages, cfg.train.history, cfg.rl.state_recalls)
+    policy = PolicyNetwork(sdim, cfg.pmf.k, has_value, np.random.default_rng(0), cfg.rl.hidden)
+    policy.weights[-1][...] = 0.0
+    policy.biases[-1][: 3 * cfg.pmf.k] = np.tile([-1e3, 0.0, -1e3], cfg.pmf.k)
+    return policy
 
 
 @pytest.fixture

@@ -21,9 +21,18 @@ from tripletlab.config import config_from_flat
 from tripletlab.geometry import inverse_density_weights, log_analytic_density, pairwise_distances
 from tripletlab.metrics import EvalPlan, class_distance_stats, nmi, recall_at_k
 from tripletlab.model import EmbeddingModel, LossConfig, backward, triplet_losses
-from tripletlab.rl import PolicyNetwork, PolicyUpdater, Transition, compute_reward, sample_action
+from tripletlab.rl import (
+    PolicyNetwork,
+    PolicyUpdater,
+    Transition,
+    compute_reward,
+    log_prob_and_score,
+    sample_action,
+)
 from tripletlab.samplers import SamplingPMF, apply_action, init_pmf, sample_negative_semihard
 from tripletlab.trainer import train
+
+from conftest import log_prob_grad, maintain_policy, value_grad
 
 
 @contextmanager
@@ -267,19 +276,19 @@ def test_04_gradient_suite():
         for seed in range(12):
             policy, s = kink_free_policy_setup(seed, has_value=False)
             trits = np.random.default_rng(seed).integers(0, 3, size=policy.k_bins)
-            _, grad = policy.log_prob_grad(s, trits)
+            _, grad = log_prob_grad(policy, s, trits)
 
             def objective(flat, policy=policy, s=s, trits=trits):
                 probe = PolicyNetwork.from_dict(policy.to_dict())
                 probe.set_params(flat)
-                return probe.log_prob(probe.forward(s), trits)
+                return log_prob_and_score(probe.forward(s).logits, trits)[0]
 
             assert max_rel_err(grad, fd_grad(objective, policy.get_params())) < 1e-4
             checked += 1
 
         for seed in range(100, 108):
             policy, s = kink_free_policy_setup(seed, has_value=True)
-            _, grad = policy.value_grad(s)
+            _, grad = value_grad(policy, s)
 
             def objective(flat, policy=policy, s=s):
                 probe = PolicyNetwork.from_dict(policy.to_dict())
@@ -312,7 +321,8 @@ def test_05_rl_correctness():
             old[-policy.n_out + 3 * k + trits[k]] -= 2.0
         updater.old_params = old
         before = policy.get_params()
-        diag = updater.update(Transition(1, s, trits, policy.log_prob(cache, trits), reward=1))
+        lp = log_prob_and_score(cache.logits, trits)[0]
+        diag = updater.update(Transition(1, s, trits, lp, reward=1))
         assert abs(diag["ratio"] - 1.0) > updater.epsilon
         assert diag["coef"] == 0.0
         assert np.array_equal(policy.get_params(), before)
@@ -334,14 +344,25 @@ def test_05_rl_correctness():
 
 def test_06_identity_policy_reduction(tmp_path):
     with criterion(6, "identity-policy reduction"):
-        frozen = build_cfg(**SMALL, **{"rl.algorithm": "frozen-identity"})
-        control = build_cfg(**SMALL, **{"transfer.mode": "fixed-final-pmf"})
-        train(frozen, tmp_path / "frozen")
+        small = {**SMALL, "pmf.init": "gaussian:0.9:0.3"}  # uneven, so a rescaled PMF shows
+        control = build_cfg(**small, **{"transfer.mode": "fixed-final-pmf"})
         train(control, tmp_path / "control")
-        for name in ("metrics.csv", "pmf.jsonl"):
-            a = (tmp_path / "frozen" / name).read_bytes()
-            b = (tmp_path / "control" / name).read_bytes()
-            assert a == b, f"{name} differs between identity policy and frozen PMF"
+        for has_value in (False, True):
+            # a transferred policy runs the adaptive step every episode: state, policy
+            # forward, action draw, multipliers and PMF update, all with "maintain"
+            run = tmp_path / f"identity-value-{has_value}"
+            checkpoint = tmp_path / f"{run.name}.json"
+            checkpoint.write_text(json.dumps(maintain_policy(control, has_value).to_dict()))
+            identity = build_cfg(**small, **{"transfer.mode": "fixed-policy",
+                                             "transfer.policy_path": checkpoint})
+            train(identity, run)
+            for name in ("metrics.csv", "pmf.jsonl"):
+                a = (run / name).read_bytes()
+                b = (tmp_path / "control" / name).read_bytes()
+                assert a == b, f"{name} differs between identity policy and frozen PMF"
+            lines = (run / "transitions.jsonl").read_text().splitlines()
+            assert len(lines) == control.n_episodes - 1  # the last action is never rewarded
+            assert all(set(json.loads(line)["action"]) == {1} for line in lines)
 
 
 def test_07_comparative_protocol(tmp_path):

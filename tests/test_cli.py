@@ -99,7 +99,8 @@ class TestRun:
                    "--set", f"transfer.policy_path={tmp_path / 'missing.json'}",
                    "--out", str(tmp_path / "x")])
         assert rc == 1
-        assert "frozen-identity runs no policy" in capsys.readouterr().err
+        assert ("unknown rl algorithm 'frozen-identity'; valid algorithms: "
+                "reinforce, reinforce-ema, a2c, ppo-ema, ppo-a2c") in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
@@ -302,7 +303,7 @@ class TestTransfer:
         [
             ("--set", "sampler.kind=random", "teacher must write policy.json"),
             ("--set", "pmf.k=1", "pmf.k must be >= 2"),
-            ("--set", "rl.algorithm=frozen-identity", "teacher must write policy.json"),
+            ("--set", "rl.algorithm=frozen-identity", "unknown rl algorithm 'frozen-identity'"),
             ("--set", "transfer.mode=fixed-final-pmf", "teacher must write policy.json"),
             ("--seeds", "0", "--seeds must be at least 1"),
         ],

@@ -10,7 +10,7 @@ from tripletlab.config import (
     resolved_lines,
 )
 from tripletlab.data import require_valid_split
-from tripletlab.rl import ALGORITHM_CHOICES, require_valid_algorithm
+from tripletlab.rl import require_valid_algorithm
 
 
 def build(flat):
@@ -84,11 +84,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="valid kinds: random, semihard"):
             build({"sampler.kind": "hardest"})
 
-    def test_rl_algorithm_includes_diagnostic_mode(self):
-        cfg = build({"rl.algorithm": "frozen-identity"})
-        assert cfg.rl.algorithm == "frozen-identity"
-        with pytest.raises(ConfigError, match="frozen-identity"):
-            build({"rl.algorithm": "qlearning"})
+    @pytest.mark.parametrize("transfer", [{}, {"transfer.mode": "fixed-final-pmf"}, {
+        "transfer.mode": "fixed-policy", "transfer.policy_path": "policy.json"}])
+    def test_frozen_identity_is_refused_naming_the_algorithms(self, transfer):
+        # a frozen initial PMF is spelled transfer.mode=fixed-final-pmf with no pmf_path
+        with pytest.raises(ConfigError) as exc:
+            build({"rl.algorithm": "frozen-identity", **transfer})
+        assert exc.value.errors == [
+            "unknown rl algorithm 'frozen-identity'; "
+            "valid algorithms: reinforce, reinforce-ema, a2c, ppo-ema, ppo-a2c"
+        ]
 
     def test_pmf_interval(self):
         with pytest.raises(ConfigError, match="lambda_min < lambda_max"):
@@ -139,7 +144,7 @@ class TestValidation:
                 require_valid_split,
                 (0.0, "stratified"),
             ),
-            ({"rl.algorithm": "qlearning"}, require_valid_algorithm, ("qlearning", ALGORITHM_CHOICES)),
+            ({"rl.algorithm": "qlearning"}, require_valid_algorithm, ("qlearning",)),
         ],
     )
     def test_reports_the_owning_checks_messages(self, overrides, check, args):
@@ -155,13 +160,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="require sampler.kind=pads"):
             build({"transfer.mode": "fixed-final-pmf", "sampler.kind": "random"})
         build({"transfer.mode": "fixed-final-pmf"})  # empty pmf_path freezes the init PMF
-
-    def test_frozen_identity_refuses_a_transferred_policy(self):
-        # frozen-identity runs no policy, so it would silently ignore the one it was given
-        with pytest.raises(ConfigError, match="frozen-identity runs no policy"):
-            build({"transfer.mode": "fixed-policy", "transfer.policy_path": "policy.json",
-                   "rl.algorithm": "frozen-identity"})
-        build({"transfer.mode": "fixed-final-pmf", "rl.algorithm": "frozen-identity"})
 
     @pytest.mark.parametrize(
         "key, message",
@@ -183,6 +181,14 @@ class TestValidation:
     def test_state_recalls_repeated_value(self):
         with pytest.raises(ConfigError, match="subset of 1,2,4"):
             build({"rl.state_recalls": "1,1"})
+
+    def test_running_averages_repeated_length(self):
+        # a repeated length would put two identical running-mean columns per metric in the state
+        with pytest.raises(ConfigError, match="distinct positive lengths"):
+            build({"train.running_averages": "8,8"})
+        with pytest.raises(ConfigError, match="distinct positive lengths"):
+            build({"train.running_averages": "2,8,16,2"})
+        build({"train.running_averages": "16,8"})
 
 
 class TestRoundTrip:

@@ -6,19 +6,21 @@ import pytest
 from tripletlab.metrics import METRIC_FIELDS
 from tripletlab.model import Adam, layer_views
 from tripletlab.rl import (
-    ALGORITHM_CHOICES,
     RL_ALGORITHMS,
     PolicyNetwork,
     PolicyUpdater,
     Transition,
     build_state,
     compute_reward,
+    log_prob_and_score,
     multipliers_from_trits,
     require_valid_algorithm,
     sample_action,
     state_dim,
     state_metric_fields,
 )
+
+from conftest import log_prob_grad, value_grad
 
 
 def make_policy(seed=0, state_dim_=7, k_bins=3, has_value=False, hidden=12):
@@ -197,21 +199,21 @@ class TestPolicyNetwork:
         for k in range(3):
             row = cache.logits[k]
             want += row[trits[k]] - np.log(np.sum(np.exp(row)))
-        assert policy.log_prob(cache, trits) == pytest.approx(want, abs=1e-9)
+        assert log_prob_and_score(cache.logits, trits)[0] == pytest.approx(want, abs=1e-9)
 
     def test_log_prob_grad_matches_fd(self):
         for seed in range(4):
             policy = make_policy(seed=seed, state_dim_=5, k_bins=2, hidden=8)
             s = safe_state(policy, seed=seed + 100)
             trits = np.array([seed % 3, (seed + 1) % 3])
-            _, grad = policy.log_prob_grad(s, trits)
+            _, grad = log_prob_grad(policy, s, trits)
             theta0 = policy.get_params()
             probe = make_policy(seed=seed, state_dim_=5, k_bins=2, hidden=8)
 
             def f(theta):
                 probe.set_params(theta)
                 cache = probe.forward(s)
-                return probe.log_prob(cache, trits)
+                return log_prob_and_score(cache.logits, trits)[0]
 
             fd = fd_grad(f, theta0)
             assert np.max(rel_err(grad, fd)) < 1e-4
@@ -219,7 +221,7 @@ class TestPolicyNetwork:
     def test_value_grad_matches_fd(self):
         policy = make_policy(seed=9, state_dim_=5, k_bins=2, has_value=True, hidden=8)
         s = safe_state(policy, seed=42)
-        v, grad = policy.value_grad(s)
+        v, grad = value_grad(policy, s)
         probe = make_policy(seed=9, state_dim_=5, k_bins=2, has_value=True, hidden=8)
 
         def f(theta):
@@ -239,8 +241,6 @@ class TestPolicyNetwork:
 
     def test_value_grad_requires_head(self, rng):
         policy = make_policy(has_value=False)
-        with pytest.raises(ValueError, match="no value head"):
-            policy.value_grad(rng.standard_normal(policy.state_dim))
         cache = policy.forward(rng.standard_normal(policy.state_dim))
         with pytest.raises(ValueError, match="no value head"):
             policy.backward(cache, np.zeros((3, 3)), d_value=1.0)
@@ -351,7 +351,7 @@ class TestPolicyMatchesHandUnrolledReference:
             trits = rng.integers(0, 3, size=k_bins)
             score = -np.exp(policy.log_softmax(logits))
             score[np.arange(k_bins), trits] += 1.0
-            lp, grad = policy.log_prob_grad(s, trits)
+            lp, grad = log_prob_grad(policy, s, trits)
             assert lp == float(policy.log_softmax(logits)[np.arange(k_bins), trits].sum())
             want = reference_policy_backward(policy, s, score)
             assert zero_signs_cleared(grad).tobytes() == zero_signs_cleared(want).tobytes()
@@ -487,10 +487,14 @@ class TestPolicyUpdater:
         for name in RL_ALGORITHMS:
             assert name in str(exc.value)
 
-    def test_frozen_identity_is_a_config_choice_not_an_updater(self):
-        assert require_valid_algorithm("frozen-identity", ALGORITHM_CHOICES) == "frozen-identity"
-        with pytest.raises(ValueError, match="unknown rl algorithm 'frozen-identity'"):
-            PolicyUpdater(make_policy(), "frozen-identity")
+    def test_frozen_identity_is_not_an_algorithm(self):
+        for check in (require_valid_algorithm, lambda kind: PolicyUpdater(make_policy(), kind)):
+            with pytest.raises(ValueError) as exc:
+                check("frozen-identity")
+            assert str(exc.value) == (
+                "unknown rl algorithm 'frozen-identity'; "
+                "valid algorithms: reinforce, reinforce-ema, a2c, ppo-ema, ppo-a2c"
+            )
 
     def test_value_algorithms_need_value_head(self):
         with pytest.raises(ValueError, match="requires a value head"):
@@ -525,7 +529,7 @@ class TestPolicyUpdater:
             tr = make_transition(policy, s, rng, reward=reward)
             lp_before = tr.logprob
             updater.update(tr)
-            lp_after = policy.log_prob(policy.forward(s), tr.trits)
+            lp_after = log_prob_and_score(policy.forward(s).logits, tr.trits)[0]
             assert (lp_after - lp_before) * direction > 0.0
 
     def test_ema_baseline_updates_after_step(self, rng):
@@ -545,7 +549,7 @@ class TestPolicyUpdater:
         s = rng.standard_normal(policy.state_dim)
         cache = policy.forward(s)
         trits = np.argmax(cache.logits, axis=1)
-        lp = policy.log_prob(cache, trits)
+        lp = log_prob_and_score(cache.logits, trits)[0]
         # lagged reference that assigns the chosen trits much lower odds:
         # ratio = exp(lp_new - lp_old) >> 1 + epsilon, advantage = +1
         old = policy.get_params().copy()

@@ -15,7 +15,7 @@ from tripletlab.rl import RL_ALGORITHMS, log_prob_and_score, sample_action
 from tripletlab.samplers import SAMPLER_KINDS, triplet_masks
 from tripletlab.trainer import CSV_HEADER, TrainLoop, learns_policy, split_validation, train
 
-from conftest import benchmark_tracer_targets
+from conftest import benchmark_tracer_targets, maintain_policy
 
 
 def small_flat(**overrides):
@@ -335,20 +335,35 @@ class TestDeterminismAndReduction:
             tmp_path / "b" / "metrics.csv"
         ).read_text()
 
-    def test_identity_policy_reduces_to_frozen_pmf(self, tmp_path):
-        frozen = small_flat(**{"rl.algorithm": "frozen-identity"})
-        control = small_flat(**{"transfer.mode": "fixed-final-pmf"})
-        train(frozen, tmp_path / "frozen")
-        train(control, tmp_path / "control")
-        for name in ("metrics.csv", "pmf.jsonl"):
-            assert (tmp_path / "frozen" / name).read_bytes() == (
-                tmp_path / "control" / name
+    def test_identity_policy_reduces_to_frozen_pmf(self, tmp_path, monkeypatch):
+        """A transferred all-"maintain" policy takes the adaptive step every episode and
+        trains like the frozen initial PMF of a fixed-final-pmf run with no pmf_path."""
+        init = {"pmf.init": "gaussian:0.9:0.3"}  # uneven, so a rescaled PMF shows in the bytes
+        control = small_flat(**init, **{"transfer.mode": "fixed-final-pmf"})
+        train(control, tmp_path / "frozen")
+        (tmp_path / "policy.json").write_text(json.dumps(maintain_policy(control, True).to_dict()))
+        names = ("build_state", "sample_action", "multipliers_from_trits", "apply_action")
+        calls = dict.fromkeys(names, 0)
+        for name in calls:
+            def counting(*args, _name=name, _original=getattr(trainer, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(trainer, name, counting)
+        identity = small_flat(**init, **{"transfer.mode": "fixed-policy",
+                                         "transfer.policy_path": tmp_path / "policy.json"})
+        train(identity, tmp_path / "identity")
+        assert calls == dict.fromkeys(calls, control.n_episodes)
+        for name in ("metrics.csv", "pmf.jsonl", "final_pmf.json", "model.json"):
+            assert (tmp_path / "identity" / name).read_bytes() == (
+                tmp_path / "frozen" / name
             ).read_bytes()
 
     def test_all_maintain_policy_reduces_to_frozen_identity(self, tmp_path, monkeypatch):
-        """A run that learns its policy but always draws "maintain" keeps the initial PMF."""
+        """A run that learns its policy but always draws "maintain" trains like the frozen
+        initial PMF of a fixed-final-pmf run with no pmf_path."""
         init = {"pmf.init": "gaussian:0.9:0.3"}  # uneven, so a rescaled PMF shows in the bytes
-        train(small_flat(**init, **{"rl.algorithm": "frozen-identity"}), tmp_path / "frozen")
+        train(small_flat(**init, **{"transfer.mode": "fixed-final-pmf"}), tmp_path / "frozen")
         calls = dict.fromkeys(("build_state", "multipliers_from_trits", "apply_action"), 0)
         for name in calls:
             def counting(*args, _name=name, _original=getattr(trainer, name)):
@@ -445,12 +460,8 @@ def test_overlapped_evaluation_leaves_every_artifact_unchanged(tmp_path, monkeyp
 #: run -> (overrides, learns its own policy, writes policy.json and transitions.jsonl)
 POLICY_RUNS = {
     "pads": ({}, True, True),
-    "pads-frozen-identity": ({"rl.algorithm": "frozen-identity"}, False, False),
     "fixed-policy": ({"transfer.mode": "fixed-policy"}, False, True),
     "fixed-final-pmf": ({"transfer.mode": "fixed-final-pmf"}, False, False),
-    "fixed-final-pmf-frozen-identity": (
-        {"transfer.mode": "fixed-final-pmf", "rl.algorithm": "frozen-identity"}, False, False
-    ),
     "random": ({"sampler.kind": "random"}, False, False),
 }
 
