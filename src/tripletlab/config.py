@@ -204,6 +204,13 @@ def _validate(values: dict) -> tuple[list, list]:
         if not cond:
             errors.append(msg)
 
+    # nan fails each key's own range check; inf passes the open-ended ones, so it is refused here.
+    # sampler.clip_lambda=inf means "no cap", which no finite cap equals at a large embedding_dim.
+    errors += [
+        f"{key} must be finite"
+        for key, value in values.items()
+        if isinstance(value, float) and math.isinf(value) and key != "sampler.clip_lambda"
+    ]
     errors += _raised(_build, LossConfig, values, "loss.")
     errors += _raised(require_valid_kind, values["sampler.kind"])
     errors += _raised(require_valid_algorithm, values["rl.algorithm"])

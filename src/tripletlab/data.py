@@ -4,6 +4,11 @@ the train/validation split.
 The CSV layout is a header row `f0,...,f{d-1},label` followed by one row
 per sample. Features are stored at float32 precision (printed with %.9g,
 which round-trips float32 exactly); labels are integers.
+
+A dataset's features are float32 or float64 and nothing else: a loaded CSV
+is held as float32 (4 bytes per value, what the file carries), synthetic
+data as float64. The model widens each batch to float64 exactly, so the two
+train alike.
 """
 
 from __future__ import annotations
@@ -20,16 +25,19 @@ SPLIT_MODES = ("per-class", "by-class")
 class LabeledDataset:
     """Feature matrix with contiguous integer class labels.
 
-    Invariants: features are finite; labels are 0..C-1 with every class
-    present and holding at least 2 samples (one sample cannot form a
-    positive pair).
+    Invariants: features are a finite float32 or float64 matrix (float32
+    input is kept as it is, any other dtype or a list becomes float64);
+    labels are 0..C-1 with every class present and holding at least 2
+    samples (one sample cannot form a positive pair).
     """
 
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        features = np.asarray(self.features, dtype=np.float64)
+        features = np.asarray(self.features)
+        if features.dtype != np.float32:
+            features = features.astype(np.float64, copy=False)
         labels = np.asarray(self.labels)
         if features.ndim != 2 or features.shape[0] < 1:
             raise ValueError(f"need an (N, d) feature matrix, got shape {features.shape}")
@@ -151,7 +159,7 @@ def load_dataset(path) -> LabeledDataset:
     if not np.array_equal(uniq, np.arange(uniq.size)):
         warnings.warn(f"{path}: remapping non-contiguous labels to 0..{uniq.size - 1}", stacklevel=2)
         labels = np.searchsorted(uniq, labels)
-    return LabeledDataset(table["f"].astype(np.float32).astype(np.float64), labels)
+    return LabeledDataset(table["f"].astype(np.float32), labels)
 
 
 def _finite_at_float32(values: np.ndarray) -> bool:

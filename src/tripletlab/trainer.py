@@ -245,7 +245,8 @@ class TrainLoop:
     # ---- evaluation ----
 
     def _evaluate(self, plan: EvalPlan, ep: int) -> None:
-        emb, _ = self.model.forward(self.dataset.features[self.val_idx])
+        # only the embeddings are kept: the activations are freed before the N x N distances
+        emb = self.model.forward(self.dataset.features[self.val_idx])[0]
         self.metrics[ep] = evaluate(emb, plan, kmeans_seed=self.metric_seed)
 
     # ---- full run ----

@@ -446,15 +446,21 @@ def test_console_entry_point_importable():
 
 
 def test_module_invocation(base_cfg, tmp_path):
+    import os
     import subprocess
     import sys
 
+    # the child imports the package this process imports, whether or not PYTHONPATH names it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     out = tmp_path / "run"
     proc = subprocess.run(
         [sys.executable, "-m", "tripletlab", "run", "--config", str(base_cfg),
          "--set", "sampler.kind=random", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "metrics.csv").exists()

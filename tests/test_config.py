@@ -1,6 +1,7 @@
 import pytest
 
 from tripletlab.config import (
+    SCHEMA,
     ConfigError,
     RunConfig,
     config_from_flat,
@@ -173,6 +174,22 @@ class TestValidation:
         with pytest.raises(ConfigError) as exc:
             build({key: "nan"})
         assert exc.value.errors == [message]
+
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key",
+        [k for k, v in SCHEMA.items() if isinstance(v, float) and k != "sampler.clip_lambda"],
+    )
+    def test_infinite_float_values_rejected(self, key, value):
+        with pytest.raises(ConfigError) as exc:
+            build({key: value})
+        assert exc.value.errors[0] == f"{key} must be finite"
+
+    def test_infinite_clip_lambda_means_no_cap(self):
+        assert build({"sampler.clip_lambda": "inf"}).sampler.clip_lambda == float("inf")
+        with pytest.raises(ConfigError) as exc:
+            build({"sampler.clip_lambda": "-inf"})
+        assert exc.value.errors == ["sampler.clip_lambda must be nonnegative (0 = auto)"]
 
     def test_state_recalls_subset(self):
         with pytest.raises(ConfigError, match="subset of 1,2,4"):

@@ -44,6 +44,35 @@ class TestLabeledDataset:
         with pytest.raises(ValueError, match=rf"features must be finite; row 2, column 1 is {value}"):
             LabeledDataset(features, np.array([0, 0, 1, 1]))
 
+    def test_float32_features_are_kept(self):
+        features = np.arange(8, dtype=np.float32).reshape(4, 2)
+        ds = LabeledDataset(features, np.array([0, 0, 1, 1]))
+        assert ds.features.dtype == np.float32
+        assert np.shares_memory(ds.features, features)
+
+    @pytest.mark.parametrize(
+        "features",
+        [
+            np.arange(8, dtype=np.float64).reshape(4, 2),
+            np.arange(8, dtype=np.int64).reshape(4, 2),
+            np.arange(8, dtype=np.float16).reshape(4, 2),
+            [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]],
+            [[0, 1], [2, 3], [4, 5], [6, 7]],
+        ],
+        ids=["float64", "int64", "float16", "float-list", "int-list"],
+    )
+    def test_other_features_become_float64(self, features):
+        ds = LabeledDataset(features, np.array([0, 0, 1, 1]))
+        assert ds.features.dtype == np.float64
+        assert np.array_equal(ds.features, np.arange(8).reshape(4, 2))
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_rejects_non_finite_float32_features(self, value):
+        features = np.zeros((4, 2), dtype=np.float32)
+        features[3, 0] = value
+        with pytest.raises(ValueError, match=rf"features must be finite; row 3, column 0 is {value}"):
+            LabeledDataset(features, np.array([0, 0, 1, 1]))
+
 
 class TestGenerate:
     def test_deterministic_per_seed(self):
@@ -83,9 +112,9 @@ class TestRoundTrip:
         path = tmp_path / "ds.csv"
         save_dataset(ds, path)
         loaded = load_dataset(path)
-        assert np.array_equal(loaded.features, ds.features.astype(np.float32).astype(np.float64))
+        assert np.array_equal(loaded.features, ds.features.astype(np.float32))
         assert np.array_equal(loaded.labels, ds.labels)
-        assert loaded.features.dtype == np.float64
+        assert loaded.features.dtype == np.float32
 
     def test_header_written(self, tmp_path):
         ds = generate_synthetic(2, 2, 3, seed=0)
@@ -222,7 +251,7 @@ def reference_load_dataset(path) -> LabeledDataset:
     if not np.array_equal(uniq, np.arange(uniq.size)):
         warnings.warn(f"{path}: remapping non-contiguous labels to 0..{uniq.size - 1}", stacklevel=2)
         labels = np.searchsorted(uniq, labels)
-    feats = np.asarray(features, dtype=np.float32).astype(np.float64)
+    feats = np.asarray(features, dtype=np.float32)
     return LabeledDataset(feats, labels)
 
 
@@ -299,7 +328,7 @@ def test_load_matches_line_by_line_reference(body, tmp_path_factory):
     path.write_text(text)
     want, want_warnings = _load_with_warnings(reference_load_dataset, path)
     got, got_warnings = _load_with_warnings(load_dataset, path)
-    assert got.features.dtype == np.float64 and got.features.shape == want.features.shape
+    assert got.features.dtype == np.float32 and got.features.shape == want.features.shape
     assert got.features.tobytes() == want.features.tobytes()
     assert got.labels.dtype == want.labels.dtype
     assert np.array_equal(got.labels, want.labels)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import tripletlab.metrics as metrics
 import tripletlab.trainer as trainer
 from tripletlab.config import config_from_flat, config_to_flat, parse_kv_lines
 from tripletlab.data import LabeledDataset, generate_synthetic, save_dataset
+from tripletlab.model import EmbeddingModel
 from tripletlab.rl import RL_ALGORITHMS, log_prob_and_score, sample_action
 from tripletlab.samplers import SAMPLER_KINDS, triplet_masks
 from tripletlab.trainer import CSV_HEADER, TrainLoop, learns_policy, split_validation, train
@@ -455,6 +457,50 @@ def test_overlapped_evaluation_leaves_every_artifact_unchanged(tmp_path, monkeyp
         assert set(on_worker) == {on}
         runs[name] = artifact_bytes(tmp_path / name)
     assert runs["overlapped"] == runs["serial"]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"sampler.kind": "pads"}, {"sampler.kind": "random"},
+     {"loss.kind": "margin", "loss.learnable_beta": "true"}],
+    ids=["pads", "random", "margin-learnable-beta"],
+)
+def test_float32_csv_features_train_like_their_float64_widening(tmp_path, monkeypatch, overrides):
+    """A CSV run holds its features at float32; the forward widens each batch exactly, so every
+    artifact equals the run over the same values held at float64."""
+    save_dataset(generate_synthetic(4, 12, 6, seed=0), tmp_path / "ds.csv")
+    cfg = small_flat(**{"data.path": tmp_path / "ds.csv", **overrides})
+    train(cfg, tmp_path / "float32")
+
+    def widened(path, _original=trainer.load_dataset):
+        ds = _original(path)
+        assert ds.features.dtype == np.float32
+        return LabeledDataset(ds.features.astype(np.float64), ds.labels)
+
+    monkeypatch.setattr(trainer, "load_dataset", widened)
+    train(cfg, tmp_path / "float64")
+    runs = [artifact_bytes(tmp_path / name) for name in ("float32", "float64")]
+    assert {"metrics.csv", "model.json"} <= set(runs[0])
+    assert runs[0] == runs[1]
+
+
+def test_validation_activations_are_freed_before_evaluating(tmp_path, monkeypatch):
+    caches, seen = [], []
+
+    def recording_forward(self, inputs, _original=EmbeddingModel.forward):
+        emb, cache = _original(self, inputs)
+        caches.append((emb.shape[0], weakref.ref(cache)))
+        return emb, cache
+
+    def checking_evaluate(emb, *args, _original=trainer.evaluate, **kwargs):
+        rows, cache = caches[-1]
+        seen.append((rows == emb.shape[0], cache() is None))
+        return _original(emb, *args, **kwargs)
+
+    monkeypatch.setattr(EmbeddingModel, "forward", recording_forward)
+    monkeypatch.setattr(trainer, "evaluate", checking_evaluate)
+    train(small_flat(), tmp_path / "run")
+    assert seen == [(True, True)] * 4  # the initial evaluation and one per episode
 
 
 #: run -> (overrides, learns its own policy, writes policy.json and transitions.jsonl)
