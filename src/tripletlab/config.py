@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, is_dataclass
 
-from .data import require_valid_split
+from .data import held_out, require_valid_split
 from .model import LossConfig
 from .rl import require_valid_algorithm
 from .samplers import _check_bins, init_pmf, require_valid_kind
@@ -263,7 +263,8 @@ def _validate(values: dict) -> tuple[list, list]:
     )
     need(values["train.classes_per_batch"] >= 2, "train.classes_per_batch must be >= 2")
     need(values["train.samples_per_class"] >= 2, "train.samples_per_class must be >= 2")
-    errors += _raised(require_valid_split, values["train.val_fraction"], values["train.split_mode"])
+    split_errors = _raised(require_valid_split, values["train.val_fraction"], values["train.split_mode"])
+    errors += split_errors
     need(
         len(values["train.running_averages"]) >= 1
         and all(l >= 1 for l in values["train.running_averages"])
@@ -271,12 +272,24 @@ def _validate(values: dict) -> tuple[list, list]:
         "train.running_averages must list distinct positive lengths",
     )
     need(values["train.history"] >= 1, "train.history must be >= 1")
+    need(values["seed"] >= 0, "seed must be nonnegative")
+    need(values["data.seed"] >= 0, "data.seed must be nonnegative")
     if not values["data.path"]:
+        sizes_ok = values["data.n_classes"] >= 2 and values["data.per_class"] >= 2
         need(values["data.n_classes"] >= 2, "data.n_classes must be >= 2 for synthetic data")
         need(values["data.per_class"] >= 2, "data.per_class must be >= 2")
         need(values["data.input_dim"] >= 1, "data.input_dim must be >= 1")
-        need(values["data.within_std"] >= 0, "data.within_std must be nonnegative")
+        need(
+            values["data.within_std"] >= 0 and math.copysign(1.0, values["data.within_std"]) > 0,
+            "data.within_std must be nonnegative and not -0.0",
+        )
         need(values["data.center_spread"] > 0, "data.center_spread must be positive")
+        if sizes_ok and not split_errors:
+            # the split of a synthetic dataset is known here; a CSV's waits for split_validation
+            mode = values["train.split_mode"]
+            key = "data.per_class" if mode == "per-class" else "data.n_classes"
+            held = _raised(held_out, values[key], values["train.val_fraction"], mode)
+            errors += [f"{key}: {e}" for e in held]
     if values["transfer.mode"] not in TRANSFER_MODES:
         errors.append(f"transfer.mode must be one of: {', '.join(TRANSFER_MODES)}")
     else:

@@ -92,8 +92,8 @@ def generate_synthetic(
     """
     if n_classes < 1 or per_class < 1 or input_dim < 1:
         raise ValueError("n_classes, per_class and input_dim must all be >= 1")
-    if within_std < 0:
-        raise ValueError("within_std must be nonnegative")
+    if np.signbit(within_std):
+        raise ValueError("within_std must be nonnegative and not -0.0")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-center_spread, center_spread, size=(n_classes, input_dim))
     features = np.repeat(centers, per_class, axis=0)
@@ -205,14 +205,30 @@ def require_valid_split(fraction: float, mode: str) -> None:
         raise ValueError("\n".join(errors))
 
 
+def held_out(size: int, fraction: float, mode: str) -> int:
+    """How many of size items the split holds out: a class's samples per-class, the classes by-class.
+
+    That is round(fraction * size), at least one; raises ValueError if it
+    leaves fewer than two items to train on.
+    """
+    n_val = max(1, int(round(fraction * size)))
+    if size - n_val < 2:
+        per_class = mode == "per-class"
+        noun, left = ("samples", "for training") if per_class else ("classes", "training classes")
+        raise ValueError(
+            f"holding out {n_val} of {size} {noun} at train.val_fraction={fraction} "
+            f"would leave fewer than 2 {left}"
+        )
+    return n_val
+
+
 def split_validation(
     dataset: LabeledDataset, fraction: float, mode: str, seed
 ) -> tuple[np.ndarray, np.ndarray]:
     """Disjoint (train indices, validation indices).
 
-    per-class holds out the fraction inside every class (at least one
-    sample, leaving at least two for training); by-class holds out whole
-    classes.
+    per-class holds out the fraction inside every class, by-class whole
+    classes; held_out says how many.
     """
     require_valid_split(fraction, mode)
     rng = np.random.default_rng(seed)
@@ -220,22 +236,16 @@ def split_validation(
         train_parts, val_parts = [], []
         order, starts, _ = group_by_label(dataset.labels)
         for label, idx in enumerate(np.split(order, starts[1:])):
-            if idx.size < 2:
-                raise ValueError(f"class {label} has fewer than 2 samples; cannot split per-class")
-            n_val = max(1, int(round(fraction * idx.size)))
-            if idx.size - n_val < 2:
-                raise ValueError(
-                    f"class {label} has {idx.size} samples; the split would leave "
-                    f"fewer than 2 for training"
-                )
+            try:
+                n_val = held_out(idx.size, fraction, mode)
+            except ValueError as exc:
+                raise ValueError(f"class {label}: {exc}") from None
             perm = rng.permutation(idx.size)
             val_parts.append(idx[perm[:n_val]])
             train_parts.append(idx[perm[n_val:]])
         return np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(val_parts))
     n_classes = dataset.n_classes
-    n_val = max(1, int(round(fraction * n_classes)))
-    if n_classes - n_val < 2:
-        raise ValueError("by-class split would leave fewer than 2 training classes")
+    n_val = held_out(n_classes, fraction, mode)
     perm = rng.permutation(n_classes)
     val_classes = perm[:n_val]
     val_mask = np.isin(dataset.labels, val_classes)

@@ -8,6 +8,7 @@ numpy and checkable against finite differences.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,6 +116,7 @@ class FlatParams:
     second buffer. Every write through set_params or step bumps a version,
     so caches taken before it are rejected. Subclasses add what follows the
     last linear layer: the embedding's normalization, the policy's heads.
+    A copy made by copy.deepcopy or pickle gets views of its own buffers.
     """
 
     dims: tuple
@@ -127,9 +129,17 @@ class FlatParams:
         widths = zip(self.dims[:-1], self.dims[1:])
         self.params = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in widths))
         self._grad = np.zeros_like(self.params)
+        self._bind_views()
+        self._version = 0
+
+    def _bind_views(self) -> None:
         self.weights, self.biases = layer_views(self.params, self.dims)
         self._grad_w, self._grad_b = layer_views(self._grad, self.dims)
-        self._version = 0
+
+    def __setstate__(self, state: dict) -> None:
+        # copying detaches the views from the copied buffers, so they are rebuilt
+        self.__dict__.update(state)
+        self._bind_views()
 
     @property
     def n_params(self) -> int:
@@ -230,14 +240,13 @@ class EmbeddingModel(FlatParams):
     # ---- checkpointing ----
 
     def to_dict(self) -> dict:
+        """The checkpoint, weights as array copies; json_text writes it."""
         return {
             "kind": "mlp-unit-norm",
             "input_dim": self.input_dim,
             "hidden": list(self.hidden),
             "embedding_dim": self.embedding_dim,
-            "layers": [
-                {"w": w.tolist(), "b": b.tolist()} for w, b in zip(self.weights, self.biases)
-            ],
+            "layers": [{"w": w.copy(), "b": b.copy()} for w, b in zip(self.weights, self.biases)],
         }
 
     @classmethod
@@ -264,6 +273,48 @@ class EmbeddingModel(FlatParams):
                     )
                 dest[...] = value
         return model
+
+
+# -------------------------
+# Checkpoint text
+# -------------------------
+
+JSON_CHUNK = 4096  # values of a 1-D array that json_text turns into Python numbers at once
+
+
+def json_text(payload) -> str:
+    """json.dumps(payload) with every array in payload taken as its tolist().
+
+    A 1-D array is encoded JSON_CHUNK values at a time and a 2-D array one
+    row at a time, so the Python numbers of only one piece are alive at once;
+    the pieces are joined once, and the peak is about twice the text plus
+    the arrays.
+    """
+    return "".join(_json_pieces(payload))
+
+
+def _json_pieces(value):
+    if isinstance(value, np.ndarray) and value.ndim == 1:
+        yield "["
+        for lo in range(0, value.size, JSON_CHUNK):
+            yield (", " if lo else "") + json.dumps(value[lo : lo + JSON_CHUNK].tolist())[1:-1]
+        yield "]"
+    elif isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray) and value.ndim > 1):
+        yield "["
+        for i, item in enumerate(value):
+            if i:
+                yield ", "
+            yield from _json_pieces(item)
+        yield "]"
+    elif isinstance(value, dict):
+        yield "{"
+        for i, (key, item) in enumerate(value.items()):
+            # json.dumps's own text for the key: a string, or a number, bool or None made one
+            yield (", " if i else "") + json.dumps({key: 0})[1:-1].removesuffix("0")
+            yield from _json_pieces(item)
+        yield "}"
+    else:
+        yield json.dumps(value.tolist() if isinstance(value, np.ndarray) else value)
 
 
 # -------------------------

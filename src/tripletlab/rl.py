@@ -174,13 +174,14 @@ class PolicyNetwork(FlatParams):
     # ---- checkpointing ----
 
     def to_dict(self) -> dict:
+        """The checkpoint, parameters as an array copy; json_text writes it."""
         return {
             "kind": "policy-3way-heads",
             "state_dim": self.state_dim,
             "k_bins": self.k_bins,
             "has_value": self.has_value,
             "hidden": self.hidden,
-            "params": self.get_params().tolist(),
+            "params": self.get_params(),
         }
 
     @classmethod

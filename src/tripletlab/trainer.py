@@ -36,6 +36,7 @@ from .model import (
     Adam,
     EmbeddingModel,
     backward,
+    json_text,
     margin_boundary_grads,
     triplet_losses,
 )
@@ -323,16 +324,17 @@ class TrainLoop:
             (self.out_dir / "pmf.jsonl").write_text("\n".join(pmf_lines) + "\n")
         if transition_lines:
             (self.out_dir / "transitions.jsonl").write_text("\n".join(transition_lines) + "\n")
-        (self.out_dir / "model.json").write_text(json.dumps(self.model.to_dict()))
+        # each checkpoint is made text in one piece and written in one call (see README, Run artifacts)
+        (self.out_dir / "model.json").write_text(json_text(self.model.to_dict()))
         if self.policy is not None:
-            (self.out_dir / "policy.json").write_text(json.dumps(self.policy.to_dict()))
+            (self.out_dir / "policy.json").write_text(json_text(self.policy.to_dict()))
         if self.pmf is not None:
             payload = {
                 "lambda_min": self.pmf.lambda_min,
                 "lambda_max": self.pmf.lambda_max,
-                "p": self.pmf.p.tolist(),
+                "p": self.pmf.p,
             }
-            (self.out_dir / "final_pmf.json").write_text(json.dumps(payload))
+            (self.out_dir / "final_pmf.json").write_text(json_text(payload))
         summary = {
             "run_dir": str(self.out_dir),
             "episodes": self.cfg.n_episodes,

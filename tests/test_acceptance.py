@@ -20,7 +20,7 @@ from tripletlab.cli import main as cli_main
 from tripletlab.config import config_from_flat
 from tripletlab.geometry import inverse_density_weights, log_analytic_density, pairwise_distances
 from tripletlab.metrics import EvalPlan, class_distance_stats, nmi, recall_at_k
-from tripletlab.model import EmbeddingModel, LossConfig, backward, triplet_losses
+from tripletlab.model import EmbeddingModel, LossConfig, backward, json_text, triplet_losses
 from tripletlab.rl import (
     PolicyNetwork,
     PolicyUpdater,
@@ -352,7 +352,7 @@ def test_06_identity_policy_reduction(tmp_path):
             # forward, action draw, multipliers and PMF update, all with "maintain"
             run = tmp_path / f"identity-value-{has_value}"
             checkpoint = tmp_path / f"{run.name}.json"
-            checkpoint.write_text(json.dumps(maintain_policy(control, has_value).to_dict()))
+            checkpoint.write_text(json_text(maintain_policy(control, has_value).to_dict()))
             identity = build_cfg(**small, **{"transfer.mode": "fixed-policy",
                                              "transfer.policy_path": checkpoint})
             train(identity, run)

@@ -103,6 +103,39 @@ class TestRun:
                 "reinforce, reinforce-ema, a2c, ppo-ema, ppo-a2c") in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            (["seed=-1"], "seed must be nonnegative"),
+            (["data.seed=-1"], "data.seed must be nonnegative"),
+            (["data.within_std=-0.0"], "data.within_std must be nonnegative and not -0.0"),
+            (
+                ["data.per_class=2", "train.val_fraction=0.15"],
+                "data.per_class: holding out 1 of 2 samples at train.val_fraction=0.15 "
+                "would leave fewer than 2 for training",
+            ),
+            (
+                ["data.per_class=3", "train.val_fraction=0.5"],
+                "data.per_class: holding out 2 of 3 samples at train.val_fraction=0.5 "
+                "would leave fewer than 2 for training",
+            ),
+            (
+                ["data.n_classes=2", "train.split_mode=by-class"],
+                "data.n_classes: holding out 1 of 2 classes at train.val_fraction=0.25 "
+                "would leave fewer than 2 training classes",
+            ),
+        ],
+        ids=["seed", "data-seed", "negative-zero-std", "per-class-2", "per-class-3-half", "by-class-2"],
+    )
+    def test_values_the_run_would_refuse_exit_one_naming_the_key(
+        self, base_cfg, tmp_path, capsys, overrides, error
+    ):
+        sets = [arg for pair in overrides for arg in ("--set", pair)]
+        rc = main(["run", "--config", str(base_cfg), *sets, "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert f"  - {error}\n" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_diverged_run_exits_two_naming_nonfinite_embeddings(self, base_cfg, tmp_path, capsys):
         # one Adam step moves each parameter by about lr, and the next forward pass overflows

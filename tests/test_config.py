@@ -10,7 +10,7 @@ from tripletlab.config import (
     parse_kv_lines,
     resolved_lines,
 )
-from tripletlab.data import require_valid_split
+from tripletlab.data import generate_synthetic, require_valid_split, split_validation
 from tripletlab.rl import require_valid_algorithm
 
 
@@ -154,6 +154,26 @@ class TestValidation:
         with pytest.raises(ConfigError) as exc:
             build(overrides)
         assert str(owner.value).splitlines() == exc.value.errors
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"data.per_class": "2"},
+            {"data.per_class": "3", "train.val_fraction": "0.5"},
+            {"data.n_classes": "2", "train.split_mode": "by-class"},
+        ],
+    )
+    def test_synthetic_split_sizes_refused_as_split_validation_refuses_them(self, overrides):
+        with pytest.raises(ConfigError) as exc:
+            build(overrides)
+        flat = {**{k: str(v) for k, v in SCHEMA.items()}, **overrides}
+        dataset = generate_synthetic(int(flat["data.n_classes"]), int(flat["data.per_class"]), 3)
+        with pytest.raises(ValueError) as split:
+            split_validation(dataset, float(flat["train.val_fraction"]), flat["train.split_mode"], 0)
+        [error] = exc.value.errors
+        key, rule = error.split(": ", 1)
+        assert key == ("data.n_classes" if "by-class" in overrides.values() else "data.per_class")
+        assert str(split.value).endswith(rule)
 
     def test_transfer_rules(self):
         with pytest.raises(ConfigError, match="requires transfer.policy_path"):

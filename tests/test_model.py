@@ -1,3 +1,7 @@
+import copy
+import json
+import pickle
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -5,17 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tripletlab.config import RunConfig
 from tripletlab.model import (
     Adam,
     EmbeddingModel,
     LossConfig,
     backward,
     embedding_grads,
+    json_text,
     margin_boundary_grads,
     margin_loss,
     triplet_loss,
     triplet_losses,
 )
+from tripletlab.rl import PolicyNetwork, state_dim, uses_value_head
 
 
 def fd_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -203,6 +210,59 @@ class TestFlatBuffer:
         assert np.array_equal(again, kept)
 
 
+def policy_output(policy: PolicyNetwork, x: np.ndarray) -> np.ndarray:
+    cache = policy.forward(x[0])
+    return np.append(cache.logits.ravel(), cache.value)
+
+
+def train_policy_once(policy: PolicyNetwork, x: np.ndarray) -> None:
+    cache = policy.forward(x[0])
+    policy.step(Adam(lr=0.1), policy.backward(cache, np.ones((policy.k_bins, 3)), d_value=1.0))
+
+
+def train_model_once(model: EmbeddingModel, x: np.ndarray) -> None:
+    emb, cache = model.forward(x)
+    model.step(Adam(lr=0.1), model.backward_from_embedding_grads(cache, np.ones_like(emb)))
+
+
+#: (build, output, one training step) of each FlatParams network
+NETWORKS = {
+    "embedding": (
+        lambda rng: EmbeddingModel(5, (8, 6), 3, rng),
+        lambda model, x: model.forward(x)[0],
+        train_model_once,
+    ),
+    "policy": (lambda rng: PolicyNetwork(5, 2, True, rng, hidden=6), policy_output, train_policy_once),
+}
+COPIES = {"deepcopy": copy.deepcopy, "pickle": lambda net: pickle.loads(pickle.dumps(net))}
+
+
+@pytest.mark.parametrize("copy_net", COPIES.values(), ids=COPIES)
+@pytest.mark.parametrize("build, output, train_once", NETWORKS.values(), ids=NETWORKS)
+def test_copied_network_is_bound_to_its_own_buffers(rng, copy_net, build, output, train_once):
+    net = build(rng)
+    x = rng.normal(size=(4, 5))
+    params, out = net.get_params(), output(net, x)
+    clone = copy_net(net)
+    for views, buffer in ((clone.weights + clone.biases, clone.params),
+                          (clone._grad_w + clone._grad_b, clone._grad)):
+        assert all(np.shares_memory(view, buffer) for view in views)
+        assert not any(np.shares_memory(view, net.params) for view in views)
+    # set_params reaches the copy's forward pass, as it does a fresh network's
+    theta = rng.normal(size=net.n_params) * 0.3
+    clone.set_params(theta)
+    fresh = build(np.random.default_rng(0))
+    fresh.set_params(theta)
+    assert np.array_equal(output(clone, x), output(fresh, x))
+    # the copy trains on its own, through the gradient views of its own buffer
+    train_once(clone, x)
+    train_once(fresh, x)
+    assert np.array_equal(clone.params, fresh.params)
+    assert np.array_equal(output(clone, x), output(fresh, x))
+    assert np.array_equal(net.get_params(), params)
+    assert np.array_equal(output(net, x), out)
+
+
 #: (edit of the checkpoint's layer list, expected error) for layers that do not fit the dimensions
 MALFORMED_LAYERS = [
     (lambda layers: layers.pop(), "2 layers"),
@@ -238,6 +298,92 @@ class TestCheckpointShapes:
             EmbeddingModel.from_dict({**payload, "input_dim": 5})
         with pytest.raises(ValueError, match="layers"):
             EmbeddingModel.from_dict({**payload, "hidden": [12]})
+
+
+def as_lists(value):
+    """value with every array replaced by its tolist(): the form json.dumps takes."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: as_lists(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [as_lists(item) for item in value]
+    return value
+
+
+ESCAPES = 'quote" back\\ newline\n tab\t nul\x00 e\u0301 snowman\u2603 astral\U0001f600'
+
+#: payloads whose json_text must equal json.dumps(as_lists(payload)) byte for byte
+JSON_PAYLOADS = {
+    **{
+        f"1d-{n}": np.random.default_rng(n).normal(size=n) * 10.0 ** np.linspace(-300, 300, n)
+        for n in (0, 1, 4095, 4096, 4097, 10000)
+    },
+    "2d": np.random.default_rng(1).normal(size=(7, 5)),
+    "2d-zero-rows": np.zeros((0, 4)),
+    "2d-zero-columns": np.zeros((3, 0)),
+    "2d-long-rows": np.random.default_rng(2).normal(size=(2, 9000)),
+    "3d": np.arange(24.0).reshape(2, 3, 4),
+    "non-finite": np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308]),
+    "non-finite-2d": np.array([[np.nan, 1.0], [-np.inf, np.inf]]),
+    "ints": np.arange(-5000, 5000, dtype=np.int64) * 999_999_937,
+    "small-ints": np.arange(10, dtype=np.int8),
+    "bools": np.arange(5000) % 3 == 0,
+    "zero-dim": np.array(2.5),
+    "checkpoint": {
+        "kind": "mlp-unit-norm",
+        "hidden": [12, 10],
+        "layers": [{"w": np.ones((3, 2)), "b": np.zeros(2)}, {"w": np.eye(2), "b": np.array([-0.0, 1e-7])}],
+        "flag": True,
+        "none": None,
+        "tuple": (1, 2.5, "x"),
+        "float": float("nan"),
+        "empty": {},
+    },
+    "escapes": {ESCAPES: [ESCAPES, np.array([1.0])], "": ""},
+    "non-string-keys": {3: np.arange(3), 2.5: "a", None: False, False: [], float("inf"): 0},
+}
+
+
+class TestCheckpointText:
+    @pytest.mark.parametrize("payload", JSON_PAYLOADS.values(), ids=JSON_PAYLOADS)
+    def test_equals_json_dumps_of_the_lists(self, payload):
+        assert json_text(payload) == json.dumps(as_lists(payload))
+
+    def test_checkpoints_round_trip(self, rng):
+        model = EmbeddingModel(6, (12, 10), 4, rng)
+        policy = PolicyNetwork(7, 3, True, rng, hidden=9)
+        clone = EmbeddingModel.from_dict(json.loads(json_text(model.to_dict())))
+        assert np.array_equal(clone.params, model.params)
+        twin = PolicyNetwork.from_dict(json.loads(json_text(policy.to_dict())))
+        assert np.array_equal(twin.params, policy.params)
+
+    def test_to_dict_holds_copies(self, rng):
+        model = EmbeddingModel(6, (12,), 4, rng)
+        policy = PolicyNetwork(7, 3, False, rng, hidden=9)
+        arrays = [a for layer in model.to_dict()["layers"] for a in layer.values()]
+        arrays.append(policy.to_dict()["params"])
+        assert not any(np.shares_memory(a, net.params) for a in arrays for net in (model, policy))
+
+    @pytest.mark.parametrize("network", ["default-policy", "wide-model"])
+    def test_writing_a_checkpoint_peaks_under_three_times_its_text(self, tmp_path, network):
+        if network == "default-policy":
+            cfg = RunConfig()
+            sdim = state_dim(cfg.pmf.k, cfg.train.running_averages, cfg.train.history, cfg.rl.state_recalls)
+            has_value = uses_value_head(cfg.rl.algorithm)
+            net = PolicyNetwork(sdim, cfg.pmf.k, has_value, np.random.default_rng(0), cfg.rl.hidden)
+        else:
+            net = EmbeddingModel(64, (256, 256), 64, np.random.default_rng(0))
+        path = tmp_path / "checkpoint.json"
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            path.write_text(json_text(net.to_dict()))
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        # a list form held every weight as a Python float and every number as a string: 4.5-6.3x
+        assert peak <= 3 * path.stat().st_size
 
 
 class TestGradients:

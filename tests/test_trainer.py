@@ -12,7 +12,7 @@ import tripletlab.metrics as metrics
 import tripletlab.trainer as trainer
 from tripletlab.config import config_from_flat, config_to_flat, parse_kv_lines
 from tripletlab.data import LabeledDataset, generate_synthetic, save_dataset
-from tripletlab.model import EmbeddingModel
+from tripletlab.model import EmbeddingModel, json_text
 from tripletlab.rl import RL_ALGORITHMS, log_prob_and_score, sample_action
 from tripletlab.samplers import SAMPLER_KINDS, triplet_masks
 from tripletlab.trainer import CSV_HEADER, TrainLoop, learns_policy, split_validation, train
@@ -343,7 +343,7 @@ class TestDeterminismAndReduction:
         init = {"pmf.init": "gaussian:0.9:0.3"}  # uneven, so a rescaled PMF shows in the bytes
         control = small_flat(**init, **{"transfer.mode": "fixed-final-pmf"})
         train(control, tmp_path / "frozen")
-        (tmp_path / "policy.json").write_text(json.dumps(maintain_policy(control, True).to_dict()))
+        (tmp_path / "policy.json").write_text(json_text(maintain_policy(control, True).to_dict()))
         names = ("build_state", "sample_action", "multipliers_from_trits", "apply_action")
         calls = dict.fromkeys(names, 0)
         for name in calls:
@@ -384,7 +384,7 @@ class TestDeterminismAndReduction:
         monkeypatch.setattr(trainer, "sample_action", sample_maintain)
         loop = TrainLoop(small_flat(**init), tmp_path / "maintain")
         assert loop.updater is not None
-        initial_policy = loop.policy.to_dict()
+        initial_policy = json.loads(json_text(loop.policy.to_dict()))
         loop.run()
         assert len(drawn) == 3 and calls == dict.fromkeys(calls, 3)
         for name in ("metrics.csv", "pmf.jsonl", "final_pmf.json", "model.json"):
@@ -577,7 +577,7 @@ class TestVariants:
     ):
         if overrides.get("transfer.mode") == "fixed-policy":
             teacher = TrainLoop(small_flat(), tmp_path / "teacher").policy.to_dict()
-            (tmp_path / "policy.json").write_text(json.dumps(teacher))
+            (tmp_path / "policy.json").write_text(json_text(teacher))
             overrides = {**overrides, "transfer.policy_path": tmp_path / "policy.json"}
         # two episodes: the first transition is logged when episode 2 rewards episode 1's action
         cfg = small_flat(**{"train.total_iterations": 10, **overrides})
