@@ -187,9 +187,9 @@ def cmd_gen_data(args) -> int:
         dataset = generate_synthetic(
             args.classes, args.per_class, args.dim, args.spread, args.std, args.seed
         )
-    except ValueError as exc:  # generate_synthetic checks its arguments
+        save_dataset(dataset, args.out)
+    except ValueError as exc:  # bad arguments, or features a float32 file cannot hold
         raise ConfigError([str(exc)]) from None
-    save_dataset(dataset, args.out)
     print(f"{args.out}: {dataset.n} rows, {dataset.n_classes} classes, dim {dataset.input_dim}")
     return 0
 

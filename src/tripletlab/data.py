@@ -92,6 +92,12 @@ def generate_synthetic(
     """
     if n_classes < 1 or per_class < 1 or input_dim < 1:
         raise ValueError("n_classes, per_class and input_dim must all be >= 1")
+    if not np.isfinite(2.0 * float(center_spread)):  # the centers' range is 2 * center_spread wide
+        raise ValueError(
+            f"center_spread must be finite and at most half the largest float64, got {center_spread}"
+        )
+    if not np.isfinite(within_std):
+        raise ValueError(f"within_std must be finite, got {within_std}")
     if np.signbit(within_std):
         raise ValueError("within_std must be nonnegative and not -0.0")
     rng = np.random.default_rng(seed)
@@ -103,8 +109,21 @@ def generate_synthetic(
 
 
 def save_dataset(dataset: LabeledDataset, path) -> None:
+    """Write the documented CSV layout, which load_dataset reads back.
+
+    Refuses, before anything is written, a feature that is not finite at
+    float32 precision (`1e39`), naming its row and column: the file would
+    hold `inf`, which load_dataset refuses.
+    """
+    features = dataset.features
+    if not _finite_at_float32(features):
+        with np.errstate(over="ignore"):
+            row, col = np.argwhere(~np.isfinite(features.astype(np.float32)))[0]
+        raise ValueError(
+            f"feature row {row}, column {col} is {features[row, col]}, not finite at float32 precision"
+        )
     cols = [f"f{i}" for i in range(dataset.input_dim)] + ["label"]
-    feats = dataset.features.astype(np.float32)
+    feats = features.astype(np.float32)
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
         for row, label in zip(feats, dataset.labels):

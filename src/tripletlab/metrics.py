@@ -1,14 +1,21 @@
 """Retrieval and clustering quality measures on embedding batches.
 
 A batch is a plain (N, D) array of unit rows plus an `EvalPlan`, the one
-holder of its labels and of what depends on them alone (class groups, pair
-masks); a training run builds the plan once for its fixed validation
-labels. Every function that takes a plan refuses one whose label count is
-not the number of rows. Everything is computed from pairwise distances;
-`evaluate` builds the distance matrix once and shares it and returns one
-float64 row in METRIC_FIELDS order, the row a training run keeps per
-episode. Nearest-neighbor ranking is by (distance, index), so ties go to
-the smaller index, and it is computed by counting rather than sorting.
+holder of its labels and of what depends on them alone (class groups,
+per-row class codes); a training run builds the plan once for its fixed
+validation labels. Every function that takes a plan refuses one whose label
+count is not the number of rows. Everything is computed from pairwise
+distances; `evaluate` builds the distance matrix once and shares it and
+returns one float64 row in METRIC_FIELDS order, the row a training run
+keeps per episode. Nearest-neighbor ranking is by (distance, index), so
+ties go to the smaller index, and it is computed by counting rather than
+sorting.
+
+The distance matrix is the only N x N array an evaluation holds. Recall and
+the class distances walk it in blocks of rows, BLOCK_CELLS cells at most;
+the class distances build each block's same-class mask from the plan's
+class codes and overwrite the matrix, gathering the inter-class values into
+its leading cells. So `evaluate` calls `class_distance_stats` last.
 
 k-means reads only the rows, never the distance matrix. So on a batch of at
 least OVERLAP_MIN_ROWS rows, when the process may run on two or more CPUs,
@@ -43,6 +50,9 @@ METRIC_FIELDS = ("r1", "r2", "r4", "nmi", "intra", "inter")
 #: batches of at least this many rows overlap k-means with the distance work: in interleaved
 #: timings of `evaluate` the overlap lost below 320 rows, was even at 320 and won from 400
 OVERLAP_MIN_ROWS = 400
+#: recall and the class distances scan the distance matrix in blocks of at most this many cells
+#: (at least one row each), so their masks and gathers stay a small fraction of the matrix
+BLOCK_CELLS = 1 << 17
 
 
 class EvalPlan:
@@ -50,23 +60,31 @@ class EvalPlan:
 
     labels: one integer class id per row of the evaluated batch.
     groups: each class's row indices in ascending order, classes in label order.
-    intra / inter: strict-upper-triangle masks of the same-class and the
-    different-class pairs.
+    codes: each row's position in `groups`, in the smallest unsigned dtype that holds it.
     """
 
     def __init__(self, labels):
         self.labels = np.asarray(labels)
-        order, starts, _ = group_by_label(self.labels)
+        order, starts, sizes = group_by_label(self.labels)
         self.groups = tuple(np.split(order, starts[1:]))
-        upper = ~np.tri(self.labels.size, dtype=bool)
-        same = self.labels[:, None] == self.labels[None, :]
-        self.intra = upper & same
-        self.inter = upper & ~same
+        self.codes = np.empty(self.labels.size, np.min_scalar_type(max(sizes.size - 1, 0)))
+        self.codes[order] = np.repeat(np.arange(sizes.size), sizes)
 
     def check_rows(self, n: int) -> None:
         """Refuse a batch of n rows unless the plan has one label per row."""
         if n != self.labels.size:
             raise ValueError(f"evaluation plan has {self.labels.size} labels for {n} rows")
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Consecutive row slices covering range(n), each of at most BLOCK_CELLS cells of an n-column matrix."""
+    step = max(1, BLOCK_CELLS // max(n, 1))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _count(mask: np.ndarray) -> np.ndarray:
+    """True entries per row of a 2-D boolean mask."""
+    return np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.intp)
 
 
 def recall_at_k(dist: np.ndarray, plan: EvalPlan, ks=(1, 2, 4)) -> dict:
@@ -76,8 +94,10 @@ def recall_at_k(dist: np.ndarray, plan: EvalPlan, ks=(1, 2, 4)) -> dict:
     same-label j* (first index among ties, found by argmin over the row's
     class block, whose columns ascend) has rank #{d < d*} + #{d == d*,
     index < j*} less the row's own diagonal entry, and a row hits at k iff j*
-    exists and rank < min(k, n-1). `dist` is the (N, N) distance matrix of
-    the plan's rows; it is not modified.
+    exists and rank < min(k, n-1). The counts go one block of rows at a
+    time. j* itself is one of the #{d <= d*} - #{d < d*} ties, so the
+    lower-index ties are counted only on rows with more than one. `dist` is
+    the (N, N) distance matrix of the plan's rows; it is not modified.
     """
     ks = tuple(int(k) for k in ks)
     if any(k < 1 for k in ks):
@@ -92,21 +112,53 @@ def recall_at_k(dist: np.ndarray, plan: EvalPlan, ks=(1, 2, 4)) -> dict:
             np.fill_diagonal(block, np.inf)
             nearest[group] = group[block.argmin(axis=1)]
     found = nearest != rows
-    d_star = dist[rows, nearest][:, None]
-    ahead = (dist < d_star) | ((dist == d_star) & (rows < nearest[:, None]))
-    rank = np.add.reduce(ahead, axis=1) - ahead[rows, rows]
+    d_star = dist[rows, nearest]
+    diag = dist[rows, rows]
+    # the row's own entry is counted below whenever it ranks ahead of j*
+    rank = -((diag < d_star) | ((diag == d_star) & (rows < nearest))).astype(np.intp)
+    for block in _row_blocks(n):
+        d, d_block = dist[block], d_star[block, None]
+        n_lt = _count(d < d_block)
+        rank[block] += n_lt
+        tied = np.flatnonzero(_count(d <= d_block) - n_lt > 1)
+        if tied.size:
+            at = tied + block.start
+            rank[at] += _count((d[tied] == d_block[tied]) & (rows < nearest[at, None]))
     return {k: float(np.count_nonzero(found & (rank < min(k, n - 1))) / n) for k in ks}
 
 
 def class_distance_stats(dist: np.ndarray, plan: EvalPlan) -> tuple[float, float]:
     """(mean intra-class distance, mean inter-class distance) over unordered pairs.
 
-    `dist` is not modified. A side with no pairs (all-singleton classes, or
-    a single class) is reported as 0.0 with a warning rather than NaN.
+    The pairs i < j are gathered in row-major order, one block of rows at a
+    time: the intra-class values into an array of their own, the
+    inter-class values into the leading cells of `dist`'s buffer (of a
+    row-major copy when `dist` is not C-contiguous). Rows 0..r-1 hold fewer
+    than r * N pairs, so a block's values, written once the block is read,
+    end before the next block starts. `dist` is therefore overwritten; pass
+    it last. A side with no pairs (all-singleton classes, or a single
+    class) is reported as 0.0 with a warning rather than NaN.
     """
-    plan.check_rows(dist.shape[0])
+    n = dist.shape[0]
+    plan.check_rows(n)
+    sizes = np.array([group.size for group in plan.groups])
+    intra = np.empty(int(np.add.reduce(sizes * (sizes - 1) // 2)))
+    flat = dist.reshape(-1)  # a view when dist is C-contiguous
+    cols = np.arange(n, dtype=np.min_scalar_type(n))  # a narrow dtype compares several times faster
+    n_intra = n_inter = 0
+    for block in _row_blocks(n):
+        lo = block.start  # columns left of the block's first row hold no pair i < j
+        upper = cols[lo:] > cols[block, None]
+        same = plan.codes[block, None] == plan.codes[lo:]
+        d = flat[lo * n : block.stop * n].reshape(-1, n)[:, lo:]
+        vals = d[upper & same]
+        intra[n_intra : n_intra + vals.size] = vals
+        n_intra += vals.size
+        vals = d[upper & ~same]  # a copy, taken before the write that may reach into this block
+        flat[n_inter : n_inter + vals.size] = vals
+        n_inter += vals.size
     out = []
-    for side, vals in (("intra", dist[plan.intra]), ("inter", dist[plan.inter])):
+    for side, vals in (("intra", intra), ("inter", flat[:n_inter])):
         if vals.size == 0:
             warnings.warn(f"no {side}-class pairs; reporting {side} distance as 0.0", stacklevel=2)
         out.append(float(vals.mean()) if vals.size else 0.0)
@@ -251,7 +303,8 @@ class _Worker(threading.Thread):
 def evaluate(vectors: np.ndarray, plan: EvalPlan, kmeans_seed: int = 0) -> np.ndarray:
     """Full evaluation after every training episode, one float64 row in METRIC_FIELDS order.
 
-    All of it comes from one distance matrix. Inputs are checked before any
+    All of it comes from one distance matrix, which the class distances,
+    computed last, overwrite. Inputs are checked before any
     work starts. On a batch of at least OVERLAP_MIN_ROWS rows, with a second
     usable CPU, k-means and NMI run on one worker thread while this thread
     does the distance work; the worker is always waited for, also when this
@@ -267,7 +320,7 @@ def evaluate(vectors: np.ndarray, plan: EvalPlan, kmeans_seed: int = 0) -> np.nd
     try:
         dist = pairwise_distances(vectors)
         rec = recall_at_k(dist, plan)  # its default cutoffs are the r1, r2, r4 columns
-        intra, inter = class_distance_stats(dist, plan)
+        intra, inter = class_distance_stats(dist, plan)  # last: it overwrites dist
     finally:
         if worker is not None:
             worker.join()

@@ -262,7 +262,7 @@ class TrainLoop:
                 f"total_iterations not a multiple of m; dropping the last {leftover} iterations",
                 stacklevel=2,
             )
-        # the validation labels are fixed, so their masks and class groups are built once
+        # the validation labels are fixed, so their class groups and codes are built once
         eval_plan = EvalPlan(self.dataset.labels[self.val_idx])
         self._evaluate(eval_plan, 0)
         rewards = []

@@ -411,6 +411,23 @@ class TestGenData:
         assert not (tmp_path / "ds.csv").exists()
 
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--std", "1e300", "not finite at float32 precision"),
+            ("--spread", "1e39", "not finite at float32 precision"),
+            ("--spread", "inf", "center_spread must be finite"),
+            ("--spread", "nan", "center_spread must be finite"),
+        ],
+        ids=["std-1e300", "spread-1e39", "spread-inf", "spread-nan"],
+    )
+    def test_values_a_float32_file_cannot_hold_exit_one(self, tmp_path, capsys, flag, value, message):
+        rc = main(["gen-data", "--out", str(tmp_path / "ds.csv"), flag, value])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "ds.csv").exists()
+
+
 class TestPlotData:
     def run_small(self, base_cfg, tmp_path, *extra):
         out = tmp_path / "run"

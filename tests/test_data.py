@@ -105,6 +105,17 @@ class TestGenerate:
         with pytest.raises(ValueError, match="nonnegative"):
             generate_synthetic(2, 5, 3, within_std=-1.0)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e308])
+    def test_refuses_a_spread_without_a_finite_range(self, value):
+        got = re.escape(str(value))
+        with pytest.raises(ValueError, match=rf"center_spread must be finite .*, got {got}$"):
+            generate_synthetic(2, 5, 3, center_spread=value)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_refuses_a_non_finite_std(self, value):
+        with pytest.raises(ValueError, match=rf"within_std must be finite, got {value}"):
+            generate_synthetic(2, 5, 3, within_std=value)
+
 
 class TestRoundTrip:
     def test_save_load_is_exact_at_float32(self, tmp_path, rng):
@@ -121,6 +132,17 @@ class TestRoundTrip:
         path = tmp_path / "ds.csv"
         save_dataset(ds, path)
         assert path.read_text().splitlines()[0] == "f0,f1,f2,label"
+
+    @pytest.mark.parametrize("value", [1e39, -3.5e38, 1e300])
+    def test_refuses_a_feature_float32_cannot_hold_before_writing(self, tmp_path, value):
+        features = np.zeros((4, 3))
+        features[2, 1] = value
+        features[3, 2] = value  # only the first is named
+        path = tmp_path / "ds.csv"
+        named = rf"^feature row 2, column 1 is {re.escape(str(value))}, not finite at float32"
+        with pytest.raises(ValueError, match=named):
+            save_dataset(LabeledDataset(features, np.array([0, 0, 1, 1])), path)
+        assert not path.exists()
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "ds.csv"
@@ -212,6 +234,42 @@ def test_round_trip_preserves_everything(n_classes, per_class, seed, tmp_path_fa
     loaded = load_dataset(path)
     assert np.array_equal(loaded.labels, ds.labels)
     assert np.allclose(loaded.features, ds.features, atol=1e-6)
+
+
+FLOAT32_EDGE = float(np.finfo(np.float32).max)
+#: just below where a float64 rounds to float32 inf instead of to the largest float32
+FLOAT32_ROUNDS_TO_INF = FLOAT32_EDGE * (1 + 2.0**-25)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(-1.01 * FLOAT32_EDGE, 1.01 * FLOAT32_EDGE),
+            st.sampled_from([FLOAT32_EDGE, np.nextafter(FLOAT32_ROUNDS_TO_INF, 0.0), FLOAT32_ROUNDS_TO_INF,
+                             -0.0, 1e-46, 7e-46, 1.4e-45]),
+        ),
+        min_size=8,
+        max_size=8,
+    ),
+)
+@example(values=[FLOAT32_ROUNDS_TO_INF] + [0.0] * 7)
+@example(values=[np.nextafter(FLOAT32_ROUNDS_TO_INF, 0.0)] + [0.0] * 7)
+def test_what_save_writes_load_reads_back(values, tmp_path_factory):
+    ds = LabeledDataset(np.array(values).reshape(4, 2), np.array([0, 1, 0, 1]))
+    path = tmp_path_factory.mktemp("rt") / "ds.csv"
+    with np.errstate(over="ignore"):
+        writable = bool(np.isfinite(ds.features.astype(np.float32)).all())
+    if not writable:
+        with pytest.raises(ValueError, match="not finite at float32 precision"):
+            save_dataset(ds, path)
+        assert not path.exists()
+        return
+    save_dataset(ds, path)
+    loaded = load_dataset(path)
+    assert loaded.features.tobytes() == ds.features.astype(np.float32).tobytes()
+    assert np.array_equal(loaded.labels, ds.labels)
 
 
 def reference_load_dataset(path) -> LabeledDataset:

@@ -2,6 +2,7 @@ import math
 import os
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -235,15 +236,82 @@ class TestClassDistanceStats:
                 assert got.tobytes() == want.tobytes()
 
 
+def reference_bytes(vectors, labels):
+    """Recall and class distances of the bit-level references, as bytes."""
+    dist = pairwise_distances(vectors)
+    recall = reference_recall_at_k(labels, (1, 2, 4), dist)
+    return np.array([*recall.values(), *reference_class_distance_stats(labels, dist)]).tobytes()
+
+
+def blocked_bytes(dist, labels):
+    """Recall, then class distances (which consume `dist`), as bytes."""
+    plan = EvalPlan(labels)
+    recall = recall_at_k(dist, plan)
+    return np.array([*recall.values(), *class_distance_stats(dist, plan)]).tobytes()
+
+
+def has_lower_index_ties(dist, labels):
+    """Whether some row's nearest same-label distance is shared by another column."""
+    same = labels[:, None] == labels[None, :]
+    np.fill_diagonal(same, False)
+    d_star = np.where(same, dist, np.inf).min(axis=1)
+    return bool(np.any(np.count_nonzero(dist == d_star[:, None], axis=1) > 1))
+
+
+class TestBlockedEvaluation:
+    """Recall and class distances scan the matrix in row blocks; the bytes may not tell."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 512, 1141], ids=lambda n: f"n{n}")
+    def test_matches_the_references_bit_for_bit(self, n):
+        step = metrics.BLOCK_CELLS // n
+        if n > step:  # 512 ends on a full block, 1141 on a one-row block
+            assert n % step in (0, 1)
+        vectors, labels = random_batch(np.random.default_rng(n), n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no pairs on one side at n = 1, 2
+            assert blocked_bytes(pairwise_distances(vectors), labels) == reference_bytes(vectors, labels)
+
+    @pytest.mark.parametrize("block_cells", [1, 7, 40, 1 << 17])
+    def test_tie_heavy_batches_in_any_block_size(self, monkeypatch, block_cells):
+        monkeypatch.setattr(metrics, "BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(21)
+        tied = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            for _ in range(30):
+                vectors, labels = tie_heavy_batch(rng)
+                dist = pairwise_distances(vectors)
+                tied += has_lower_index_ties(dist, labels)
+                assert blocked_bytes(dist, labels) == reference_bytes(vectors, labels)
+        assert tied >= 20
+
+    def test_layout_of_the_matrix_does_not_matter(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            for vectors, labels in reference_batches():
+                want = reference_bytes(vectors, labels)
+                dist = pairwise_distances(vectors)
+                n = dist.shape[0]
+                assert blocked_bytes(np.asfortranarray(dist), labels) == want
+                wide = np.full((2 * n, 3 * n), np.nan)
+                wide[::2, ::3] = dist
+                assert blocked_bytes(wide[::2, ::3], labels) == want
+
+    def test_recall_leaves_the_matrix_as_it_was(self):
+        vectors, labels = random_batch(np.random.default_rng(5), 300)
+        dist = pairwise_distances(vectors)
+        recall_at_k(dist, EvalPlan(labels))
+        assert dist.tobytes() == pairwise_distances(vectors).tobytes()
+
+
 class TestEvalPlan:
-    def test_groups_and_masks(self):
+    def test_groups_and_codes(self):
         labels = np.array([5, 2, 5, 9, 2, 5, 7])
         plan = EvalPlan(labels)
         assert [g.tolist() for g in plan.groups] == [[1, 4], [0, 2, 5], [6], [3]]
-        upper = ~np.tri(labels.size, dtype=bool)
-        same = labels[:, None] == labels[None, :]
-        assert np.array_equal(plan.intra, upper & same)
-        assert np.array_equal(plan.inter, upper & ~same)
+        assert plan.codes.dtype == np.uint8
+        assert plan.codes.tolist() == [1, 0, 1, 3, 0, 1, 2]
+        assert vars(plan).keys() == {"labels", "groups", "codes"}  # nothing N x N
 
     def test_rejects_a_batch_with_another_row_count(self, rng):
         vectors = unit_rows(rng, 6, 4)
@@ -456,8 +524,9 @@ class TestEvaluate:
         handed_out = []
 
         def counted(v):
-            handed_out.append(pairwise_distances(v))
-            return handed_out[-1]
+            dist = pairwise_distances(v)
+            handed_out.append(dist.copy())  # evaluate consumes the matrix it is handed
+            return dist
 
         monkeypatch.setattr(metrics, "pairwise_distances", counted)
         row = evaluate(vectors, plan, kmeans_seed=5)
@@ -468,6 +537,21 @@ class TestEvaluate:
         assert row[:3].tolist() == list(recall_at_k(dist, plan).values())
         assert row[3] == clustering_nmi(vectors, plan, seed=5)
         assert tuple(row[4:].tolist()) == class_distance_stats(dist, plan)
+
+
+    def test_peak_memory_is_about_one_distance_matrix(self):
+        n = 1200
+        rng = np.random.default_rng(8)
+        labels = rng.permutation(np.arange(n) % 16)
+        vectors = unit_norm_rows(unit_rows(rng, 16, 32)[labels] + 0.5 * rng.standard_normal((n, 32)))
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            evaluate(vectors, EvalPlan(labels))
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * n * n * 8
 
 
 class TestOverlappedEvaluation:
