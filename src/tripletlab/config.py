@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, is_dataclass
 
-from .data import held_out, require_valid_split
+from .data import held_out, require_finite_spread, require_valid_split
 from .model import LossConfig
 from .rl import require_valid_algorithm
 from .samplers import _check_bins, init_pmf, require_valid_kind
@@ -284,6 +284,7 @@ def _validate(values: dict) -> tuple[list, list]:
             "data.within_std must be nonnegative and not -0.0",
         )
         need(values["data.center_spread"] > 0, "data.center_spread must be positive")
+        errors += [f"data.{e}" for e in _raised(require_finite_spread, values["data.center_spread"])]
         if sizes_ok and not split_errors:
             # the split of a synthetic dataset is known here; a CSV's waits for split_validation
             mode = values["train.split_mode"]

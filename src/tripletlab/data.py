@@ -92,10 +92,7 @@ def generate_synthetic(
     """
     if n_classes < 1 or per_class < 1 or input_dim < 1:
         raise ValueError("n_classes, per_class and input_dim must all be >= 1")
-    if not np.isfinite(2.0 * float(center_spread)):  # the centers' range is 2 * center_spread wide
-        raise ValueError(
-            f"center_spread must be finite and at most half the largest float64, got {center_spread}"
-        )
+    require_finite_spread(center_spread)
     if not np.isfinite(within_std):
         raise ValueError(f"within_std must be finite, got {within_std}")
     if np.signbit(within_std):
@@ -106,6 +103,12 @@ def generate_synthetic(
     features = features + rng.normal(0.0, within_std, size=features.shape)
     labels = np.repeat(np.arange(n_classes), per_class)
     return LabeledDataset(features, labels)
+
+
+def require_finite_spread(spread: float) -> None:
+    """Raise ValueError unless the centers' range, 2 * spread wide, is a finite float64."""
+    if not np.isfinite(2.0 * float(spread)):
+        raise ValueError(f"center_spread must be finite and at most half the largest float64, got {spread}")
 
 
 def save_dataset(dataset: LabeledDataset, path) -> None:

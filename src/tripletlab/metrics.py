@@ -19,10 +19,10 @@ its leading cells. So `evaluate` calls `class_distance_stats` last.
 
 k-means reads only the rows, never the distance matrix. So on a batch of at
 least OVERLAP_MIN_ROWS rows, when the process may run on two or more CPUs,
-`evaluate` runs k-means and NMI on one worker thread while the calling
-thread computes distances, recall and class distances; numpy releases the
-GIL inside the large array operations of both. Below that size the
-overlap gains nothing or loses: the worker's many small numpy calls hold
+`evaluate` submits k-means and NMI to a one-thread executor while the
+calling thread computes distances, recall and class distances; numpy
+releases the GIL inside the large array operations of both. Below that size
+the overlap gains nothing or loses: the worker's many small numpy calls hold
 the GIL. The row is the same to the bit either way: the two sides share
 only read-only inputs (the rows and the plan), k-means draws from its own
 generator seeded by `kmeans_seed`, and every call computes what it would
@@ -36,8 +36,8 @@ is therefore part of `evaluate`'s own time.
 from __future__ import annotations
 
 import os
-import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -278,53 +278,25 @@ def _overlaps(n_rows: int) -> bool:
     return (cpus or 1) >= 2
 
 
-class _Worker(threading.Thread):
-    """fn(*args) on a thread of its own; result() waits for it and returns its value or raises its error."""
-
-    def __init__(self, fn, *args):
-        super().__init__(name=f"tripletlab-{fn.__name__}")
-        self._call = (fn, args)
-        self._value = self._error = None
-
-    def run(self) -> None:
-        fn, args = self._call
-        try:
-            self._value = fn(*args)
-        except BaseException as exc:  # raised again on the waiting thread by result()
-            self._error = exc
-
-    def result(self):
-        self.join()
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
 def evaluate(vectors: np.ndarray, plan: EvalPlan, kmeans_seed: int = 0) -> np.ndarray:
     """Full evaluation after every training episode, one float64 row in METRIC_FIELDS order.
 
     All of it comes from one distance matrix, which the class distances,
-    computed last, overwrite. Inputs are checked before any
-    work starts. On a batch of at least OVERLAP_MIN_ROWS rows, with a second
-    usable CPU, k-means and NMI run on one worker thread while this thread
-    does the distance work; the worker is always waited for, also when this
-    thread raises.
+    computed last, overwrite. Inputs are checked before any work starts. On
+    a batch of at least OVERLAP_MIN_ROWS rows, with a second usable CPU,
+    k-means and NMI are submitted to a one-thread executor while this thread
+    does the distance work; leaving the executor waits for them, also when
+    this thread raises, and an error of theirs is raised again here.
     """
     n = vectors.shape[0]
     plan.check_rows(n)
-    worker = None
-    if _overlaps(n):
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="tripletlab-kmeans") as pool:
         # _cluster_agreement, not clustering_nmi: see the module docstring
-        worker = _Worker(_cluster_agreement, vectors, plan, kmeans_seed)
-        worker.start()
-    try:
+        clustering = pool.submit(_cluster_agreement, vectors, plan, kmeans_seed) if _overlaps(n) else None
         dist = pairwise_distances(vectors)
         rec = recall_at_k(dist, plan)  # its default cutoffs are the r1, r2, r4 columns
         intra, inter = class_distance_stats(dist, plan)  # last: it overwrites dist
-    finally:
-        if worker is not None:
-            worker.join()
-    score_nmi = clustering_nmi(vectors, plan, seed=kmeans_seed) if worker is None else worker.result()
+    score_nmi = clustering_nmi(vectors, plan, kmeans_seed) if clustering is None else clustering.result()
     return np.array([*rec.values(), score_nmi, intra, inter])
 
 

@@ -34,7 +34,7 @@ def require_valid_algorithm(kind: str) -> str:
     """kind, if it is one of RL_ALGORITHMS."""
     if kind not in RL_ALGORITHMS:
         raise ValueError(
-            f"unknown rl algorithm {kind!r}; valid algorithms: {', '.join(RL_ALGORITHMS)}"
+            f"rl.algorithm: unknown rl algorithm {kind!r}; valid algorithms: {', '.join(RL_ALGORITHMS)}"
         )
     return kind
 

@@ -33,7 +33,7 @@ PMF_SAMPLER_KINDS = ("curriculum-linear", "curriculum-nonlinear", "pads")
 def require_valid_kind(kind: str) -> str:
     if kind not in SAMPLER_KINDS:
         raise ValueError(
-            f"unknown sampler kind {kind!r}; valid kinds: {', '.join(SAMPLER_KINDS)}"
+            f"sampler.kind: unknown sampler kind {kind!r}; valid kinds: {', '.join(SAMPLER_KINDS)}"
         )
     return kind
 
@@ -49,7 +49,7 @@ def _check_bins(lambda_min: float, lambda_max: float, k: int) -> None:
         problems.append(f"pmf.k must be >= 2, got {k}")
     if not (0.0 <= lambda_min < lambda_max <= 2.0):
         problems.append(
-            "pmf interval must satisfy 0 <= lambda_min < lambda_max <= 2, "
+            "pmf.lambda_min and pmf.lambda_max must satisfy 0 <= lambda_min < lambda_max <= 2, "
             f"got [{lambda_min}, {lambda_max}]"
         )
     if problems:

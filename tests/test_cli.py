@@ -1,4 +1,5 @@
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 
 import tripletlab.cli as cli
 from tripletlab.cli import main
+from tripletlab.config import SCHEMA
 from tripletlab.data import load_dataset
 
 
@@ -124,8 +126,17 @@ class TestRun:
                 "data.n_classes: holding out 1 of 2 classes at train.val_fraction=0.25 "
                 "would leave fewer than 2 training classes",
             ),
+            (
+                ["data.center_spread=9e307"],
+                "data.center_spread must be finite and at most half the largest float64, got 9e+307",
+            ),
+            (
+                ["data.center_spread=1e308"],
+                "data.center_spread must be finite and at most half the largest float64, got 1e+308",
+            ),
         ],
-        ids=["seed", "data-seed", "negative-zero-std", "per-class-2", "per-class-3-half", "by-class-2"],
+        ids=["seed", "data-seed", "negative-zero-std", "per-class-2", "per-class-3-half", "by-class-2",
+             "spread-9e307", "spread-1e308"],
     )
     def test_values_the_run_would_refuse_exit_one_naming_the_key(
         self, base_cfg, tmp_path, capsys, overrides, error
@@ -488,6 +499,57 @@ class TestPlotData:
         rc = main(["plot-data", "--run", str(out)])
         assert rc == 2
         assert "edges for" in capsys.readouterr().err
+
+
+#: edge values per schema type; no large ints, since the size keys would allocate that much
+EDGE_VALUES = {
+    bool: ("false", "true"),
+    int: ("-1", "0", "1", "2"),
+    float: ("0", "-0.0", "-1", "nan", "1e-300", "1e300", "1.7e308"),
+    str: ("", "x"),
+    tuple: ("", "0", "1,1"),
+}
+SWEEP_CASES = [(key, value) for key, default in SCHEMA.items() for value in EDGE_VALUES[type(default)]]
+OVERFLOW = "overflow: the features, the weights or the loss leave float64 while training"
+#: the only cases that may pass validation and then fail at run time, with the reason
+RUNTIME_FAILURES = {
+    ("data.center_spread", "1e300"): OVERFLOW,
+    ("data.within_std", "1e300"): OVERFLOW,
+    ("data.within_std", "1.7e308"): OVERFLOW,
+    ("model.lr", "1e300"): OVERFLOW,
+    ("model.lr", "1.7e308"): OVERFLOW,
+    ("rl.value_coef", "1.7e308"): OVERFLOW,
+    ("data.path", "x"): "a missing file: validation never reads the filesystem, and transfer "
+    "validates its students before the teacher writes their files",
+}
+#: a token a non-finite float leaves in JSON (NaN, Infinity) or in a CSV or config line (nan, inf)
+NON_FINITE = re.compile(r"(?<![A-Za-z_])(NaN|Infinity|nan|inf)(?![A-Za-z_])")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+@pytest.mark.parametrize("key, value", SWEEP_CASES, ids=[f"{k}={v}" for k, v in SWEEP_CASES])
+def test_schema_sweep_exits_one_naming_the_key_or_trains_finite(tmp_path, monkeypatch, capsys, key, value):
+    """Every key at the edge values of its type on a 2-episode run: refused naming the key with no
+    run directory, or trained with finite artifacts; a run-time failure only where listed."""
+    monkeypatch.chdir(tmp_path)  # a relative data.path names nothing
+    tiny = {
+        "data.n_classes": "4", "data.per_class": "12", "data.input_dim": "6", "model.hidden": "16",
+        "model.embedding_dim": "8", "pmf.k": "8", "rl.hidden": "16", "train.m": "2",
+        "train.total_iterations": "4", "train.classes_per_batch": "3",
+        "train.samples_per_class": "3", "train.val_fraction": "0.25", key: value,
+    }
+    out = tmp_path / "run"
+    rc = main(["run", *(arg for k, v in tiny.items() for arg in ("--set", f"{k}={v}")), "--out", str(out)])
+    err = capsys.readouterr().err
+    if (key, value) in RUNTIME_FAILURES:
+        assert rc == 2, "listed as a run-time failure, but it no longer fails at run time"
+    elif rc == 1:
+        assert re.search(rf"(?<![\w.]){re.escape(key)}\b", err), err  # "seed" is not "data.seed"
+        assert not out.exists()
+    else:
+        assert rc == 0, err
+        for path in out.iterdir():
+            assert not NON_FINITE.search(path.read_text()), path.name
 
 
 def test_console_entry_point_importable():

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from tripletlab.config import (
@@ -92,7 +94,7 @@ class TestValidation:
         with pytest.raises(ConfigError) as exc:
             build({"rl.algorithm": "frozen-identity", **transfer})
         assert exc.value.errors == [
-            "unknown rl algorithm 'frozen-identity'; "
+            "rl.algorithm: unknown rl algorithm 'frozen-identity'; "
             "valid algorithms: reinforce, reinforce-ema, a2c, ppo-ema, ppo-a2c"
         ]
 
@@ -174,6 +176,20 @@ class TestValidation:
         key, rule = error.split(": ", 1)
         assert key == ("data.n_classes" if "by-class" in overrides.values() else "data.per_class")
         assert str(split.value).endswith(rule)
+
+    @pytest.mark.parametrize("value", ["9e307", "1e308", "1.7e308"])
+    def test_center_spread_refused_as_generate_synthetic_refuses_it(self, value):
+        with pytest.raises(ConfigError) as exc:
+            build({"data.center_spread": value})
+        with pytest.raises(ValueError) as owner:
+            generate_synthetic(2, 5, 3, center_spread=float(value))
+        assert exc.value.errors == [f"data.{owner.value}"]
+
+    def test_center_spread_up_to_half_the_largest_float_is_accepted(self):
+        half = sys.float_info.max / 2
+        assert build({"data.center_spread": repr(half)}).data.center_spread == half
+        # a CSV run generates nothing, so the spread is not its concern
+        build({"data.center_spread": "1e308", "data.path": "features.csv"})
 
     def test_transfer_rules(self):
         with pytest.raises(ConfigError, match="requires transfer.policy_path"):

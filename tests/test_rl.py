@@ -492,7 +492,7 @@ class TestPolicyUpdater:
             with pytest.raises(ValueError) as exc:
                 check("frozen-identity")
             assert str(exc.value) == (
-                "unknown rl algorithm 'frozen-identity'; "
+                "rl.algorithm: unknown rl algorithm 'frozen-identity'; "
                 "valid algorithms: reinforce, reinforce-ema, a2c, ppo-ema, ppo-a2c"
             )
 
