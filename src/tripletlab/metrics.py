@@ -83,8 +83,8 @@ def _row_blocks(n: int) -> list[slice]:
 
 
 def _count(mask: np.ndarray) -> np.ndarray:
-    """True entries per row of a 2-D boolean mask."""
-    return np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.intp)
+    """True entries per row of a 2-D boolean mask, in the narrowest unsigned dtype holding a row's length."""
+    return np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.min_scalar_type(mask.shape[1]))
 
 
 def recall_at_k(dist: np.ndarray, plan: EvalPlan, ks=(1, 2, 4)) -> dict:

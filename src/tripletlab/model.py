@@ -82,8 +82,7 @@ class ForwardCache:
     """Intermediate activations retained for exact backprop."""
 
     inputs: np.ndarray
-    pre_acts: list        # z_l = a_{l-1} W_l + b_l for each hidden layer
-    acts: list            # relu(z_l)
+    acts: list            # relu(a_{l-1} W_l + b_l) per hidden layer, > 0 exactly where its argument is
     norms: np.ndarray     # row norms of the output layer's y, (N, 1), finite and >= _NORM_FLOOR
     embeddings: np.ndarray
     version: int
@@ -162,18 +161,20 @@ class FlatParams:
         self._version += 1
 
     def _forward_layers(self, x: np.ndarray, params: np.ndarray | None = None):
-        """(output, pre_acts, acts) of rows x; params, laid out like get_params(), replaces `params`."""
+        """(output, acts) of rows x; params, laid out like get_params(), replaces `params`."""
         weights, biases = self.weights, self.biases
         if params is not None:
             weights, biases = layer_views(np.asarray(params, dtype=np.float64), self.dims)
-        pre_acts, acts = [], []
+        acts = []
         a = x
         for w, b in zip(weights[:-1], biases[:-1]):
-            z = a @ w + b
-            pre_acts.append(z)
-            a = np.maximum(z, 0.0)
+            a = a @ w
+            a += b
+            np.maximum(a, 0.0, out=a)
             acts.append(a)
-        return a @ weights[-1] + biases[-1], pre_acts, acts
+        out = a @ weights[-1]
+        out += biases[-1]
+        return out, acts
 
     def _backward_layers(self, cache, dz: np.ndarray) -> np.ndarray:
         """Backprop dz, the gradient w.r.t. the output rows, to the flat parameter gradient.
@@ -187,7 +188,7 @@ class FlatParams:
             np.matmul(a_prev.T, dz, out=self._grad_w[layer])
             np.add.reduce(dz, axis=0, out=self._grad_b[layer])
             if layer > 0:
-                dz = (dz @ self.weights[layer].T) * (cache.pre_acts[layer - 1] > 0.0)
+                dz = (dz @ self.weights[layer].T) * (cache.acts[layer - 1] > 0.0)
         return self._grad
 
 
@@ -219,7 +220,7 @@ class EmbeddingModel(FlatParams):
         x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
         if x.shape[1] != self.input_dim:
             raise ValueError(f"dimension mismatch: model expects {self.input_dim}, got {x.shape[1]}")
-        y, pre_acts, acts = self._forward_layers(x)
+        y, acts = self._forward_layers(x)
         norms = row_norms(y)[:, None]
         if not np.logical_and.reduce(np.isfinite(norms) & (norms >= _NORM_FLOOR), axis=None):
             raise FloatingPointError(
@@ -227,7 +228,7 @@ class EmbeddingModel(FlatParams):
                 f"(a row norm is not finite or below {_NORM_FLOOR})"
             )
         emb = y / norms
-        cache = ForwardCache(x, pre_acts, acts, norms, emb, self._version)
+        cache = ForwardCache(x, acts, norms, emb, self._version)
         return emb, cache
 
     def backward_from_embedding_grads(self, cache: ForwardCache, d_emb: np.ndarray) -> np.ndarray:

@@ -98,7 +98,6 @@ def build_state(
 @dataclass
 class PolicyCache:
     inputs: np.ndarray  # the state as one row
-    pre_acts: list
     acts: list
     logits: np.ndarray
     value: float | None
@@ -148,11 +147,11 @@ class PolicyNetwork(FlatParams):
         if s.shape != (self.state_dim,):
             raise ValueError(f"state dimension mismatch: expected {self.state_dim}, got {s.shape}")
         x = s[None, :]
-        out, pre_acts, acts = self._forward_layers(x, params)
+        out, acts = self._forward_layers(x, params)
         logits = out[0, : 3 * self.k_bins].reshape(self.k_bins, 3)
         value = float(out[0, -1]) if self.has_value else None
         version = self._version if params is None else -1
-        return PolicyCache(x, pre_acts, acts, logits, value, version)
+        return PolicyCache(x, acts, logits, value, version)
 
     def backward(self, cache: PolicyCache, d_logits: np.ndarray, d_value: float = 0.0) -> np.ndarray:
         """Flat parameter gradient given output-side gradients (see FlatParams._backward_layers)."""
@@ -220,11 +219,11 @@ def sample_action(logits: np.ndarray, rng: np.random.Generator) -> tuple[np.ndar
 
     Trit meaning: 0 decrease, 1 maintain, 2 increase.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    cum = np.cumsum(np.exp(PolicyNetwork.log_softmax(logits)), axis=1)
-    u = rng.random(logits.shape[0])
+    logsm = PolicyNetwork.log_softmax(np.asarray(logits, dtype=np.float64))
+    cum = np.cumsum(np.exp(logsm), axis=1)
+    u = rng.random(logsm.shape[0])
     trits = np.minimum((u[:, None] >= cum).sum(axis=1), 2).astype(np.int64)
-    return trits, log_prob_and_score(logits, trits)[0]
+    return trits, float(logsm[np.arange(logsm.shape[0]), trits].sum())
 
 
 def multipliers_from_trits(trits: np.ndarray, alpha: float, beta_up: float) -> np.ndarray:

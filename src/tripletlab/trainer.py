@@ -1,12 +1,13 @@
 """Training orchestration: episodes of M DML iterations, validation-driven
 rewards, and the per-episode PMF adjustment loop.
 
-One run = one model trained under one sampler kind. For the adaptive kind
-the loop is: train M iterations under the current PMF, evaluate, reward the
-previous adjustment with the sign of the validation-score change, update
-the policy, sample the next adjustment, apply it. Static kinds share the
-identical loop minus the policy machinery, which is what makes controlled
-comparisons and the reduction test possible.
+One run = one model trained under one sampler kind, episode by episode
+(TrainLoop.step_episode). An adaptive episode trains M iterations under the
+current PMF, evaluates, rewards the previous adjustment with the sign of the
+validation-score change, updates the policy, and samples and applies the next
+adjustment. Static kinds run the identical episode minus the policy, which
+makes controlled comparisons and the reduction test possible. All run state
+is on the loop, so a copy.deepcopy of it steps on exactly as the original.
 
 RNG discipline: independent child streams (model init, batches, negatives,
 policy init, policy actions, metric seed) are spawned from the run seed so
@@ -146,6 +147,10 @@ class TrainLoop:
         self.updater = None
         # row 0: the evaluation before training; row ep: the evaluation after episode ep
         self.metrics = np.zeros((cfg.n_episodes + 1, len(METRIC_FIELDS)))
+        self.episode = 0  # episodes done
+        self.eval_plan = None  # built, and row 0 evaluated, by the first step_episode
+        self.pmf_lines, self.transition_lines = [], []  # pmf.jsonl and transitions.jsonl so far
+        self.pending = None  # the last action's Transition; its episode and reward are set on arrival
         if self.kind == "pads":
             self.pmf = init_pmf(cfg.pmf.lambda_min, cfg.pmf.lambda_max, cfg.pmf.k, cfg.pmf.init)
             self._setup_policy()
@@ -245,95 +250,89 @@ class TrainLoop:
 
     # ---- evaluation ----
 
-    def _evaluate(self, plan: EvalPlan, ep: int) -> None:
+    def _evaluate(self, ep: int) -> None:
         # only the embeddings are kept: the activations are freed before the N x N distances
         emb = self.model.forward(self.dataset.features[self.val_idx])[0]
-        self.metrics[ep] = evaluate(emb, plan, kmeans_seed=self.metric_seed)
+        self.metrics[ep] = evaluate(emb, self.eval_plan, kmeans_seed=self.metric_seed)
+
+    def _reward(self, ep: int) -> int:
+        return compute_reward(eval_score(self.metrics[ep]), eval_score(self.metrics[ep - 1]))
+
+    # ---- one episode ----
+
+    def step_episode(self) -> None:
+        """Train episode self.episode + 1 under the current PMF and evaluate it. A run with a
+        policy then rewards, updates on and logs its pending action and draws the next one. The
+        first call also builds the evaluation plan and evaluates row 0."""
+        cfg, ep = self.cfg, self.episode + 1
+        if ep > cfg.n_episodes:
+            raise RuntimeError(f"all {cfg.n_episodes} episodes of the run are done")
+        if self.eval_plan is None:
+            # the validation labels are fixed, so their class groups and codes are built once
+            self.eval_plan = EvalPlan(self.dataset.labels[self.val_idx])
+            self._evaluate(0)
+        if self.kind in ("curriculum-linear", "curriculum-nonlinear"):
+            progress = (ep - 1) * cfg.train.m / cfg.train.total_iterations
+            self.pmf = curriculum_pmf(
+                progress, self.kind.removeprefix("curriculum-"), cfg.pmf.lambda_min, cfg.pmf.lambda_max,
+                cfg.pmf.k, dim=cfg.model.embedding_dim,
+            )
+        if self.pmf is not None:
+            self.pmf_lines.append(json.dumps(self.pmf.snapshot(ep)))
+        for rows, pos in zip(*self._plan_episode(cfg.train.m)):
+            self._train_step(rows, pos)
+        self._evaluate(ep)
+        self.episode = ep
+        if self.policy is None:
+            return
+        if self.pending is not None:
+            self.pending.episode, self.pending.reward = ep, self._reward(ep)
+            if self.updater is not None:
+                self.updater.update(self.pending)
+            if cfg.train.log_transitions:
+                self.transition_lines.append(self.pending.to_json())
+        progress = min(ep * cfg.train.m / cfg.train.total_iterations, 1.0)
+        averages, history, recalls = cfg.train.running_averages, cfg.train.history, cfg.rl.state_recalls
+        state = build_state(self.metrics[: ep + 1], averages, history, self.pmf.p, progress, recalls)
+        cache = self.policy.forward(state)
+        trits, logprob = sample_action(cache.logits, self.rng_policy_act)
+        self.pending = Transition(0, state, trits, logprob, 0, cache.value)
+        self.pmf = apply_action(self.pmf, multipliers_from_trits(trits, cfg.pmf.alpha, cfg.pmf.beta))
 
     # ---- full run ----
 
     def run(self) -> dict:
+        """Train the episodes not yet done and write the artifacts; returns the summary."""
         cfg = self.cfg
         started = time.perf_counter()
-        n_episodes = cfg.n_episodes
-        leftover = cfg.train.total_iterations - n_episodes * cfg.train.m
+        leftover = cfg.train.total_iterations - cfg.n_episodes * cfg.train.m
         if leftover:
             warnings.warn(
                 f"total_iterations not a multiple of m; dropping the last {leftover} iterations",
                 stacklevel=2,
             )
-        # the validation labels are fixed, so their class groups and codes are built once
-        eval_plan = EvalPlan(self.dataset.labels[self.val_idx])
-        self._evaluate(eval_plan, 0)
-        rewards = []
-        pmf_lines = []
-        transition_lines = []
-        pending = None  # the last action's Transition; its episode and reward are set on arrival
+        while self.episode < cfg.n_episodes:
+            self.step_episode()
+        return self._write_artifacts(started)
 
-        for ep in range(1, n_episodes + 1):
-            if self.kind in ("curriculum-linear", "curriculum-nonlinear"):
-                progress = (ep - 1) * cfg.train.m / cfg.train.total_iterations
-                self.pmf = curriculum_pmf(
-                    progress,
-                    self.kind.removeprefix("curriculum-"),
-                    cfg.pmf.lambda_min,
-                    cfg.pmf.lambda_max,
-                    cfg.pmf.k,
-                    dim=cfg.model.embedding_dim,
-                )
-            if self.pmf is not None:
-                pmf_lines.append(json.dumps(self.pmf.snapshot(ep)))
-            for rows, pos in zip(*self._plan_episode(cfg.train.m)):
-                self._train_step(rows, pos)
-            self._evaluate(eval_plan, ep)
-            reward = compute_reward(eval_score(self.metrics[ep]), eval_score(self.metrics[ep - 1]))
-            rewards.append(reward)
-            if self.policy is not None:
-                if pending is not None:
-                    pending.episode, pending.reward = ep, reward
-                    if self.updater is not None:
-                        self.updater.update(pending)
-                    if cfg.train.log_transitions:
-                        transition_lines.append(pending.to_json())
-                progress = ep * cfg.train.m / cfg.train.total_iterations
-                state = build_state(
-                    self.metrics[: ep + 1],
-                    cfg.train.running_averages,
-                    cfg.train.history,
-                    self.pmf.p,
-                    min(progress, 1.0),
-                    cfg.rl.state_recalls,
-                )
-                cache = self.policy.forward(state)
-                trits, logprob = sample_action(cache.logits, self.rng_policy_act)
-                pending = Transition(0, state, trits, logprob, 0, cache.value)
-                mult = multipliers_from_trits(trits, cfg.pmf.alpha, cfg.pmf.beta)
-                self.pmf = apply_action(self.pmf, mult)
-
-        return self._write_artifacts(rewards, pmf_lines, transition_lines, started)
-
-    def _write_artifacts(self, rewards, pmf_lines, transition_lines, started) -> dict:
+    def _write_artifacts(self, started: float) -> dict:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         csv_rows = [CSV_HEADER] + [
-            ",".join([str(ep), *map(repr, self.metrics[ep].tolist()), str(reward)])
-            for ep, reward in enumerate(rewards, start=1)
+            ",".join([str(ep), *map(repr, self.metrics[ep].tolist()), str(self._reward(ep))])
+            for ep in range(1, self.episode + 1)
         ]
         (self.out_dir / "metrics.csv").write_text("\n".join(csv_rows) + "\n")
         (self.out_dir / "config.resolved").write_text("\n".join(resolved_lines(self.cfg)) + "\n")
-        if pmf_lines:
-            (self.out_dir / "pmf.jsonl").write_text("\n".join(pmf_lines) + "\n")
-        if transition_lines:
-            (self.out_dir / "transitions.jsonl").write_text("\n".join(transition_lines) + "\n")
+        if self.pmf_lines:
+            (self.out_dir / "pmf.jsonl").write_text("\n".join(self.pmf_lines) + "\n")
+        if self.transition_lines:
+            (self.out_dir / "transitions.jsonl").write_text("\n".join(self.transition_lines) + "\n")
         # each checkpoint is made text in one piece and written in one call (see README, Run artifacts)
         (self.out_dir / "model.json").write_text(json_text(self.model.to_dict()))
         if self.policy is not None:
             (self.out_dir / "policy.json").write_text(json_text(self.policy.to_dict()))
         if self.pmf is not None:
-            payload = {
-                "lambda_min": self.pmf.lambda_min,
-                "lambda_max": self.pmf.lambda_max,
-                "p": self.pmf.p,
-            }
+            payload = dict(lambda_min=self.pmf.lambda_min, lambda_max=self.pmf.lambda_max, p=self.pmf.p)
             (self.out_dir / "final_pmf.json").write_text(json_text(payload))
         summary = {
             "run_dir": str(self.out_dir),

@@ -44,6 +44,13 @@ def value_grad(policy, state) -> tuple[float, np.ndarray]:
     return cache.value, policy.backward(cache, np.zeros((policy.k_bins, 3)), d_value=1.0)
 
 
+def pre_activations(cache, weights, biases) -> list:
+    """z_l = a_{l-1} W_l + b_l of each hidden layer, recomputed from a forward cache's inputs and
+    activations and the weights it was taken with (the caches keep only relu(z_l))."""
+    prev = [cache.inputs, *cache.acts[:-1]]
+    return [a @ w + b for a, w, b in zip(prev, weights, biases)]
+
+
 def maintain_policy(cfg, has_value: bool) -> PolicyNetwork:
     """A policy for cfg's state whose every draw is "maintain": with zero last-layer weights each
     head's logits are its bias [-1e3, 0, -1e3], and exp(-1e3) underflows to exactly 0."""

@@ -32,7 +32,7 @@ from tripletlab.rl import (
 from tripletlab.samplers import SamplingPMF, apply_action, init_pmf, sample_negative_semihard
 from tripletlab.trainer import train
 
-from conftest import log_prob_grad, maintain_policy, value_grad
+from conftest import log_prob_grad, maintain_policy, pre_activations, value_grad
 
 
 @contextmanager
@@ -112,7 +112,7 @@ def kink_free_model_setup(seed, loss_kind):
             margins = np.concatenate(
                 [loss.gamma + d_ap - loss.beta_margin, loss.gamma - d_an + loss.beta_margin]
             )
-        pre_ok = all(np.min(np.abs(z)) > 1e-3 for z in cache.pre_acts)
+        pre_ok = all(np.min(np.abs(z)) > 1e-3 for z in pre_activations(cache, model.weights, model.biases))
         if np.min(np.abs(margins)) > 1e-3 and pre_ok:
             return model, x, triplets, loss
     raise AssertionError("could not build a kink-free configuration")
@@ -124,7 +124,7 @@ def kink_free_policy_setup(seed, has_value):
     for _ in range(60):
         s = rng.standard_normal(5)
         cache = policy.forward(s)
-        if min(np.abs(z).min() for z in cache.pre_acts) > 1e-3:
+        if min(np.abs(z).min() for z in pre_activations(cache, policy.weights, policy.biases)) > 1e-3:
             return policy, s
     raise AssertionError("could not find a kink-free probe state")
 

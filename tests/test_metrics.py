@@ -166,6 +166,21 @@ class TestRecall:
             assert list(got) == list(want)
             assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
 
+    @pytest.mark.parametrize("tied", [False, True], ids=["closer", "tied"])
+    def test_counts_past_256_per_row_stay_exact(self, tied):
+        """Row 0's mate ranks behind 256 others (nearer, or tied at a lower index): a count held
+        in a dtype that wraps at 256 would rank it first."""
+        n = 258
+        dist = np.ones((n, n))
+        np.fill_diagonal(dist, 0.0)
+        labels = np.arange(n)
+        mate = n - 1 if tied else 1
+        labels[mate] = 0
+        if not tied:
+            dist[0, mate] = dist[mate, 0] = 1.5
+        want = {k: 1 / n if tied else 0.0 for k in (1, 2, 4)}
+        assert recall_at_k(dist, EvalPlan(labels)) == reference_recall_at_k(labels, (1, 2, 4), dist) == want
+
     def test_tie_breaks_by_lower_index(self):
         # three identical points: every neighbor list is a pure tie, so the
         # ranking is decided entirely by index order

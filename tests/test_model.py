@@ -24,6 +24,8 @@ from tripletlab.model import (
 )
 from tripletlab.rl import PolicyNetwork, state_dim, uses_value_head
 
+from conftest import pre_activations
+
 
 def fd_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central finite differences of a scalar function, one coordinate at a time."""
@@ -78,7 +80,7 @@ def make_setup(seed: int, loss_kind: str = "triplet"):
             margins = np.concatenate(
                 [loss.gamma + d_ap - loss.beta_margin, loss.gamma - d_an + loss.beta_margin]
             )
-        pre_ok = all(np.min(np.abs(z)) > 1e-3 for z in cache.pre_acts)
+        pre_ok = all(np.min(np.abs(z)) > 1e-3 for z in pre_activations(cache, model.weights, model.biases))
         if np.min(np.abs(margins)) > 1e-3 and pre_ok:
             return model, x, triplets, loss
     raise AssertionError("could not build a kink-free configuration")

@@ -20,7 +20,7 @@ from tripletlab.rl import (
     state_metric_fields,
 )
 
-from conftest import log_prob_grad, value_grad
+from conftest import log_prob_grad, pre_activations, value_grad
 
 
 def make_policy(seed=0, state_dim_=7, k_bins=3, has_value=False, hidden=12):
@@ -33,7 +33,7 @@ def safe_state(policy, seed=0, margin=1e-3, tries=60):
     for _ in range(tries):
         s = rng.standard_normal(policy.state_dim)
         cache = policy.forward(s)
-        if min(np.abs(z).min() for z in cache.pre_acts) > margin:
+        if min(np.abs(z).min() for z in pre_activations(cache, policy.weights, policy.biases)) > margin:
             return s
     raise AssertionError("could not find a kink-free probe state")
 
@@ -337,7 +337,8 @@ class TestPolicyMatchesHandUnrolledReference:
             s = rng.standard_normal(state_dim_)
             cache = policy.forward(s)
             z1, a1, z2, a2, logits, value = reference_policy_forward(policy, s)
-            for got, want in zip([*cache.pre_acts, *cache.acts], [z1, z2, a1, a2]):
+            pre = pre_activations(cache, policy.weights, policy.biases)
+            for got, want in zip([*pre, *cache.acts], [z1, z2, a1, a2]):
                 assert got[0].tobytes() == want.tobytes()
             assert cache.logits.tobytes() == logits.tobytes()
             assert repr(cache.value) == repr(value)
@@ -369,7 +370,8 @@ class TestPolicyMatchesHandUnrolledReference:
             theta = rng.standard_normal(policy.n_params) * 0.2
             cache = policy.forward(s, theta)
             z1, a1, z2, a2, logits, value = reference_policy_forward(policy, s, theta)
-            for got, want in zip([*cache.pre_acts, *cache.acts], [z1, z2, a1, a2]):
+            pre = pre_activations(cache, *layer_views(theta, policy.dims))
+            for got, want in zip([*pre, *cache.acts], [z1, z2, a1, a2]):
                 assert got[0].tobytes() == want.tobytes()
             assert cache.logits.tobytes() == logits.tobytes()
             assert repr(cache.value) == repr(value)

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import threading
@@ -431,6 +432,66 @@ def artifact_bytes(run_dir: Path) -> dict:
             data = json.dumps(summary).encode()
         out[path.name] = data
     return out
+
+
+EPISODE_CASES = {
+    "pads": {"rl.algorithm": "ppo-a2c"},
+    "random": {"sampler.kind": "random"},
+    "semihard-margin-beta": {"sampler.kind": "semihard", "loss.kind": "margin", "loss.learnable_beta": "true"},
+    "curriculum-nonlinear": {"sampler.kind": "curriculum-nonlinear"},
+    "fixed-policy": {"transfer.mode": "fixed-policy", "data.seed": 5},
+}
+
+
+def episode_cfg(tmp_path, case: str, **overrides):
+    """A 5-episode small_flat config of one EPISODE_CASES entry; a fixed-policy student gets a teacher."""
+    flat = {"train.total_iterations": 25, **EPISODE_CASES[case], **overrides}
+    if case == "fixed-policy":
+        train(small_flat(), tmp_path / "teacher")
+        flat["transfer.policy_path"] = tmp_path / "teacher" / "policy.json"
+    return small_flat(**flat)
+
+
+class TestEpisodes:
+    @pytest.mark.parametrize("case", list(EPISODE_CASES))
+    def test_deep_copy_steps_to_the_same_next_row(self, tmp_path, case):
+        """All run state is on the loop: a copy after k episodes trains on exactly as the original."""
+        loop = TrainLoop(episode_cfg(tmp_path, case), tmp_path / "original")
+        for _ in range(2):
+            loop.step_episode()
+        twin = copy.deepcopy(loop)
+        twin.out_dir = tmp_path / "copy"
+        loop.step_episode()
+        twin.step_episode()
+        assert twin.episode == loop.episode == 3
+        assert twin.metrics[3].tobytes() == loop.metrics[3].tobytes()
+        loop.run()
+        twin.run()
+        assert artifact_bytes(tmp_path / "copy") == artifact_bytes(tmp_path / "original")
+
+    @pytest.mark.parametrize("case", ["pads", "random", "curriculum-nonlinear"])
+    def test_run_after_manual_steps_trains_only_the_rest(self, tmp_path, case):
+        cfg = episode_cfg(tmp_path, case)
+        train(cfg, tmp_path / "whole")
+        loop = TrainLoop(cfg, tmp_path / "stepped")
+        for _ in range(3):
+            loop.step_episode()
+        steps = loop.opt.t
+        loop.run()
+        assert loop.opt.t == steps + 2 * cfg.train.m
+        assert artifact_bytes(tmp_path / "stepped") == artifact_bytes(tmp_path / "whole")
+
+    def test_second_run_trains_nothing_and_rewrites_the_same_artifacts(self, tmp_path):
+        loop = TrainLoop(episode_cfg(tmp_path, "pads"), tmp_path / "run")
+        loop.run()
+        first, steps = artifact_bytes(tmp_path / "run"), loop.opt.t
+        loop.run()
+        assert loop.opt.t == steps and loop.episode == 5
+        assert artifact_bytes(tmp_path / "run") == first
+        assert len(first["metrics.csv"].splitlines()) == 1 + 5
+        with pytest.raises(RuntimeError, match="all 5 episodes of the run are done"):
+            loop.step_episode()
+        assert loop.opt.t == steps
 
 
 @pytest.mark.parametrize(
