@@ -530,7 +530,8 @@ NON_FINITE = re.compile(r"(?<![A-Za-z_])(NaN|Infinity|nan|inf)(?![A-Za-z_])")
 @pytest.mark.parametrize("key, value", SWEEP_CASES, ids=[f"{k}={v}" for k, v in SWEEP_CASES])
 def test_schema_sweep_exits_one_naming_the_key_or_trains_finite(tmp_path, monkeypatch, capsys, key, value):
     """Every key at the edge values of its type on a 2-episode run: refused naming the key with no
-    run directory, or trained with finite artifacts; a run-time failure only where listed."""
+    run directory, or trained with finite artifacts; a run-time failure only where listed, and with
+    no run directory either."""
     monkeypatch.chdir(tmp_path)  # a relative data.path names nothing
     tiny = {
         "data.n_classes": "4", "data.per_class": "12", "data.input_dim": "6", "model.hidden": "16",
@@ -543,6 +544,7 @@ def test_schema_sweep_exits_one_naming_the_key_or_trains_finite(tmp_path, monkey
     err = capsys.readouterr().err
     if (key, value) in RUNTIME_FAILURES:
         assert rc == 2, "listed as a run-time failure, but it no longer fails at run time"
+        assert not out.exists()
     elif rc == 1:
         assert re.search(rf"(?<![\w.]){re.escape(key)}\b", err), err  # "seed" is not "data.seed"
         assert not out.exists()

@@ -1,3 +1,5 @@
+import copy
+import os
 import re
 import warnings
 
@@ -65,6 +67,20 @@ class TestLabeledDataset:
         ds = LabeledDataset(features, np.array([0, 0, 1, 1]))
         assert ds.features.dtype == np.float64
         assert np.array_equal(ds.features, np.arange(8).reshape(4, 2))
+
+    def test_arrays_are_read_only_views(self):
+        features = np.arange(8, dtype=np.float32).reshape(4, 2)
+        ds = LabeledDataset(features, np.array([0, 0, 1, 1]))
+        assert ds.features is not features and np.shares_memory(ds.features, features)
+        assert features.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ds.features[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            ds.labels[:] = 0
+
+    def test_deep_copy_is_the_dataset_itself(self):
+        ds = generate_synthetic(2, 3, 4, seed=0)
+        assert copy.deepcopy(ds) is ds
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_rejects_non_finite_float32_features(self, value):
@@ -511,3 +527,122 @@ class TestLoadEdgeCases:
             load_dataset(path)
         path.write_text("f0,label\n1.0,0\n2.0,0\n3.0,1\n4.0,1\n")
         assert np.array_equal(load_dataset(path).labels, [0, 0, 1, 1])
+
+
+# (text, expected float32 result): the rounding corners of the float64 -> float32 cast
+_CAST_CORNERS = [
+    "3.4028234663852886e+38",  # float32 max, exactly
+    "3.4028235677973362e+38",  # just below the midpoint to the next power: rounds down to max
+    "3.4028235677973366e+38",  # the midpoint: rounds up, overflows
+    "1.401298464324817e-45",  # smallest subnormal
+    "7.006492321624085e-46",  # half of it: ties to even, zero
+    "7.006492321624087e-46",  # just above half: the smallest subnormal
+    "1.1754942e-38",  # the largest subnormal's neighbourhood
+    "-0",
+]
+
+
+def test_float32_parse_rounds_as_float64_then_cast(tmp_path):
+    """Features are read straight to float32; that rounds exactly as a float64 parse followed by
+    astype(np.float32), from below the smallest subnormal to past the float32 range."""
+    rng = np.random.default_rng(2003)
+    n = 20_000
+    magnitudes = 10.0 ** rng.uniform(-46, 39, size=n) * rng.choice([-1.0, 1.0], size=n)
+    digits = rng.integers(0, 18, size=n)
+    texts = [f"{x:.{p}e}" for x, p in zip(magnitudes, digits)] + _CAST_CORNERS
+    with np.errstate(over="ignore"):
+        want = np.array([float(t) for t in texts]).astype(np.float32)
+    finite = np.isfinite(want)
+    assert 0 < finite.sum() < len(texts) and (want[finite] == 0).any()
+
+    def write(name, values):
+        path = tmp_path / name
+        rows = "".join(f"{t},{i % 2}\n" for i, t in enumerate(values))
+        path.write_text("f0,label\n" + rows)
+        return path
+
+    kept = [t for t, ok in zip(texts, finite) if ok]
+    got = load_dataset(write("finite.csv", kept)).features[:, 0]
+    assert got.view(np.uint32).tobytes() == want[finite].view(np.uint32).tobytes()
+    first_bad = int(np.argmin(finite))
+    with pytest.raises(ValueError, match=rf"all\.csv:{first_bad + 2}: feature '{re.escape(texts[first_bad])}'"):
+        load_dataset(write("all.csv", texts))
+
+
+class TestLoadMemo:
+    """A process parses a CSV file again only when its bytes change."""
+
+    BODY = "f0,f1,label\n1.0,2.0,0\n3.0,4.0,0\n5.0,6.0,1\n7.0,8.0,1\n"
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """Every np.loadtxt call the loader makes, appended as it happens."""
+        calls, real = [], np.loadtxt
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting)
+        return calls
+
+    def test_unchanged_file_is_parsed_once(self, tmp_path, parses):
+        path = tmp_path / "ds.csv"
+        path.write_text(self.BODY)
+        first = load_dataset(path)
+        assert load_dataset(path) is first
+        assert load_dataset(str(path)) is first
+        assert len(parses) == 1
+
+    def test_same_size_rewrite_with_the_old_mtime_is_parsed_again(self, tmp_path, parses):
+        path = tmp_path / "ds.csv"
+        path.write_text(self.BODY)
+        first = load_dataset(path)
+        before = path.stat()
+        path.write_text(self.BODY.replace("7.0", "9.0"))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        second = load_dataset(path)
+        assert second is not first and len(parses) == 2
+        assert second.features[3, 0] == 9.0 and first.features[3, 0] == 7.0
+        assert load_dataset(path) is second and len(parses) == 2
+
+    def test_a_failed_parse_keeps_the_last_entry(self, tmp_path, parses):
+        path = tmp_path / "ds.csv"
+        path.write_text(self.BODY)
+        first = load_dataset(path)
+        path.write_text(self.BODY.replace("5.0", "x"))
+        with pytest.raises(ValueError, match=r"ds\.csv:4: could not convert string to float: 'x'"):
+            load_dataset(path)
+        with pytest.raises(FileNotFoundError):
+            load_dataset(tmp_path / "missing.csv")
+        path.write_text(self.BODY)
+        assert load_dataset(path) is first and len(parses) == 2
+        path.write_text(self.BODY.replace("5.0", "5.5"))
+        fixed = load_dataset(path)
+        assert fixed.features[2, 0] == 5.5 and len(parses) == 3
+
+    def test_remap_warning_is_issued_on_a_hit_as_on_a_miss(self, tmp_path, parses):
+        path = tmp_path / "gap.csv"
+        path.write_text(self.BODY.replace(",0\n", ",5\n").replace(",1\n", ",9\n"))
+        loaded = []
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                loaded.append(load_dataset(path))
+            assert [(w.category, str(w.message)) for w in caught] == [
+                (UserWarning, f"{path}: remapping non-contiguous labels to 0..1")
+            ]
+        assert loaded[1] is loaded[0] and len(parses) == 1
+        assert np.array_equal(loaded[0].labels, [0, 0, 1, 1])
+
+    def test_a_loaded_dataset_cannot_be_written(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        path.write_text(self.BODY)
+        ds = load_dataset(path)
+        with pytest.raises(ValueError, match="read-only"):
+            ds.features[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            ds.labels[0] = 1
+        assert load_dataset(path).features[0, 0] == 1.0

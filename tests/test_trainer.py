@@ -494,6 +494,20 @@ class TestEpisodes:
         assert loop.opt.t == steps
 
 
+def test_deep_copy_shares_the_read_only_dataset(tmp_path):
+    """A copied loop holds the original's dataset, which neither can write."""
+    loop = TrainLoop(small_flat(), tmp_path / "run")
+    loop.step_episode()
+    twin = copy.deepcopy(loop)
+    assert twin.dataset is loop.dataset
+    assert np.shares_memory(twin.dataset.features, loop.dataset.features)
+    for dataset in (loop.dataset, twin.dataset):
+        with pytest.raises(ValueError, match="read-only"):
+            dataset.features[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            dataset.labels[0] = 0
+
+
 @pytest.mark.parametrize(
     "overrides",
     [{"sampler.kind": kind} for kind in SAMPLER_KINDS]
