@@ -38,7 +38,8 @@ class LabeledDataset:
     input is kept as it is, any other dtype or a list becomes float64);
     labels are 0..C-1 with every class present and holding at least 2
     samples (one sample cannot form a positive pair). Both are held as
-    read-only views, and a deep copy is the dataset itself.
+    read-only views, also in a pickled copy, and a deep copy is the dataset
+    itself.
     """
 
     features: np.ndarray
@@ -68,6 +69,10 @@ class LabeledDataset:
 
     def __deepcopy__(self, memo):
         return self
+
+    def __reduce__(self):
+        # rebuilt through __init__, so a pickled copy is checked and read-only like the original
+        return type(self), (self.features, self.labels)
 
     @property
     def n(self) -> int:
@@ -112,7 +117,7 @@ def generate_synthetic(
     """
     if n_classes < 1 or per_class < 1 or input_dim < 1:
         raise ValueError("n_classes, per_class and input_dim must all be >= 1")
-    require_finite_spread(center_spread)
+    require_valid_spread(center_spread)
     if not np.isfinite(within_std):
         raise ValueError(f"within_std must be finite, got {within_std}")
     if np.signbit(within_std):
@@ -125,10 +130,12 @@ def generate_synthetic(
     return LabeledDataset(features, labels)
 
 
-def require_finite_spread(spread: float) -> None:
-    """Raise ValueError unless the centers' range, 2 * spread wide, is a finite float64."""
+def require_valid_spread(spread: float) -> None:
+    """Raise ValueError unless spread is positive and the centers' range, 2 * spread, is a finite float64."""
     if not np.isfinite(2.0 * float(spread)):
         raise ValueError(f"center_spread must be finite and at most half the largest float64, got {spread}")
+    if not spread > 0:
+        raise ValueError("center_spread must be positive")
 
 
 def save_dataset(dataset: LabeledDataset, path) -> None:

@@ -116,8 +116,13 @@ class FlatParams:
     so caches taken before it are rejected. Subclasses add what follows the
     last linear layer: the embedding's normalization, the policy's heads.
     A copy made by copy.deepcopy or pickle gets views of its own buffers.
+
+    A subclass names its checkpoint KIND and, in SHAPE, the constructor
+    arguments that fix its layer widths; a checkpoint is those plus params.
     """
 
+    KIND: str
+    SHAPE: tuple
     dims: tuple
     params: np.ndarray
     _version: int
@@ -160,6 +165,23 @@ class FlatParams:
         opt.step(self.params, grads)
         self._version += 1
 
+    def to_dict(self) -> dict:
+        """The checkpoint: kind, the SHAPE arguments and a copy of params; json_text writes it."""
+        shape = {name: getattr(self, name) for name in self.SHAPE}
+        return {"kind": self.KIND, **shape, "params": self.get_params()}
+
+    @classmethod
+    def from_dict(cls, payload: dict):
+        """The network a to_dict payload describes, built through __init__ and loaded by set_params."""
+        if payload.get("kind") != cls.KIND:
+            raise ValueError(f"unsupported checkpoint kind {payload.get('kind')!r}")
+        missing = [name for name in (*cls.SHAPE, "params") if name not in payload]
+        if missing:
+            raise ValueError(f"checkpoint lacks {', '.join(map(repr, missing))}")
+        net = cls(**{name: payload[name] for name in cls.SHAPE}, rng=np.random.default_rng(0))
+        net.set_params(payload["params"])
+        return net
+
     def _forward_layers(self, x: np.ndarray, params: np.ndarray | None = None):
         """(output, acts) of rows x; params, laid out like get_params(), replaces `params`."""
         weights, biases = self.weights, self.biases
@@ -194,6 +216,9 @@ class FlatParams:
 
 class EmbeddingModel(FlatParams):
     """MLP input_dim -> hidden... -> embedding_dim with unit-norm output rows."""
+
+    KIND = "mlp-unit-norm"
+    SHAPE = ("input_dim", "hidden", "embedding_dim")
 
     def __init__(self, input_dim: int, hidden, embedding_dim: int, rng: np.random.Generator):
         if input_dim < 1 or embedding_dim < 2:
@@ -238,43 +263,6 @@ class EmbeddingModel(FlatParams):
         dz = (d_emb - np.add.reduce(d_emb * emb, axis=1, keepdims=True) * emb) / cache.norms
         return self._backward_layers(cache, dz)
 
-    # ---- checkpointing ----
-
-    def to_dict(self) -> dict:
-        """The checkpoint, weights as array copies; json_text writes it."""
-        return {
-            "kind": "mlp-unit-norm",
-            "input_dim": self.input_dim,
-            "hidden": list(self.hidden),
-            "embedding_dim": self.embedding_dim,
-            "layers": [{"w": w.copy(), "b": b.copy()} for w, b in zip(self.weights, self.biases)],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "EmbeddingModel":
-        if payload.get("kind") != "mlp-unit-norm":
-            raise ValueError(f"unsupported checkpoint kind {payload.get('kind')!r}")
-        model = cls(
-            int(payload["input_dim"]),
-            payload["hidden"],
-            int(payload["embedding_dim"]),
-            np.random.default_rng(0),
-        )
-        layers = payload["layers"]
-        if len(layers) != len(model.weights):
-            raise ValueError(
-                f"checkpoint has {len(layers)} layers, its dimensions need {len(model.weights)}"
-            )
-        for i, (layer, w, b) in enumerate(zip(layers, model.weights, model.biases)):
-            for key, dest in (("w", w), ("b", b)):
-                value = np.asarray(layer[key], dtype=np.float64)
-                if value.shape != dest.shape:
-                    raise ValueError(
-                        f"checkpoint layer {i} {key!r} has shape {value.shape}, expected {dest.shape}"
-                    )
-                dest[...] = value
-        return model
-
 
 # -------------------------
 # Checkpoint text
@@ -286,10 +274,9 @@ JSON_CHUNK = 4096  # values of a 1-D array that json_text turns into Python numb
 def json_text(payload) -> str:
     """json.dumps(payload) with every array in payload taken as its tolist().
 
-    A 1-D array is encoded JSON_CHUNK values at a time and a 2-D array one
-    row at a time, so the Python numbers of only one piece are alive at once;
-    the pieces are joined once, and the peak is about twice the text plus
-    the arrays.
+    A 1-D array is encoded JSON_CHUNK values at a time, so the Python
+    numbers of only one piece are alive at once; the pieces are joined once,
+    and the peak is about twice the text plus the arrays.
     """
     return "".join(_json_pieces(payload))
 
@@ -300,7 +287,7 @@ def _json_pieces(value):
         for lo in range(0, value.size, JSON_CHUNK):
             yield (", " if lo else "") + json.dumps(value[lo : lo + JSON_CHUNK].tolist())[1:-1]
         yield "]"
-    elif isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray) and value.ndim > 1):
+    elif isinstance(value, (list, tuple)):
         yield "["
         for i, item in enumerate(value):
             if i:

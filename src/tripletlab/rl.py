@@ -111,6 +111,9 @@ class PolicyNetwork(FlatParams):
     the output row into the K 3-way heads and the value.
     """
 
+    KIND = "policy-3way-heads"
+    SHAPE = ("state_dim", "k_bins", "has_value", "hidden")
+
     def __init__(
         self,
         state_dim: int,
@@ -169,33 +172,6 @@ class PolicyNetwork(FlatParams):
     def log_softmax(logits: np.ndarray) -> np.ndarray:
         shifted = logits - logits.max(axis=1, keepdims=True)
         return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-    # ---- checkpointing ----
-
-    def to_dict(self) -> dict:
-        """The checkpoint, parameters as an array copy; json_text writes it."""
-        return {
-            "kind": "policy-3way-heads",
-            "state_dim": self.state_dim,
-            "k_bins": self.k_bins,
-            "has_value": self.has_value,
-            "hidden": self.hidden,
-            "params": self.get_params(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PolicyNetwork":
-        if payload.get("kind") != "policy-3way-heads":
-            raise ValueError(f"unsupported checkpoint kind {payload.get('kind')!r}")
-        net = cls(
-            payload["state_dim"],
-            payload["k_bins"],
-            payload["has_value"],
-            np.random.default_rng(0),
-            hidden=payload["hidden"],
-        )
-        net.set_params(np.asarray(payload["params"], dtype=np.float64))
-        return net
 
 
 # -------------------------

@@ -134,9 +134,10 @@ class TestRun:
                 ["data.center_spread=1e308"],
                 "data.center_spread must be finite and at most half the largest float64, got 1e+308",
             ),
+            (["data.center_spread=0"], "data.center_spread must be positive"),
         ],
         ids=["seed", "data-seed", "negative-zero-std", "per-class-2", "per-class-3-half", "by-class-2",
-             "spread-9e307", "spread-1e308"],
+             "spread-9e307", "spread-1e308", "spread-0"],
     )
     def test_values_the_run_would_refuse_exit_one_naming_the_key(
         self, base_cfg, tmp_path, capsys, overrides, error
@@ -436,6 +437,13 @@ class TestGenData:
         rc = main(["gen-data", "--out", str(tmp_path / "ds.csv"), flag, value])
         assert rc == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "ds.csv").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_a_spread_the_run_refuses_exits_one(self, tmp_path, capsys, value):
+        rc = main(["gen-data", "--out", str(tmp_path / "ds.csv"), "--spread", value])
+        assert rc == 1
+        assert "center_spread must be positive" in capsys.readouterr().err
         assert not (tmp_path / "ds.csv").exists()
 
 

@@ -177,7 +177,7 @@ class TestValidation:
         assert key == ("data.n_classes" if "by-class" in overrides.values() else "data.per_class")
         assert str(split.value).endswith(rule)
 
-    @pytest.mark.parametrize("value", ["9e307", "1e308", "1.7e308"])
+    @pytest.mark.parametrize("value", ["9e307", "1e308", "1.7e308", "nan", "0", "-0.0", "-1"])
     def test_center_spread_refused_as_generate_synthetic_refuses_it(self, value):
         with pytest.raises(ConfigError) as exc:
             build({"data.center_spread": value})

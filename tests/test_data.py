@@ -1,5 +1,6 @@
 import copy
 import os
+import pickle
 import re
 import warnings
 
@@ -81,6 +82,18 @@ class TestLabeledDataset:
     def test_deep_copy_is_the_dataset_itself(self):
         ds = generate_synthetic(2, 3, 4, seed=0)
         assert copy.deepcopy(ds) is ds
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_pickled_copy_is_equal_and_read_only(self, dtype):
+        ds = generate_synthetic(2, 3, 4, seed=0)
+        ds = LabeledDataset(ds.features.astype(dtype), ds.labels)
+        clone = pickle.loads(pickle.dumps(ds))
+        for name in ("features", "labels"):
+            value, copied = getattr(ds, name), getattr(clone, name)
+            assert copied.dtype == value.dtype and np.array_equal(copied, value)
+            assert not copied.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            clone.features[0, 0] = 1.0
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_rejects_non_finite_float32_features(self, value):

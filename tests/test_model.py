@@ -13,6 +13,7 @@ from tripletlab.config import RunConfig
 from tripletlab.model import (
     Adam,
     EmbeddingModel,
+    FlatParams,
     LossConfig,
     backward,
     embedding_grads,
@@ -265,41 +266,77 @@ def test_copied_network_is_bound_to_its_own_buffers(rng, copy_net, build, output
     assert np.array_equal(output(net, x), out)
 
 
-#: (edit of the checkpoint's layer list, expected error) for layers that do not fit the dimensions
-MALFORMED_LAYERS = [
-    (lambda layers: layers.pop(), "2 layers"),
-    (lambda layers: layers.append(layers[-1]), "4 layers"),
-    (lambda layers: layers[1].update(w=layers[1]["w"][:1]), "layer 1 'w'"),
-    (lambda layers: layers[1].update(w=np.asarray(layers[1]["w"]).T.tolist()), "layer 1 'w'"),
-    (lambda layers: layers[0].update(b=layers[0]["b"][:1]), "layer 0 'b'"),
-    (lambda layers: layers[2].update(b=0.5), "layer 2 'b'"),
-    (lambda layers: layers[2].update(b=[layers[2]["b"]]), "layer 2 'b'"),
-]
+#: edits of a checkpoint's params that no longer fit its dimensions
+MALFORMED_PARAMS = {
+    "too-short": lambda params: params[:-1],
+    "too-long": lambda params: [*params, 0.0],
+    "2-D": lambda params: [params],
+    "scalar": lambda params: 0.5,
+}
 
 
 class TestCheckpointShapes:
-    @pytest.mark.parametrize("edit,message", MALFORMED_LAYERS)
-    def test_malformed_layers_rejected_by_name(self, rng, edit, message):
-        payload = EmbeddingModel(6, (12, 10), 4, rng).to_dict()
-        layers = [dict(layer) for layer in payload["layers"]]
-        edit(layers)
-        with pytest.raises(ValueError, match=message):
-            EmbeddingModel.from_dict({**payload, "layers": layers})
+    @pytest.mark.parametrize("edit", MALFORMED_PARAMS.values(), ids=MALFORMED_PARAMS)
+    def test_malformed_params_rejected(self, rng, edit):
+        model = EmbeddingModel(6, (12, 10), 4, rng)
+        payload = json.loads(json_text(model.to_dict()))
+        with pytest.raises(ValueError, match=f"expected {model.n_params} parameters"):
+            EmbeddingModel.from_dict({**payload, "params": edit(payload["params"])})
 
     def test_one_dimensional_embedding_checkpoint_rejected(self, rng):
-        # the layers agree with embedding_dim 1, which no model may be built with
+        # params sized for embedding_dim 1, which no model may be built with
         payload = EmbeddingModel(6, (12,), 2, rng).to_dict()
-        w, b = payload["layers"][-1]["w"], payload["layers"][-1]["b"]
-        payload["layers"][-1] = {"w": [row[:1] for row in w], "b": b[:1]}
+        params = np.zeros(6 * 12 + 12 + 12 * 1 + 1)
         with pytest.raises(ValueError, match="embedding_dim >= 2"):
-            EmbeddingModel.from_dict({**payload, "embedding_dim": 1})
+            EmbeddingModel.from_dict({**payload, "embedding_dim": 1, "params": params})
 
-    def test_dimension_fields_must_match_layers(self, rng):
+    def test_dimension_fields_must_match_params(self, rng):
         payload = EmbeddingModel(6, (12, 10), 4, rng).to_dict()
-        with pytest.raises(ValueError, match="layer 0 'w'"):
+        with pytest.raises(ValueError, match="expected 246 parameters"):
             EmbeddingModel.from_dict({**payload, "input_dim": 5})
-        with pytest.raises(ValueError, match="layers"):
+        with pytest.raises(ValueError, match="expected 136 parameters"):
             EmbeddingModel.from_dict({**payload, "hidden": [12]})
+
+    def test_layered_checkpoint_refused_naming_params(self, rng):
+        model = EmbeddingModel(6, (12, 10), 4, rng)
+        payload = {key: value for key, value in model.to_dict().items() if key != "params"}
+        payload["layers"] = [{"w": w.tolist(), "b": b.tolist()} for w, b in zip(model.weights, model.biases)]
+        with pytest.raises(ValueError, match="checkpoint lacks 'params'"):
+            EmbeddingModel.from_dict(payload)
+
+
+def network_of(cls):
+    """(build, output) of the one NETWORKS entry that builds cls."""
+    [(build, output)] = [
+        (build, output) for build, output, _ in NETWORKS.values()
+        if type(build(np.random.default_rng(0))) is cls
+    ]
+    return build, output
+
+
+# every FlatParams network must be listed in NETWORKS, so none can skip KIND and SHAPE
+@pytest.mark.parametrize("cls", FlatParams.__subclasses__(), ids=lambda cls: cls.__name__)
+class TestEveryNetworksCheckpoint:
+    def test_round_trips_through_text(self, rng, cls):
+        build, output = network_of(cls)
+        net = build(rng)
+        net.set_params(rng.normal(size=net.n_params) * 0.3)
+        text = json_text(net.to_dict())
+        clone = cls.from_dict(json.loads(text))
+        assert type(clone) is cls
+        assert clone.params.tobytes() == net.params.tobytes()
+        x = rng.normal(size=(4, 5))
+        assert np.array_equal(output(clone, x), output(net, x))
+        assert json_text(clone.to_dict()) == text
+
+    def test_a_missing_field_is_named(self, rng, cls):
+        payload = network_of(cls)[0](rng).to_dict()
+        assert list(payload) == ["kind", *cls.SHAPE, "params"]
+        for name in (*cls.SHAPE, "params"):
+            with pytest.raises(ValueError, match=f"checkpoint lacks '{name}'"):
+                cls.from_dict({key: value for key, value in payload.items() if key != name})
+        with pytest.raises(ValueError, match="unsupported checkpoint kind"):
+            cls.from_dict({**payload, "kind": "other"})
 
 
 def as_lists(value):
@@ -363,8 +400,7 @@ class TestCheckpointText:
     def test_to_dict_holds_copies(self, rng):
         model = EmbeddingModel(6, (12,), 4, rng)
         policy = PolicyNetwork(7, 3, False, rng, hidden=9)
-        arrays = [a for layer in model.to_dict()["layers"] for a in layer.values()]
-        arrays.append(policy.to_dict()["params"])
+        arrays = [model.to_dict()["params"], policy.to_dict()["params"]]
         assert not any(np.shares_memory(a, net.params) for a in arrays for net in (model, policy))
 
     @pytest.mark.parametrize("network", ["default-policy", "wide-model"])

@@ -200,6 +200,14 @@ class TestEpisodeMechanics:
         assert "transitions.jsonl" not in produced
         assert {"metrics.csv", "config.resolved", "model.json", "summary.json"} <= produced
 
+    def test_checkpoints_reload_as_the_trained_networks(self, tmp_path):
+        loop = TrainLoop(small_flat(), tmp_path / "run")
+        loop.run()
+        for name, net in (("model.json", loop.model), ("policy.json", loop.policy)):
+            payload = json.loads((tmp_path / "run" / name).read_text())
+            assert list(payload) == ["kind", *type(net).SHAPE, "params"]
+            assert type(net).from_dict(payload).params.tobytes() == net.params.tobytes()
+
     def test_adaptive_run_logs_transitions_from_second_episode(self, tmp_path):
         cfg = small_flat(**{"train.total_iterations": 25})  # 5 episodes
         train(cfg, tmp_path / "run")
