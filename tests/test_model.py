@@ -266,12 +266,25 @@ def test_copied_network_is_bound_to_its_own_buffers(rng, copy_net, build, output
     assert np.array_equal(output(net, x), out)
 
 
+#: sizes of the parts w0, b0, w1, b1, w2, b2 (layer_views order) of EmbeddingModel(6, (12, 10), 4)
+PART_SIZES = [6 * 12, 12, 12 * 10, 10, 10 * 4, 4]
+
+
+def cut(params, part, keep=0):
+    """params with the part at index part (in PART_SIZES) cut to its first keep values."""
+    start = sum(PART_SIZES[:part])
+    return params[: start + keep] + params[start + PART_SIZES[part]:]
+
+
 #: edits of a checkpoint's params that no longer fit its dimensions
 MALFORMED_PARAMS = {
     "too-short": lambda params: params[:-1],
     "too-long": lambda params: [*params, 0.0],
     "2-D": lambda params: [params],
     "scalar": lambda params: 0.5,
+    "last-layer-dropped": lambda params: cut(cut(params, 5), 4),
+    "layer-1-w-one-row": lambda params: cut(params, 2, keep=10),
+    "layer-0-b-one-value": lambda params: cut(params, 1, keep=1),
 }
 
 
@@ -279,6 +292,7 @@ class TestCheckpointShapes:
     @pytest.mark.parametrize("edit", MALFORMED_PARAMS.values(), ids=MALFORMED_PARAMS)
     def test_malformed_params_rejected(self, rng, edit):
         model = EmbeddingModel(6, (12, 10), 4, rng)
+        assert [part.size for pair in zip(model.weights, model.biases) for part in pair] == PART_SIZES
         payload = json.loads(json_text(model.to_dict()))
         with pytest.raises(ValueError, match=f"expected {model.n_params} parameters"):
             EmbeddingModel.from_dict({**payload, "params": edit(payload["params"])})
@@ -290,7 +304,7 @@ class TestCheckpointShapes:
         with pytest.raises(ValueError, match="embedding_dim >= 2"):
             EmbeddingModel.from_dict({**payload, "embedding_dim": 1, "params": params})
 
-    def test_dimension_fields_must_match_params(self, rng):
+    def test_dimension_fields_must_match_layers(self, rng):
         payload = EmbeddingModel(6, (12, 10), 4, rng).to_dict()
         with pytest.raises(ValueError, match="expected 246 parameters"):
             EmbeddingModel.from_dict({**payload, "input_dim": 5})
