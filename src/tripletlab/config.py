@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, is_dataclass
 
-from .data import held_out, require_valid_spread, require_valid_split
+from .data import held_out, require_valid_spread, require_valid_split, require_valid_std
 from .model import LossConfig
 from .rl import require_valid_algorithm
 from .samplers import _check_bins, init_pmf, require_valid_kind
@@ -279,10 +279,7 @@ def _validate(values: dict) -> tuple[list, list]:
         need(values["data.n_classes"] >= 2, "data.n_classes must be >= 2 for synthetic data")
         need(values["data.per_class"] >= 2, "data.per_class must be >= 2")
         need(values["data.input_dim"] >= 1, "data.input_dim must be >= 1")
-        need(
-            values["data.within_std"] >= 0 and math.copysign(1.0, values["data.within_std"]) > 0,
-            "data.within_std must be nonnegative and not -0.0",
-        )
+        errors += [f"data.{e}" for e in _raised(require_valid_std, values["data.within_std"])]
         errors += [f"data.{e}" for e in _raised(require_valid_spread, values["data.center_spread"])]
         if sizes_ok and not split_errors:
             # the split of a synthetic dataset is known here; a CSV's waits for split_validation

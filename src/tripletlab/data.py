@@ -118,10 +118,7 @@ def generate_synthetic(
     if n_classes < 1 or per_class < 1 or input_dim < 1:
         raise ValueError("n_classes, per_class and input_dim must all be >= 1")
     require_valid_spread(center_spread)
-    if not np.isfinite(within_std):
-        raise ValueError(f"within_std must be finite, got {within_std}")
-    if np.signbit(within_std):
-        raise ValueError("within_std must be nonnegative and not -0.0")
+    require_valid_std(within_std)
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-center_spread, center_spread, size=(n_classes, input_dim))
     features = np.repeat(centers, per_class, axis=0)
@@ -136,6 +133,14 @@ def require_valid_spread(spread: float) -> None:
         raise ValueError(f"center_spread must be finite and at most half the largest float64, got {spread}")
     if not spread > 0:
         raise ValueError("center_spread must be positive")
+
+
+def require_valid_std(std: float) -> None:
+    """Raise ValueError unless std is finite and nonnegative with a clear sign bit (-0.0 is refused)."""
+    if not np.isfinite(std):
+        raise ValueError(f"within_std must be finite, got {std}")
+    if np.signbit(std):
+        raise ValueError("within_std must be nonnegative and not -0.0")
 
 
 def save_dataset(dataset: LabeledDataset, path) -> None:

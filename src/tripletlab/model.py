@@ -180,6 +180,8 @@ class FlatParams:
             raise ValueError(f"checkpoint lacks {', '.join(map(repr, missing))}")
         net = cls(**{name: payload[name] for name in cls.SHAPE}, rng=np.random.default_rng(0))
         net.set_params(payload["params"])
+        if not np.isfinite(net.params).all():
+            raise ValueError(f"{cls.KIND} checkpoint params must be finite")
         return net
 
     def _forward_layers(self, x: np.ndarray, params: np.ndarray | None = None):

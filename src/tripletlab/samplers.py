@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import inverse_density_weights, log_analytic_density
+from .geometry import log_analytic_density
 
 SAMPLER_KINDS = (
     "random",
@@ -195,8 +195,9 @@ def _require_candidates(mask: np.ndarray) -> None:
 
 
 def distweighted_weights(mask, dist, dim: int, clip_lambda: float | None = None) -> np.ndarray:
-    """inverse_density_weights of each row's candidates, unnormalized; the
-    automatic cap is 4x the median over that row's candidates."""
+    """Per row, unnormalized min(cap, 1/q(d)) over the candidates, zero elsewhere: drawing by them flattens
+    drawn distances where the cap is inactive. The automatic cap (None) is 4x the median over the row's
+    candidates; an explicit one is in units of 1/q. Distances 0 and 2, where 1/q diverges, move inside."""
     _require_candidates(mask)
     log_inv = -log_analytic_density(np.clip(dist, 1e-9, 2.0 - 1e-9), dim)
     if clip_lambda is None:
@@ -206,6 +207,8 @@ def distweighted_weights(mask, dist, dim: int, clip_lambda: float | None = None)
         median = 0.5 * (ordered[rows, (n - 1) // 2] + ordered[rows, n // 2])
         log_cap = (math.log(4.0) + median)[:, None]
     else:
+        if not clip_lambda > 0:
+            raise ValueError("clip threshold must be positive")
         log_cap = math.log(clip_lambda)
     log_w = np.where(mask, np.minimum(log_inv, log_cap), -np.inf)
     return np.exp(log_w - log_w.max(axis=1, keepdims=True))
@@ -276,7 +279,7 @@ def curriculum_pmf(
     from the top of the interval (easy, semihard-like distances) down to
     lambda_min (hard) as t goes 0 -> 1.
 
-    nonlinear: inverse-density weights at the bin centers, exponentially
+    nonlinear: distweighted_weights at the bin centers, exponentially
     tilted toward small distances with strength growing in t; starts as
     the static distance-weighted profile and sharpens onto hard negatives.
     """
@@ -292,7 +295,8 @@ def curriculum_pmf(
         inside = (edges[1:] > lo) & (edges[:-1] < hi)
         p = inside.astype(np.float64)
     elif kind == "nonlinear":
-        p = inverse_density_weights(centers, dim) * np.exp(-4.0 * t * (centers - lambda_min))
+        w = distweighted_weights(np.ones((1, k), bool), centers[None, :], dim)[0]
+        p = w / w.sum() * np.exp(-4.0 * t * (centers - lambda_min))
     else:
         raise ValueError(f"unknown curriculum kind {kind!r}; valid kinds: linear, nonlinear")
     return SamplingPMF(lambda_min, lambda_max, p / p.sum())

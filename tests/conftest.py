@@ -12,6 +12,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from tripletlab.rl import PolicyNetwork, log_prob_and_score, state_dim  # noqa: E402
+from tripletlab.samplers import distweighted_weights  # noqa: E402
 
 
 def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -23,6 +24,13 @@ def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
         v = rng.normal(size=(n, dim))
         norms = np.linalg.norm(v, axis=1, keepdims=True)
     return v / norms
+
+
+def row_weights(distances, dim: int, clip_lambda: float | None = None) -> np.ndarray:
+    """distweighted_weights of one row whose every column is a candidate, normalized to sum 1."""
+    d = np.asarray(distances, dtype=np.float64)
+    w = distweighted_weights(np.ones((1, d.size), dtype=bool), d[None, :], dim, clip_lambda)[0]
+    return w / w.sum()
 
 
 def random_labels(rng: np.random.Generator, n: int, n_classes: int) -> np.ndarray:

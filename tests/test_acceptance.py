@@ -18,7 +18,7 @@ from scipy import stats
 
 from tripletlab.cli import main as cli_main
 from tripletlab.config import config_from_flat
-from tripletlab.geometry import inverse_density_weights, log_analytic_density, pairwise_distances
+from tripletlab.geometry import log_analytic_density, pairwise_distances
 from tripletlab.metrics import EvalPlan, class_distance_stats, nmi, recall_at_k
 from tripletlab.model import EmbeddingModel, LossConfig, backward, json_text, triplet_losses
 from tripletlab.rl import (
@@ -32,7 +32,7 @@ from tripletlab.rl import (
 from tripletlab.samplers import SamplingPMF, apply_action, init_pmf, sample_negative_semihard
 from tripletlab.trainer import train
 
-from conftest import log_prob_grad, maintain_policy, pre_activations, value_grad
+from conftest import log_prob_grad, maintain_policy, pre_activations, row_weights, value_grad
 
 
 @contextmanager
@@ -158,7 +158,7 @@ def test_02_inverse_density_flattens_distances():
         per = 100_000 // n
         for anchor in range(n):
             d = np.delete(dist[anchor], anchor)
-            w = inverse_density_weights(d, dim)
+            w = row_weights(d, dim)
             # weights at the cap are not flattened; restrict to the rest
             log_inv = -log_analytic_density(np.clip(d, 1e-9, 2.0 - 1e-9), dim)
             unclipped = log_inv < math.log(4.0) + np.median(log_inv)

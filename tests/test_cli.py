@@ -111,6 +111,7 @@ class TestRun:
             (["seed=-1"], "seed must be nonnegative"),
             (["data.seed=-1"], "data.seed must be nonnegative"),
             (["data.within_std=-0.0"], "data.within_std must be nonnegative and not -0.0"),
+            (["data.within_std=nan"], "data.within_std must be finite, got nan"),
             (
                 ["data.per_class=2", "train.val_fraction=0.15"],
                 "data.per_class: holding out 1 of 2 samples at train.val_fraction=0.15 "
@@ -136,8 +137,8 @@ class TestRun:
             ),
             (["data.center_spread=0"], "data.center_spread must be positive"),
         ],
-        ids=["seed", "data-seed", "negative-zero-std", "per-class-2", "per-class-3-half", "by-class-2",
-             "spread-9e307", "spread-1e308", "spread-0"],
+        ids=["seed", "data-seed", "negative-zero-std", "nan-std", "per-class-2", "per-class-3-half",
+             "by-class-2", "spread-9e307", "spread-1e308", "spread-0"],
     )
     def test_values_the_run_would_refuse_exit_one_naming_the_key(
         self, base_cfg, tmp_path, capsys, overrides, error
@@ -445,6 +446,17 @@ class TestGenData:
         assert rc == 1
         assert "center_spread must be positive" in capsys.readouterr().err
         assert not (tmp_path / "ds.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "-0.0"])
+    def test_a_std_is_refused_in_the_words_of_run(self, base_cfg, tmp_path, capsys, value):
+        rc = main(["gen-data", "--out", str(tmp_path / "ds.csv"), "--std", value])
+        assert rc == 1
+        [refused] = capsys.readouterr().err.splitlines()[1:]
+        assert refused.startswith("  - within_std must be ")
+        rc = main(["run", "--config", str(base_cfg), "--set", f"data.within_std={value}",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines()[1:] == [refused.replace("  - ", "  - data.", 1)]
 
 
 class TestPlotData:

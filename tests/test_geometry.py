@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripletlab.geometry import inverse_density_weights, log_analytic_density, pairwise_distances
+from tripletlab.geometry import log_analytic_density, pairwise_distances
 
-from conftest import unit_rows
+from conftest import row_weights, unit_rows
 
 
 class TestPairwiseDistances:
@@ -77,35 +77,37 @@ class TestAnalyticDensity:
 
 
 class TestInverseDensityWeights:
+    """The law min(cap, 1/q(d)) of samplers.distweighted_weights, on one row normalized to sum 1."""
+
     def test_normalized_and_nonnegative(self, rng):
         d = rng.uniform(0.2, 1.8, size=64)
-        w = inverse_density_weights(d, 128)
+        w = row_weights(d, 128)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(w >= 0.0)
 
     def test_unclipped_ratio_matches_density(self, rng):
         # with a huge cap the weights are exactly proportional to 1/q
         d = rng.uniform(0.5, 1.5, size=10)
-        w = inverse_density_weights(d, 6, clip_lambda=1e30)
+        w = row_weights(d, 6, clip_lambda=1e30)
         q = np.exp(log_analytic_density(d, 6))
         ratio = w * q
         assert np.allclose(ratio, ratio[0], rtol=1e-9)
 
     def test_tiny_clip_gives_uniform(self, rng):
         d = rng.uniform(0.5, 1.5, size=12)
-        w = inverse_density_weights(d, 6, clip_lambda=1e-30)
+        w = row_weights(d, 6, clip_lambda=1e-30)
         assert np.allclose(w, 1.0 / 12, rtol=1e-12)
 
     def test_total_on_closed_interval(self):
         # endpoints are legal inputs even though the density diverges there
-        w = inverse_density_weights(np.array([0.0, 1.0, 2.0]), 32)
+        w = row_weights(np.array([0.0, 1.0, 2.0]), 32)
         assert np.isfinite(w).all() and w.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_and_bad_clip(self):
-        with pytest.raises(ValueError, match="at least one distance"):
-            inverse_density_weights(np.array([]), 8)
-        with pytest.raises(ValueError, match="positive"):
-            inverse_density_weights(np.array([1.0]), 8, clip_lambda=0.0)
+        with pytest.raises(ValueError, match="no negative candidates"):
+            row_weights(np.array([]), 8)
+        with pytest.raises(ValueError, match="clip threshold must be positive"):
+            row_weights(np.array([1.0]), 8, clip_lambda=0.0)
 
     def test_flattens_sphere_distances(self, rng):
         # drawing by these weights should undo the sphere's distance bias:
@@ -115,7 +117,7 @@ class TestInverseDensityWeights:
         d = pairwise_distances(v)
         iu = np.triu_indices(400, k=1)
         dvals = d[iu]
-        w = inverse_density_weights(dvals, dim, clip_lambda=1e300)
+        w = row_weights(dvals, dim, clip_lambda=1e300)
         lo, hi = 1.2, 1.6  # well-populated, far from clip effects
         bins = np.linspace(lo, hi, 9)
         mass = np.array(
@@ -173,6 +175,6 @@ def test_density_log_finite_everywhere(dim, seed):
     rng = np.random.default_rng(seed)
     d = rng.uniform(1e-6, 2.0 - 1e-6, size=32)
     assert np.all(np.isfinite(log_analytic_density(d, dim)))
-    w = inverse_density_weights(d, dim)
+    w = row_weights(d, dim)
     assert np.isfinite(w).all()
     assert w.sum() == pytest.approx(1.0, abs=1e-9)

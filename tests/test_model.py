@@ -352,6 +352,15 @@ class TestEveryNetworksCheckpoint:
         with pytest.raises(ValueError, match="unsupported checkpoint kind"):
             cls.from_dict({**payload, "kind": "other"})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_params_are_refused(self, rng, cls, value):
+        net = network_of(cls)[0](rng)
+        params = net.get_params()
+        params[params.size // 2] = value
+        payload = json.loads(json_text({**net.to_dict(), "params": params}))
+        with pytest.raises(ValueError, match=f"{cls.KIND} checkpoint params must be finite"):
+            cls.from_dict(payload)
+
 
 def as_lists(value):
     """value with every array replaced by its tolist(): the form json.dumps takes."""

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from tripletlab.geometry import inverse_density_weights, pairwise_distances
+from tripletlab.geometry import log_analytic_density, pairwise_distances
 from tripletlab.samplers import (
     SAMPLER_KINDS,
     SamplingPMF,
@@ -149,6 +149,28 @@ def sphere_batch(seed, n_classes=4, per_class=4, dim=8):
     return labels, pairwise_distances(v)
 
 
+def reference_inverse_density_weights(distances, dim, clip_lambda=None):
+    """The law of distweighted_weights as a one-row, normalized function, kept as the reference.
+
+    min(clip_lambda, 1/q(d)) in log space, the cap 4x the median unclipped weight when None;
+    endpoints are nudged into (0, 2).
+    """
+    distances = np.asarray(distances, dtype=np.float64)
+    if distances.size == 0:
+        raise ValueError("need at least one distance")
+    eps = 1e-9
+    log_inv = -log_analytic_density(np.clip(distances, eps, 2.0 - eps), dim)
+    if clip_lambda is None:
+        log_cap = np.log(4.0) + np.median(log_inv)
+    else:
+        if clip_lambda <= 0:
+            raise ValueError("clip threshold must be positive")
+        log_cap = np.log(clip_lambda)
+    log_w = np.minimum(log_inv, log_cap)
+    w = np.exp(log_w - np.max(log_w))
+    return w / np.sum(w)
+
+
 class TestSemihard:
     def test_spec_example(self):
         mask, dist = one_row([3, 5, 9], [0.4, 0.6, 0.9])
@@ -267,7 +289,7 @@ class TestDistweighted:
     def test_frequencies_match_weight_oracle(self):
         rng = np.random.default_rng(5)
         d_an = np.array([0.4, 0.7, 1.0, 1.3, 1.6])
-        expected = inverse_density_weights(d_an, 16)
+        expected = reference_inverse_density_weights(d_an, 16)
         n = 50_000
         idx = sample_negative_distweighted(*repeated_rows(d_an, n), 16, rng)
         counts = np.bincount(idx, minlength=5)
@@ -277,6 +299,12 @@ class TestDistweighted:
     def test_empty_candidates(self, rng):
         with pytest.raises(ValueError, match="no negative candidates"):
             sample_negative_distweighted(np.zeros((1, 3), dtype=bool), np.zeros((1, 3)), 32, rng)
+
+    @pytest.mark.parametrize("clip", [0.0, -1.0, float("nan")])
+    def test_a_cap_that_is_not_positive_is_refused(self, clip):
+        mask, dist = one_row([0, 2], [0.5, 1.2])
+        with pytest.raises(ValueError, match="clip threshold must be positive"):
+            distweighted_weights(mask, dist, 16, clip)
 
 
 class TestRandomSampler:
@@ -304,7 +332,7 @@ class TestBatchedRowLaws:
         capped_rows = 0
         for i in range(labels.size):
             cols = np.flatnonzero(cand[i])
-            want = inverse_density_weights(dist[i, cols], 8, clip)
+            want = reference_inverse_density_weights(dist[i, cols], 8, clip)
             got = weights[i] / weights[i].sum()
             assert np.all(got[~cand[i]] == 0.0)
             assert np.max(np.abs(got[cols] - want)) <= 1e-12
@@ -485,8 +513,22 @@ class TestCurriculum:
 
     def test_nonlinear_starts_as_static_profile(self):
         pmf = curriculum_pmf(0.0, "nonlinear", 0.1, 1.4, 30, dim=32)
-        expected = inverse_density_weights(pmf.centers, 32)
+        expected = reference_inverse_density_weights(pmf.centers, 32)
         assert np.allclose(pmf.p, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("interval", [(0.0, 2.0), (0.1, 1.4), (0.5, 0.6), (1.2, 2.0), (0.0, 0.3)])
+    @pytest.mark.parametrize("dim", [3, 4, 8, 32, 128, 512])
+    def test_nonlinear_bytes_match_reference_profile(self, interval, dim):
+        lambda_min, lambda_max = interval
+        for k in (2, 3, 7, 30, 64, 128):
+            edges = np.linspace(lambda_min, lambda_max, k + 1)
+            centers = 0.5 * (edges[:-1] + edges[1:])
+            for t in (0.0, 0.01, 0.1, 0.25, 1 / 3, 0.5, 0.7, 0.99, 1.0):
+                want = reference_inverse_density_weights(centers, dim) * np.exp(
+                    -4.0 * t * (centers - lambda_min)
+                )
+                got = curriculum_pmf(t, "nonlinear", lambda_min, lambda_max, k, dim=dim)
+                assert got.p.tobytes() == (want / want.sum()).tobytes(), (k, t)
 
     def test_nonlinear_shifts_toward_hard(self):
         means = [

@@ -688,6 +688,18 @@ class TestVariants:
         teacher = json.loads((tmp_path / "teacher" / "policy.json").read_text())
         assert reloaded["params"] == teacher["params"]
 
+    def test_fixed_policy_of_a_nan_checkpoint_refused_before_training(self, tmp_path):
+        teacher = TrainLoop(small_flat(), tmp_path / "teacher").policy.to_dict()
+        teacher["params"][:] = np.nan
+        (tmp_path / "policy.json").write_text(json_text(teacher))
+        cfg = small_flat(**{
+            "transfer.mode": "fixed-policy",
+            "transfer.policy_path": str(tmp_path / "policy.json"),
+        })
+        with pytest.raises(ValueError, match="policy-3way-heads checkpoint params must be finite"):
+            TrainLoop(cfg, tmp_path / "student")
+        assert not (tmp_path / "student").exists()
+
     def test_fixed_policy_shape_mismatch(self, tmp_path):
         train(small_flat(), tmp_path / "teacher")
         cfg = small_flat(**{
