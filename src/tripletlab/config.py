@@ -205,11 +205,15 @@ def _validate(values: dict) -> tuple[list, list]:
             errors.append(msg)
 
     # nan fails each key's own range check; inf passes the open-ended ones, so it is refused here.
-    # sampler.clip_lambda=inf means "no cap", which no finite cap equals at a large embedding_dim.
+    # sampler.clip_lambda=inf means "no cap", which no finite cap equals at a large embedding_dim;
+    # synthetic data's std and spread have rules of their own that refuse inf.
+    own_rule = {"sampler.clip_lambda"}
+    if not values["data.path"]:
+        own_rule |= {"data.within_std", "data.center_spread"}
     errors += [
         f"{key} must be finite"
         for key, value in values.items()
-        if isinstance(value, float) and math.isinf(value) and key != "sampler.clip_lambda"
+        if isinstance(value, float) and math.isinf(value) and key not in own_rule
     ]
     errors += _raised(_build, LossConfig, values, "loss.")
     errors += _raised(require_valid_kind, values["sampler.kind"])

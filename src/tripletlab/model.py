@@ -136,12 +136,22 @@ class FlatParams:
         self._bind_views()
         self._version = 0
 
+    @staticmethod
+    def _width(name: str, value, least: int = 1) -> int:
+        """value as a layer width; ValueError naming name unless it is an integer (not a bool) >= least."""
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"need an integer {name} >= {least}, got {value!r}")
+        return int(value)
+
     def _bind_views(self) -> None:
         self.weights, self.biases = layer_views(self.params, self.dims)
         self._grad_w, self._grad_b = layer_views(self._grad, self.dims)
 
+    def __getstate__(self) -> dict:
+        # a copy holds the buffers alone and binds its own views; copied views would copy their data again
+        return {k: v for k, v in vars(self).items() if k not in ("weights", "biases", "_grad_w", "_grad_b")}
+
     def __setstate__(self, state: dict) -> None:
-        # copying detaches the views from the copied buffers, so they are rebuilt
         self.__dict__.update(state)
         self._bind_views()
 
@@ -173,6 +183,8 @@ class FlatParams:
     @classmethod
     def from_dict(cls, payload: dict):
         """The network a to_dict payload describes, built through __init__ and loaded by set_params."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"{cls.KIND} checkpoint must be a JSON object, got {type(payload).__name__}")
         if payload.get("kind") != cls.KIND:
             raise ValueError(f"unsupported checkpoint kind {payload.get('kind')!r}")
         missing = [name for name in (*cls.SHAPE, "params") if name not in payload]
@@ -184,20 +196,17 @@ class FlatParams:
             raise ValueError(f"{cls.KIND} checkpoint params must be finite")
         return net
 
-    def _forward_layers(self, x: np.ndarray, params: np.ndarray | None = None):
-        """(output, acts) of rows x; params, laid out like get_params(), replaces `params`."""
-        weights, biases = self.weights, self.biases
-        if params is not None:
-            weights, biases = layer_views(np.asarray(params, dtype=np.float64), self.dims)
+    def _forward_layers(self, x: np.ndarray):
+        """(output, acts) of rows x."""
         acts = []
         a = x
-        for w, b in zip(weights[:-1], biases[:-1]):
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
             a = a @ w
             a += b
             np.maximum(a, 0.0, out=a)
             acts.append(a)
-        out = a @ weights[-1]
-        out += biases[-1]
+        out = a @ self.weights[-1]
+        out += self.biases[-1]
         return out, acts
 
     def _backward_layers(self, cache, dz: np.ndarray) -> np.ndarray:
@@ -223,11 +232,9 @@ class EmbeddingModel(FlatParams):
     SHAPE = ("input_dim", "hidden", "embedding_dim")
 
     def __init__(self, input_dim: int, hidden, embedding_dim: int, rng: np.random.Generator):
-        if input_dim < 1 or embedding_dim < 2:
-            raise ValueError("need input_dim >= 1 and embedding_dim >= 2")
-        self.input_dim = int(input_dim)
-        self.hidden = tuple(int(h) for h in hidden)
-        self.embedding_dim = int(embedding_dim)
+        self.input_dim = self._width("input_dim", input_dim)
+        self.hidden = tuple(self._width(f"hidden[{i}]", h) for i, h in enumerate(hidden))
+        self.embedding_dim = self._width("embedding_dim", embedding_dim, least=2)
         self._allocate((self.input_dim, *self.hidden, self.embedding_dim))
         for i, w in enumerate(self.weights):
             fan_in = w.shape[0]

@@ -10,6 +10,7 @@ a lagged reference policy.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 
@@ -122,12 +123,10 @@ class PolicyNetwork(FlatParams):
         rng: np.random.Generator,
         hidden: int = 128,
     ):
-        if state_dim < 1 or k_bins < 1:
-            raise ValueError("need state_dim >= 1 and k_bins >= 1")
-        self.state_dim = int(state_dim)
-        self.k_bins = int(k_bins)
+        self.state_dim = self._width("state_dim", state_dim)
+        self.k_bins = self._width("k_bins", k_bins)
         self.has_value = bool(has_value)
-        self.hidden = int(hidden)
+        self.hidden = self._width("hidden", hidden)
         n_out = 3 * self.k_bins + (1 if self.has_value else 0)
         self._allocate((self.state_dim, self.hidden, self.hidden, n_out))
         w1, w2, w3 = self.weights
@@ -139,22 +138,16 @@ class PolicyNetwork(FlatParams):
     def n_out(self) -> int:
         return self.biases[-1].size
 
-    def forward(self, state: np.ndarray, params: np.ndarray | None = None) -> PolicyCache:
-        """Logits and value at state.
-
-        params, a flat vector laid out like get_params(), evaluates that
-        parameter set instead of the network's own (e.g. a lagged reference
-        copy) without touching them; its cache cannot be backpropagated.
-        """
+    def forward(self, state: np.ndarray) -> PolicyCache:
+        """Logits and value at state."""
         s = np.asarray(state, dtype=np.float64)
         if s.shape != (self.state_dim,):
             raise ValueError(f"state dimension mismatch: expected {self.state_dim}, got {s.shape}")
         x = s[None, :]
-        out, acts = self._forward_layers(x, params)
+        out, acts = self._forward_layers(x)
         logits = out[0, : 3 * self.k_bins].reshape(self.k_bins, 3)
         value = float(out[0, -1]) if self.has_value else None
-        version = self._version if params is None else -1
-        return PolicyCache(x, acts, logits, value, version)
+        return PolicyCache(x, acts, logits, value, self._version)
 
     def backward(self, cache: PolicyCache, d_logits: np.ndarray, d_value: float = 0.0) -> np.ndarray:
         """Flat parameter gradient given output-side gradients (see FlatParams._backward_layers)."""
@@ -253,9 +246,9 @@ class PolicyUpdater:
 
     All algorithms share the pattern: compute the transition's scalar
     coefficient, descend -coef * grad(log pi) plus (where enabled) the
-    value-regression gradient. PPO recomputes the reference log-prob from
-    a lagged parameter copy and zeroes the coefficient when the clipped
-    branch of the surrogate is active.
+    value-regression gradient. PPO recomputes the reference log-prob with
+    old_policy, a lagged copy of the policy network, and zeroes the
+    coefficient when the clipped branch of the surrogate is active.
     """
 
     policy: PolicyNetwork
@@ -266,7 +259,7 @@ class PolicyUpdater:
     ema_decay: float = 0.9
     value_coef: float = 0.5
     adam: Adam = field(init=False)
-    old_params: np.ndarray | None = field(init=False, default=None)
+    old_policy: PolicyNetwork | None = field(init=False, default=None)
     ema_baseline: float = field(init=False, default=0.0)
     n_updates: int = field(init=False, default=0)
 
@@ -276,7 +269,7 @@ class PolicyUpdater:
             raise ValueError(f"algorithm {self.algorithm!r} requires a value head")
         self.adam = Adam(lr=self.lr)
         if self.uses_ppo:
-            self.old_params = self.policy.get_params()
+            self.old_policy = copy.deepcopy(self.policy)
 
     @property
     def uses_ppo(self) -> bool:
@@ -290,12 +283,8 @@ class PolicyUpdater:
     def uses_ema(self) -> bool:
         return self.algorithm in ("reinforce-ema", "ppo-ema")
 
-    def _old_log_prob(self, state: np.ndarray, trits: np.ndarray) -> float:
-        return log_prob_and_score(self.policy.forward(state, self.old_params).logits, trits)[0]
-
     def update(self, tr: Transition) -> dict:
         """One optimizer step on one transition; returns its coef, ratio and advantage."""
-        lp_old = self._old_log_prob(tr.state, tr.trits) if self.uses_ppo else 0.0
         cache = self.policy.forward(tr.state)
         lp_new, d_logits = log_prob_and_score(cache.logits, tr.trits)
         if self.uses_value:
@@ -305,6 +294,7 @@ class PolicyUpdater:
         else:
             advantage = float(tr.reward)
         if self.uses_ppo:
+            lp_old = log_prob_and_score(self.old_policy.forward(tr.state).logits, tr.trits)[0]
             ratio = float(np.exp(lp_new - lp_old))
             clipped = min(max(ratio, 1.0 - self.epsilon), 1.0 + self.epsilon)
             if ratio * advantage <= clipped * advantage:
@@ -323,5 +313,5 @@ class PolicyUpdater:
             self.ema_baseline = self.ema_decay * self.ema_baseline + (1.0 - self.ema_decay) * tr.reward
         self.n_updates += 1
         if self.uses_ppo and self.n_updates % self.old_refresh == 0:
-            self.old_params = self.policy.get_params()
+            self.old_policy.set_params(self.policy.params)
         return {"coef": coef, "ratio": ratio, "advantage": float(advantage)}

@@ -319,7 +319,7 @@ def test_05_rl_correctness():
         old = policy.get_params()
         for k in range(policy.k_bins):
             old[-policy.n_out + 3 * k + trits[k]] -= 2.0
-        updater.old_params = old
+        updater.old_policy.set_params(old)
         before = policy.get_params()
         lp = log_prob_and_score(cache.logits, trits)[0]
         diag = updater.update(Transition(1, s, trits, lp, reward=1))

@@ -217,9 +217,20 @@ class TestValidation:
         [k for k, v in SCHEMA.items() if isinstance(v, float) and k != "sampler.clip_lambda"],
     )
     def test_infinite_float_values_rejected(self, key, value):
+        flat = {key: value}
+        if key in ("data.within_std", "data.center_spread"):
+            # synthetic data's own rules report these (next test); a CSV run has only the generic line
+            flat["data.path"] = "features.csv"
         with pytest.raises(ConfigError) as exc:
-            build({key: value})
+            build(flat)
         assert exc.value.errors[0] == f"{key} must be finite"
+
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    def test_infinite_std_and_spread_reported_once_each(self, value):
+        with pytest.raises(ConfigError) as exc:
+            build({"data.within_std": value, "data.center_spread": value})
+        for key in ("data.within_std", "data.center_spread"):
+            assert len([e for e in exc.value.errors if key in e]) == 1
 
     def test_infinite_clip_lambda_means_no_cap(self):
         assert build({"sampler.clip_lambda": "inf"}).sampler.clip_lambda == float("inf")

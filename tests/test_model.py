@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import re
 import tracemalloc
 from dataclasses import dataclass
 
@@ -266,6 +267,19 @@ def test_copied_network_is_bound_to_its_own_buffers(rng, copy_net, build, output
     assert np.array_equal(output(net, x), out)
 
 
+@pytest.mark.parametrize(
+    "net",
+    [lambda: EmbeddingModel(64, (256, 256), 64, np.random.default_rng(0)),
+     lambda: PolicyNetwork(40, 30, True, np.random.default_rng(0))],
+    ids=["embedding", "policy"],
+)
+def test_a_pickled_network_carries_each_value_once(net):
+    """The pickle holds the parameter and gradient buffers and not their per-layer views,
+    which would be copied apart from the buffers and then replaced on loading."""
+    net = net()
+    assert len(pickle.dumps(net)) < 2 * net.params.nbytes + 4096
+
+
 #: sizes of the parts w0, b0, w1, b1, w2, b2 (layer_views order) of EmbeddingModel(6, (12, 10), 4)
 PART_SIZES = [6 * 12, 12, 12 * 10, 10, 10 * 4, 4]
 
@@ -351,6 +365,29 @@ class TestEveryNetworksCheckpoint:
                 cls.from_dict({key: value for key, value in payload.items() if key != name})
         with pytest.raises(ValueError, match="unsupported checkpoint kind"):
             cls.from_dict({**payload, "kind": "other"})
+
+    @pytest.mark.parametrize("payload", [[], ["kind"], "text", 3, None], ids=repr)
+    def test_a_payload_that_is_not_an_object_is_refused(self, cls, payload):
+        with pytest.raises(ValueError, match=f"{cls.KIND} checkpoint must be a JSON object, got "):
+            cls.from_dict(payload)
+
+    @pytest.mark.parametrize("width", [0, -2, 4.7, 4.0, True, "4"], ids=repr)
+    def test_a_width_that_is_not_a_positive_integer_is_named(self, rng, cls, width):
+        payload = json.loads(json_text(network_of(cls)[0](rng).to_dict()))
+        named = []
+        for key in cls.SHAPE:
+            value = payload[key]
+            if isinstance(value, list):
+                field, edited = f"{key}[0]", {**payload, key: [width, *value[1:]]}
+            elif type(value) is int:
+                field, edited = key, {**payload, key: width}
+            else:
+                continue
+            message = re.escape(f"need an integer {field} >= ") + r"\d, got " + re.escape(repr(width))
+            with pytest.raises(ValueError, match=message):
+                cls.from_dict(edited)
+            named.append(field)
+        assert len(named) == 3
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_params_are_refused(self, rng, cls, value):

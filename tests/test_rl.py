@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -52,13 +54,12 @@ def rel_err(a, b):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-7)
 
 
-def reference_policy_forward(policy, state, params=None):
+def reference_policy_forward(policy, state):
     """The hand-unrolled three-layer forward the policy had before it ran on FlatParams' layer loop.
 
     Returns (z1, a1, z2, a2, logits, value) for a 1-D state.
     """
-    flat = policy.params if params is None else params
-    (w1, w2, w3), (b1, b2, b3) = layer_views(flat, policy.dims)
+    (w1, w2, w3), (b1, b2, b3) = layer_views(policy.params, policy.dims)
     z1 = state @ w1 + b1
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ w2 + b2
@@ -284,26 +285,6 @@ class TestPolicyNetwork:
         theta += 1.0
         assert np.array_equal(policy.forward(s).logits, logits)
 
-    def test_forward_with_explicit_params(self, rng):
-        policy = make_policy(seed=14, has_value=True)
-        s = rng.standard_normal(policy.state_dim)
-        theta = rng.normal(size=policy.n_params) * 0.1
-        before = policy.get_params()
-        live = policy.forward(s)
-        other = policy.forward(s, theta)
-        probe = make_policy(seed=14, has_value=True)
-        probe.set_params(theta)
-        want = probe.forward(s)
-        assert np.array_equal(other.logits, want.logits)
-        assert other.value == want.value
-        # the live parameters are untouched and a cache taken before stays valid
-        assert np.array_equal(policy.get_params(), before)
-        policy.backward(live, np.zeros((policy.k_bins, 3)))
-        with pytest.raises(ValueError, match="stale cache"):
-            policy.backward(other, np.zeros((policy.k_bins, 3)))
-        with pytest.raises(ValueError, match="parameters"):
-            policy.forward(s, theta[:-1])
-
     def test_checkpoint_kind_rejected(self):
         with pytest.raises(ValueError, match="unsupported checkpoint kind"):
             PolicyNetwork.from_dict({"kind": "mlp-unit-norm"})
@@ -361,20 +342,29 @@ class TestPolicyMatchesHandUnrolledReference:
     @pytest.mark.parametrize("has_value", [False, True])
     @pytest.mark.parametrize("state_dim_,k_bins,hidden", SHAPES)
     def test_explicit_params_forward_bytes(self, state_dim_, k_bins, hidden, has_value):
+        """PPO's lagged reference, loaded with an explicit parameter vector, forwards the
+        hand-unrolled reference's bytes at that vector; the policy's own parameters, and a
+        cache taken from them before, are untouched."""
         rng = np.random.default_rng(hidden * 7 + k_bins + has_value)
         policy = make_policy(
             seed=k_bins, state_dim_=state_dim_, k_bins=k_bins, has_value=has_value, hidden=hidden
         )
+        old = PolicyUpdater(policy, "ppo-a2c" if has_value else "ppo-ema").old_policy
+        before = policy.get_params()
+        live = policy.forward(rng.standard_normal(state_dim_))
         for _ in range(4):
             s = rng.standard_normal(state_dim_)
             theta = rng.standard_normal(policy.n_params) * 0.2
-            cache = policy.forward(s, theta)
-            z1, a1, z2, a2, logits, value = reference_policy_forward(policy, s, theta)
+            old.set_params(theta)
+            cache = old.forward(s)
+            z1, a1, z2, a2, logits, value = reference_policy_forward(old, s)
             pre = pre_activations(cache, *layer_views(theta, policy.dims))
             for got, want in zip([*pre, *cache.acts], [z1, z2, a1, a2]):
                 assert got[0].tobytes() == want.tobytes()
             assert cache.logits.tobytes() == logits.tobytes()
             assert repr(cache.value) == repr(value)
+        assert policy.params.tobytes() == before.tobytes()
+        policy.backward(live, np.zeros((k_bins, 3)))
 
     def test_gradient_sign_of_zero_never_reaches_adam(self, rng):
         """The former a2c update, which summed the reference gradient (holding -0.0 where a hidden
@@ -557,7 +547,7 @@ class TestPolicyUpdater:
         old = policy.get_params().copy()
         for k in range(policy.k_bins):
             old[-policy.n_out + 3 * k + trits[k]] -= 2.0
-        updater.old_params = old
+        updater.old_policy.set_params(old)
         before = policy.get_params()
         tr = Transition(episode=1, state=s, trits=trits, logprob=lp, reward=1)
         diag = updater.update(tr)
@@ -585,6 +575,46 @@ class TestPolicyUpdater:
         updater = PolicyUpdater(policy, "ppo-a2c", lr=1e-3, old_refresh=2)
         s = rng.standard_normal(policy.state_dim)
         updater.update(make_transition(policy, s, rng, reward=1))
-        assert not np.array_equal(updater.old_params, policy.get_params())
+        assert not np.array_equal(updater.old_policy.params, policy.get_params())
         updater.update(make_transition(policy, s, rng, reward=1))
-        assert np.array_equal(updater.old_params, policy.get_params())
+        assert np.array_equal(updater.old_policy.params, policy.get_params())
+
+    def test_old_policy_is_a_separate_network(self, rng):
+        policy = make_policy(seed=9, has_value=True)
+        assert PolicyUpdater(policy, "a2c").old_policy is None
+        updater = PolicyUpdater(policy, "ppo-a2c", lr=1e-2, old_refresh=3)
+        old = updater.old_policy
+        assert old.params is not policy.params
+        assert not np.shares_memory(old.params, policy.params)
+        start = policy.get_params()
+        s = rng.standard_normal(policy.state_dim)
+        for _ in range(2):
+            updater.update(make_transition(policy, s, rng, reward=1))
+            assert not np.array_equal(policy.params, start)
+            assert np.array_equal(old.params, start)
+        updater.update(make_transition(policy, s, rng, reward=1))
+        assert updater.old_policy is old
+        assert np.array_equal(old.params, policy.params)
+
+    @pytest.mark.parametrize(
+        "copier", [copy.deepcopy, lambda u: pickle.loads(pickle.dumps(u))], ids=["deepcopy", "pickle"]
+    )
+    def test_copied_ppo_updater_steps_on_alike(self, copier, rng):
+        policy = make_policy(seed=10, has_value=True)
+        updater = PolicyUpdater(policy, "ppo-a2c", lr=1e-2, old_refresh=2)
+        states = rng.standard_normal((6, policy.state_dim))
+        transitions = [
+            make_transition(policy, s, np.random.default_rng(i), reward=(-1) ** i) for i, s in enumerate(states)
+        ]
+        updater.update(transitions[0])
+        twin = copier(updater)
+        nets = [updater.policy, updater.old_policy, twin.policy, twin.old_policy]
+        for i, a in enumerate(nets):
+            for b in nets[i + 1 :]:
+                assert not np.shares_memory(a.params, b.params)
+        assert twin.policy.params.tobytes() == policy.params.tobytes()
+        assert twin.old_policy.params.tobytes() == updater.old_policy.params.tobytes()
+        for tr in transitions[1:]:
+            assert twin.update(tr) == updater.update(tr)
+            assert twin.policy.params.tobytes() == policy.params.tobytes()
+            assert twin.old_policy.params.tobytes() == updater.old_policy.params.tobytes()

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+import re
 import threading
 import weakref
 from pathlib import Path
@@ -700,6 +701,25 @@ class TestVariants:
             TrainLoop(cfg, tmp_path / "student")
         assert not (tmp_path / "student").exists()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda payload: {**payload, "hidden": 0}, "need an integer hidden >= 1, got 0"),
+            (lambda payload: [payload], "policy-3way-heads checkpoint must be a JSON object, got list"),
+        ],
+        ids=["hidden-0", "list"],
+    )
+    def test_fixed_policy_of_a_malformed_checkpoint_refused_before_training(self, tmp_path, edit, message):
+        teacher = TrainLoop(small_flat(), tmp_path / "teacher").policy.to_dict()
+        (tmp_path / "policy.json").write_text(json_text(edit(teacher)))
+        cfg = small_flat(**{
+            "transfer.mode": "fixed-policy",
+            "transfer.policy_path": str(tmp_path / "policy.json"),
+        })
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train(cfg, tmp_path / "student")
+        assert not (tmp_path / "student").exists()
+
     def test_fixed_policy_shape_mismatch(self, tmp_path):
         train(small_flat(), tmp_path / "teacher")
         cfg = small_flat(**{
@@ -730,6 +750,15 @@ class TestVariants:
         cfg = small_flat(**{"transfer.mode": "fixed-final-pmf", "transfer.pmf_path": str(path)})
         with pytest.raises(ValueError, match="nonnegative"):
             TrainLoop(cfg, tmp_path / "run")
+
+    @pytest.mark.parametrize("payload", [[0.125] * 8, {"lambda_min": 0.5, "q": [0.125] * 8}], ids=["list", "no-p"])
+    def test_fixed_final_pmf_file_that_is_not_a_pmf_is_refused(self, tmp_path, payload):
+        path = tmp_path / "final_pmf.json"
+        path.write_text(json.dumps(payload))
+        cfg = small_flat(**{"transfer.mode": "fixed-final-pmf", "transfer.pmf_path": str(path)})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not a PMF checkpoint")):
+            train(cfg, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("kind", ["random", "semihard", "distweighted", "pads"])
     def test_nonfinite_embeddings_abort_the_step(self, tmp_path, kind):
