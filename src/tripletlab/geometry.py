@@ -15,22 +15,25 @@ from __future__ import annotations
 import numpy as np
 
 
-def pairwise_distances(vectors: np.ndarray) -> np.ndarray:
-    """All-pairs Euclidean distances between the unit rows of an (N, D) float array.
+def pairwise_distances(vectors: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """Euclidean distances from the unit rows `vectors[rows]` to all rows of an (N, D) float array.
 
     Uses d^2 = 2 - 2<v, w> for unit rows v, w. The Gram form is one matmul
     instead of N^2 norms; tiny negative d^2 from rounding is clamped to 0
-    before the sqrt, and the diagonal is set to exactly 0. The matrix is
+    before the sqrt, and each row's distance to itself is set to exactly 0.
+    Every step after the matmul works in place on its buffer, with the ufuncs
+    of 2 - 2 * (V[rows] @ V.T), so one array of the block's shape is
+    allocated. The default, all rows, is the full N x N matrix; it is
     exactly symmetric without a transposed add: numpy computes V @ V.T as
     one symmetric rank-k update (BLAS syrk) that fills one triangle and
-    mirrors it. Every step after the matmul works in place on its buffer,
-    with the ufuncs of 2 - 2 * (V @ V.T), so one N x N array is allocated.
+    mirrors it. A proper row block is a general product (gemm), whose values
+    can differ from the mirrored triangle's in the last bit.
     """
-    d = vectors @ vectors.T
+    d = vectors[rows] @ vectors.T
     d *= 2.0
     np.subtract(2.0, d, out=d)
     np.clip(d, 0.0, 4.0, out=d)
-    np.fill_diagonal(d, 0.0)
+    np.fill_diagonal(d[:, rows.start or 0 :], 0.0)  # block row r is row start + r
     return np.sqrt(d, out=d)
 
 

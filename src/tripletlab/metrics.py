@@ -5,22 +5,27 @@ holder of its labels and of what depends on them alone (class groups,
 per-row class codes); a training run builds the plan once for its fixed
 validation labels. Every function that takes a plan refuses one whose label
 count is not the number of rows. Everything is computed from pairwise
-distances; `evaluate` builds the distance matrix once and shares it and
-returns one float64 row in METRIC_FIELDS order, the row a training run
-keeps per episode. Nearest-neighbor ranking is by (distance, index), so
-ties go to the smaller index, and it is computed by counting rather than
-sorting.
+distances; `evaluate` returns one float64 row in METRIC_FIELDS order, the
+row a training run keeps per episode. Nearest-neighbor ranking is by
+(distance, index), so ties go to the smaller index, and it is computed by
+counting rather than sorting.
 
-The distance matrix is the only N x N array an evaluation holds. Recall and
-the class distances walk it in blocks of rows, BLOCK_CELLS cells at most;
-the class distances build each block's same-class mask from the plan's
-class codes and overwrite the matrix, gathering the inter-class values into
-its leading cells. So `evaluate` calls `class_distance_stats` last.
+No N x N array is held. The distances are computed (`evaluate`) or sliced
+(`recall_at_k`, `class_distance_stats`, which leave their matrix as it was)
+one block of rows at a time, and each block is read by two kernels:
+`_RecallScan.add` ranks each row's nearest same-class mate from the block's
+own values, and `_PairScan.add` gathers the pairs i < j into an intra-class
+and an inter-class array, each preallocated at its exact size from the
+plan's class sizes. Blocks hold at most BLOCK_CELLS cells, so a batch of up
+to 362 rows is one block and one `v @ v.T`, and at least BLOCK_MIN_ROWS
+rows (see there why). At N = 1200 with 16 classes an evaluation peaks, by
+tracemalloc, at about 0.7-0.75 of one N x N float64 matrix, most of it the
+inter-class values.
 
 k-means reads only the rows, never the distance matrix. So on a batch of at
 least OVERLAP_MIN_ROWS rows, when the process may run on two or more CPUs,
 `evaluate` submits k-means and NMI to a one-thread executor while the
-calling thread computes distances, recall and class distances; numpy
+calling thread computes the distance blocks, recall and class distances; numpy
 releases the GIL inside the large array operations of both. Below that size
 the overlap gains nothing or loses: the worker's many small numpy calls hold
 the GIL. The row is the same to the bit either way: the two sides share
@@ -50,9 +55,12 @@ METRIC_FIELDS = ("r1", "r2", "r4", "nmi", "intra", "inter")
 #: batches of at least this many rows overlap k-means with the distance work: in interleaved
 #: timings of `evaluate` the overlap lost below 320 rows, was even at 320 and won from 400
 OVERLAP_MIN_ROWS = 400
-#: recall and the class distances scan the distance matrix in blocks of at most this many cells
-#: (at least one row each), so their masks and gathers stay a small fraction of the matrix
+#: distances are computed and scanned in row blocks of at most this many cells
 BLOCK_CELLS = 1 << 17
+#: and at least this many rows, a shorter tail joining the block before it: BLAS rounds a one-row
+#: product (gemv) and short ones of small batches (OpenBLAS's small-matrix kernels) differently in
+#: the last bit from the full product; blocks of 1-3 rows did at 368-568 rows and 32-256 dimensions
+BLOCK_MIN_ROWS = 8
 
 
 class EvalPlan:
@@ -77,9 +85,13 @@ class EvalPlan:
 
 
 def _row_blocks(n: int) -> list[slice]:
-    """Consecutive row slices covering range(n), each of at most BLOCK_CELLS cells of an n-column matrix."""
-    step = max(1, BLOCK_CELLS // max(n, 1))
-    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    """Consecutive row slices covering range(n), each of at most BLOCK_CELLS cells of an n-column
+    matrix but at least BLOCK_MIN_ROWS rows; a shorter tail joins the slice before it."""
+    step = max(BLOCK_MIN_ROWS, BLOCK_CELLS // max(n, 1))
+    starts = list(range(0, n, step))
+    if len(starts) > 1 and n - starts[-1] < BLOCK_MIN_ROWS:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
 
 
 def _count(mask: np.ndarray) -> np.ndarray:
@@ -87,82 +99,110 @@ def _count(mask: np.ndarray) -> np.ndarray:
     return np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.min_scalar_type(mask.shape[1]))
 
 
-def recall_at_k(dist: np.ndarray, plan: EvalPlan, ks=(1, 2, 4)) -> dict:
-    """Fraction of points whose k nearest others contain a same-label point.
+class _RecallScan:
+    """Recall hits counted one block of rows at a time (`add`), read as fractions at the end (`result`).
 
     Others rank by (distance, index), computed without a sort: the nearest
     same-label j* (first index among ties, found by argmin over the row's
-    class block, whose columns ascend) has rank #{d < d*} + #{d == d*,
-    index < j*} less the row's own diagonal entry, and a row hits at k iff j*
-    exists and rank < min(k, n-1). The counts go one block of rows at a
-    time. j* itself is one of the #{d <= d*} - #{d < d*} ties, so the
-    lower-index ties are counted only on rows with more than one. `dist` is
-    the (N, N) distance matrix of the plan's rows; it is not modified.
+    class columns, which ascend, with the row's own entry masked) has rank
+    #{d < d*} + #{d == d*, index < j*} less the row's own entry, and a row
+    hits at k iff j* exists and rank < min(k, n-1). j* itself is one of the
+    #{d <= d*} - #{d < d*} ties, so the lower-index ties are counted only on
+    rows with more than one.
     """
-    ks = tuple(int(k) for k in ks)
-    if any(k < 1 for k in ks):
-        raise ValueError("recall cutoffs must be >= 1")
-    n = dist.shape[0]
-    plan.check_rows(n)
-    rows = np.arange(n)
-    nearest = rows.copy()  # a row without a same-label mate keeps itself
-    for group in plan.groups:
-        if group.size > 1:
-            block = dist[group[:, None], group]
-            np.fill_diagonal(block, np.inf)
-            nearest[group] = group[block.argmin(axis=1)]
-    found = nearest != rows
-    d_star = dist[rows, nearest]
-    diag = dist[rows, rows]
-    # the row's own entry is counted below whenever it ranks ahead of j*
-    rank = -((diag < d_star) | ((diag == d_star) & (rows < nearest))).astype(np.intp)
-    for block in _row_blocks(n):
-        d, d_block = dist[block], d_star[block, None]
-        n_lt = _count(d < d_block)
-        rank[block] += n_lt
-        tied = np.flatnonzero(_count(d <= d_block) - n_lt > 1)
+
+    def __init__(self, plan: EvalPlan, n: int, ks):
+        ks = tuple(int(k) for k in ks)
+        if any(k < 1 for k in ks):
+            raise ValueError("recall cutoffs must be >= 1")
+        plan.check_rows(n)
+        self.codes, self.cols, self.hits = plan.codes, np.arange(n), dict.fromkeys(ks, 0)
+        # each class's rows, ascending, padded to the largest class with copies of its last row
+        width = max(map(len, plan.groups), default=0)
+        self.mates = np.array([np.pad(g, (0, width - g.size), "edge") for g in plan.groups])
+
+    def add(self, rows: slice, d: np.ndarray) -> None:
+        """Count the hits of `rows`, whose distances to all n rows are `d`; `d` is not modified."""
+        cols = self.cols
+        own = cols[rows]
+        at = np.arange(own.size)
+        cand = self.mates[self.codes[rows]]  # a padded copy ties with its original and loses to it
+        to_cand = d[at[:, None], cand]
+        to_cand[cand == own[:, None]] = np.inf  # so a row without a mate gets itself
+        nearest = cand[at, to_cand.argmin(axis=1)]
+        found = nearest != own
+        d_star, diag = d[at, nearest], d[at, own]
+        # the row's own entry is counted below whenever it ranks ahead of j*
+        rank = -((diag < d_star) | ((diag == d_star) & (own < nearest))).astype(np.intp)
+        d_star = d_star[:, None]
+        n_lt = _count(d < d_star)
+        rank += n_lt
+        tied = np.flatnonzero(_count(d <= d_star) - n_lt > 1)
         if tied.size:
-            at = tied + block.start
-            rank[at] += _count((d[tied] == d_block[tied]) & (rows < nearest[at, None]))
-    return {k: float(np.count_nonzero(found & (rank < min(k, n - 1))) / n) for k in ks}
+            rank[tied] += _count((d[tied] == d_star[tied]) & (cols < nearest[tied, None]))
+        for k in self.hits:
+            self.hits[k] += np.count_nonzero(found & (rank < min(k, cols.size - 1)))
+
+    def result(self) -> dict:
+        return {k: float(hits / self.cols.size) for k, hits in self.hits.items()}
+
+
+class _PairScan:
+    """Mean intra- and inter-class distance over the pairs i < j, gathered one block of rows at a time.
+
+    The values go in row-major order, so both means are those of a
+    whole-matrix masked gather to the bit. A side with no pairs
+    (all-singleton classes, or a single class) is reported as 0.0 with a
+    warning rather than NaN.
+    """
+
+    def __init__(self, plan: EvalPlan, n: int):
+        plan.check_rows(n)
+        sizes = np.array([group.size for group in plan.groups])
+        n_intra = int(np.add.reduce(sizes * (sizes - 1) // 2))
+        self.plan = plan
+        self.cols = np.arange(n, dtype=np.min_scalar_type(n))  # a narrow dtype compares several times faster
+        self.values = {"intra": np.empty(n_intra), "inter": np.empty(n * (n - 1) // 2 - n_intra)}
+        self.filled = dict.fromkeys(self.values, 0)
+
+    def add(self, rows: slice, d: np.ndarray) -> None:
+        """Gather the pairs of `rows`, whose distances to all n rows are `d`; `d` is not modified."""
+        lo = rows.start  # columns left of the block's first row hold no pair i < j
+        upper = self.cols[lo:] > self.cols[rows, None]
+        same = self.plan.codes[rows, None] == self.plan.codes[lo:]
+        d = d[:, lo:]
+        intra = d[upper & same]
+        np.greater(upper, same, out=upper)  # upper and not same, in place: the inter-class pairs
+        for side, vals in (("intra", intra), ("inter", d[upper])):
+            at = self.filled[side]
+            self.values[side][at : at + vals.size] = vals
+            self.filled[side] += vals.size
+
+    def result(self) -> tuple[float, float]:
+        """(mean intra-class distance, mean inter-class distance)."""
+        out = []
+        for side, vals in self.values.items():
+            if vals.size == 0:
+                warnings.warn(f"no {side}-class pairs; reporting {side} distance as 0.0", stacklevel=3)
+            out.append(float(vals.mean()) if vals.size else 0.0)
+        return out[0], out[1]
+
+
+def _scan_matrix(dist: np.ndarray, scan):
+    """`scan`'s result over the row blocks of the (N, N) distance matrix of the plan's rows."""
+    for rows in _row_blocks(dist.shape[0]):
+        scan.add(rows, dist[rows])
+    return scan.result()
+
+
+def recall_at_k(dist: np.ndarray, plan: EvalPlan, ks=(1, 2, 4)) -> dict:
+    """Fraction of points whose k nearest others contain a same-label point (see `_RecallScan`)."""
+    return _scan_matrix(dist, _RecallScan(plan, dist.shape[0], ks))
 
 
 def class_distance_stats(dist: np.ndarray, plan: EvalPlan) -> tuple[float, float]:
-    """(mean intra-class distance, mean inter-class distance) over unordered pairs.
-
-    The pairs i < j are gathered in row-major order, one block of rows at a
-    time: the intra-class values into an array of their own, the
-    inter-class values into the leading cells of `dist`'s buffer (of a
-    row-major copy when `dist` is not C-contiguous). Rows 0..r-1 hold fewer
-    than r * N pairs, so a block's values, written once the block is read,
-    end before the next block starts. `dist` is therefore overwritten; pass
-    it last. A side with no pairs (all-singleton classes, or a single
-    class) is reported as 0.0 with a warning rather than NaN.
-    """
-    n = dist.shape[0]
-    plan.check_rows(n)
-    sizes = np.array([group.size for group in plan.groups])
-    intra = np.empty(int(np.add.reduce(sizes * (sizes - 1) // 2)))
-    flat = dist.reshape(-1)  # a view when dist is C-contiguous
-    cols = np.arange(n, dtype=np.min_scalar_type(n))  # a narrow dtype compares several times faster
-    n_intra = n_inter = 0
-    for block in _row_blocks(n):
-        lo = block.start  # columns left of the block's first row hold no pair i < j
-        upper = cols[lo:] > cols[block, None]
-        same = plan.codes[block, None] == plan.codes[lo:]
-        d = flat[lo * n : block.stop * n].reshape(-1, n)[:, lo:]
-        vals = d[upper & same]
-        intra[n_intra : n_intra + vals.size] = vals
-        n_intra += vals.size
-        vals = d[upper & ~same]  # a copy, taken before the write that may reach into this block
-        flat[n_inter : n_inter + vals.size] = vals
-        n_inter += vals.size
-    out = []
-    for side, vals in (("intra", intra), ("inter", flat[:n_inter])):
-        if vals.size == 0:
-            warnings.warn(f"no {side}-class pairs; reporting {side} distance as 0.0", stacklevel=2)
-        out.append(float(vals.mean()) if vals.size else 0.0)
-    return out[0], out[1]
+    """(mean intra-class distance, mean inter-class distance) over unordered pairs (see `_PairScan`)."""
+    return _scan_matrix(dist, _PairScan(plan, dist.shape[0]))
 
 
 # -------------------------
@@ -281,21 +321,25 @@ def _overlaps(n_rows: int) -> bool:
 def evaluate(vectors: np.ndarray, plan: EvalPlan, kmeans_seed: int = 0) -> np.ndarray:
     """Full evaluation after every training episode, one float64 row in METRIC_FIELDS order.
 
-    All of it comes from one distance matrix, which the class distances,
-    computed last, overwrite. Inputs are checked before any work starts. On
-    a batch of at least OVERLAP_MIN_ROWS rows, with a second usable CPU,
-    k-means and NMI are submitted to a one-thread executor while this thread
-    does the distance work; leaving the executor waits for them, also when
-    this thread raises, and an error of theirs is raised again here.
+    Each block of distances is computed once and read for recall and the
+    class distances before the next. Inputs are checked before any work
+    starts. On a batch of at least OVERLAP_MIN_ROWS rows, with a second
+    usable CPU, k-means and NMI are submitted to a one-thread executor while
+    this thread does the distance work; leaving the executor waits for them,
+    also when this thread raises, and an error of theirs is raised again here.
     """
     n = vectors.shape[0]
     plan.check_rows(n)
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="tripletlab-kmeans") as pool:
         # _cluster_agreement, not clustering_nmi: see the module docstring
         clustering = pool.submit(_cluster_agreement, vectors, plan, kmeans_seed) if _overlaps(n) else None
-        dist = pairwise_distances(vectors)
-        rec = recall_at_k(dist, plan)  # its default cutoffs are the r1, r2, r4 columns
-        intra, inter = class_distance_stats(dist, plan)  # last: it overwrites dist
+        recall, pairs = _RecallScan(plan, n, (1, 2, 4)), _PairScan(plan, n)  # the r1, r2, r4 columns
+        for rows in _row_blocks(n):
+            block = pairwise_distances(vectors, rows)
+            recall.add(rows, block)
+            pairs.add(rows, block)
+            del block  # freed before the next block is computed
+        rec, (intra, inter) = recall.result(), pairs.result()
     score_nmi = clustering_nmi(vectors, plan, kmeans_seed) if clustering is None else clustering.result()
     return np.array([*rec.values(), score_nmi, intra, inter])
 

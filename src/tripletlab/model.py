@@ -420,6 +420,10 @@ class Adam:
     v: np.ndarray | None = field(default=None, repr=False)
     _scratch: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
+    def __getstate__(self) -> dict:
+        # pickles and deep copies leave the two scratch vectors out; the next step rebuilds them
+        return {**vars(self), "_scratch": None}
+
     def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
         """Update params in place and return it; grads is left unchanged.
 

@@ -221,7 +221,7 @@ class TrainLoop:
     def _train_step(self, batch_rows: np.ndarray, pos: np.ndarray):
         cfg, triplets = self.cfg, self.triplets
         emb, cache = self.model.forward(self.dataset.features[batch_rows])
-        dist = pairwise_distances(emb)
+        dist = None if self.kind == "random" else pairwise_distances(emb)  # random draws without it
         cand = self.cand
         if self.kind == "random":
             neg = sample_negative_random(cand, self.rng_negative)
@@ -251,7 +251,7 @@ class TrainLoop:
     # ---- evaluation ----
 
     def _evaluate(self, ep: int) -> None:
-        # only the embeddings are kept: the activations are freed before the N x N distances
+        # only the embeddings are kept: the activations are freed before the distances
         emb = self.model.forward(self.dataset.features[self.val_idx])[0]
         self.metrics[ep] = evaluate(emb, self.eval_plan, kmeans_seed=self.metric_seed)
 

@@ -144,11 +144,12 @@ def test_pairwise_distance_properties(n, dim, seed):
     assert np.all(np.diag(dist) == 0.0)
 
 
-def reference_pairwise_distances(v: np.ndarray) -> np.ndarray:
-    """pairwise_distances in expression form (a new array per step), kept as the bit-level reference."""
-    d2 = 2.0 - 2.0 * (v @ v.T)
+def reference_pairwise_distances(v: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """pairwise_distances of rows lo..hi in expression form (a new array per step), kept as the
+    bit-level reference; all rows take the full product v @ v.T."""
+    d2 = 2.0 - 2.0 * ((v if hi is None else v[lo:hi]) @ v.T)
     np.clip(d2, 0.0, 4.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
+    d2[np.arange(d2.shape[0]), lo + np.arange(d2.shape[0])] = 0.0
     return np.sqrt(d2)
 
 
@@ -167,6 +168,20 @@ def test_pairwise_distances_match_expression_form_bit_for_bit(n):
     for layout, rows in row_layouts(v).items():
         got = pairwise_distances(rows)
         assert got.tobytes() == reference_pairwise_distances(rows).tobytes(), layout
+
+
+@pytest.mark.parametrize("n", [1, 9, 240, 1200])
+def test_row_blocks_match_expression_form_bit_for_bit(n):
+    """A row block runs the full matrix's ufuncs on its own product and zeroes its rows' own cells."""
+    rng = np.random.default_rng(n)
+    v = unit_rows(rng, n, 32)
+    v[n // 2 :: 7] = v[0]
+    for lo, hi in {(0, n), (0, 1), (n - 1, n), (n // 3, min(n // 3 + 8, n)), (n // 2, n)}:
+        for layout, rows in row_layouts(v).items():
+            got = pairwise_distances(rows, slice(lo, hi))
+            assert got.shape == (hi - lo, n)
+            assert got.tobytes() == reference_pairwise_distances(rows, lo, hi).tobytes(), (layout, lo, hi)
+            assert np.all(got[np.arange(hi - lo), np.arange(lo, hi)] == 0.0)
 
 
 @settings(max_examples=40, deadline=None)

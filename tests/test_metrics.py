@@ -259,7 +259,7 @@ def reference_bytes(vectors, labels):
 
 
 def blocked_bytes(dist, labels):
-    """Recall, then class distances (which consume `dist`), as bytes."""
+    """Recall and class distances of a given matrix, as bytes."""
     plan = EvalPlan(labels)
     recall = recall_at_k(dist, plan)
     return np.array([*recall.values(), *class_distance_stats(dist, plan)]).tobytes()
@@ -279,8 +279,9 @@ class TestBlockedEvaluation:
     @pytest.mark.parametrize("n", [1, 2, 3, 512, 1141], ids=lambda n: f"n{n}")
     def test_matches_the_references_bit_for_bit(self, n):
         step = metrics.BLOCK_CELLS // n
-        if n > step:  # 512 ends on a full block, 1141 on a one-row block
+        if n > step:  # 512 ends on a full block, 1141 on a one-row tail, which joins the block before it
             assert n % step in (0, 1)
+            assert [r.stop - r.start for r in metrics._row_blocks(n)][-1] == step + n % step
         vectors, labels = random_batch(np.random.default_rng(n), n)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no pairs on one side at n = 1, 2
@@ -289,6 +290,7 @@ class TestBlockedEvaluation:
     @pytest.mark.parametrize("block_cells", [1, 7, 40, 1 << 17])
     def test_tie_heavy_batches_in_any_block_size(self, monkeypatch, block_cells):
         monkeypatch.setattr(metrics, "BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(metrics, "BLOCK_MIN_ROWS", 1)  # slices of a given matrix round nothing
         rng = np.random.default_rng(21)
         tied = 0
         with warnings.catch_warnings():
@@ -317,6 +319,29 @@ class TestBlockedEvaluation:
         dist = pairwise_distances(vectors)
         recall_at_k(dist, EvalPlan(labels))
         assert dist.tobytes() == pairwise_distances(vectors).tobytes()
+
+    def test_class_distances_leave_the_matrix_as_they_found_it(self):
+        vectors, labels = random_batch(np.random.default_rng(5), 300)
+        dist = pairwise_distances(vectors)
+        class_distance_stats(dist, EvalPlan(labels))
+        assert dist.tobytes() == pairwise_distances(vectors).tobytes()
+
+    @pytest.mark.parametrize(
+        "n, heights",
+        [
+            (0, []),
+            (1, [1]),
+            (362, [362]),  # 362 * 362 cells fit BLOCK_CELLS
+            (365, [365]),  # blocks of 359 rows leave a tail of 6, under the floor: it joins the block
+            (366, [358, 8]),
+            (1200, [109] * 10 + [110]),
+            (20000, [8] * 2500),  # 6 rows of 20000 columns fit BLOCK_CELLS, but the floor is 8
+        ],
+        ids=lambda v: str(v) if isinstance(v, int) else None,
+    )
+    def test_row_blocks_keep_the_cell_budget_above_the_floor(self, n, heights):
+        stops = np.cumsum(heights).tolist()
+        assert metrics._row_blocks(n) == [slice(lo, hi) for lo, hi in zip([0, *stops], stops)]
 
 
 class TestEvalPlan:
@@ -533,28 +558,35 @@ class TestEvaluate:
         assert inter > intra
         assert eval_score(row) == pytest.approx(r1 + score_nmi)
 
-    def test_evaluate_shares_one_distance_matrix(self, rng, monkeypatch):
-        vectors, labels = tie_heavy_batch(rng)
+    @pytest.mark.parametrize(
+        "n, block_cells, n_blocks", [(30, 1 << 17, 1), (30, 40, 3), (1141, 1 << 17, 10)], ids=str
+    )
+    def test_evaluate_computes_each_row_block_once(self, monkeypatch, n, block_cells, n_blocks):
+        """The row is recall, NMI and class distances of the blocks evaluate computed, stacked."""
+        monkeypatch.setattr(metrics, "BLOCK_CELLS", block_cells)
+        vectors, labels = random_batch(np.random.default_rng(n), n)
         plan = EvalPlan(labels)
         handed_out = []
 
-        def counted(v):
-            dist = pairwise_distances(v)
-            handed_out.append(dist.copy())  # evaluate consumes the matrix it is handed
-            return dist
+        def counted(v, rows=slice(None)):
+            block = pairwise_distances(v, rows)
+            handed_out.append((rows, block.copy()))  # as computed, whatever evaluate does with it
+            return block
 
         monkeypatch.setattr(metrics, "pairwise_distances", counted)
         row = evaluate(vectors, plan, kmeans_seed=5)
+        planned = metrics._row_blocks(n)
         monkeypatch.undo()
-        assert len(handed_out) == 1
-        dist = pairwise_distances(vectors)
-        assert np.array_equal(handed_out[0], dist)
+        blocks = [rows for rows, _ in handed_out]
+        assert blocks == planned and len(blocks) == n_blocks
+        dist = np.vstack([block for _, block in handed_out])
+        if len(blocks) == 1:
+            assert blocks == [slice(0, n)] and dist.tobytes() == pairwise_distances(vectors).tobytes()
         assert row[:3].tolist() == list(recall_at_k(dist, plan).values())
         assert row[3] == clustering_nmi(vectors, plan, seed=5)
         assert tuple(row[4:].tolist()) == class_distance_stats(dist, plan)
 
-
-    def test_peak_memory_is_about_one_distance_matrix(self):
+    def test_peak_memory_is_below_one_distance_matrix(self):
         n = 1200
         rng = np.random.default_rng(8)
         labels = rng.permutation(np.arange(n) % 16)
@@ -566,7 +598,7 @@ class TestEvaluate:
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert peak <= 1.3 * n * n * 8
+        assert peak <= 0.8 * n * n * 8  # no N x N array: the inter-class values are most of it
 
 
 class TestOverlappedEvaluation:
@@ -633,15 +665,15 @@ class TestOverlappedEvaluation:
             finished.append(kmeans(*args, **kwargs))
             return finished[-1]
 
-        def failing_recall(*args, **kwargs):
-            raise RuntimeError("recall failed")
+        def failing_distances(*args, **kwargs):
+            raise RuntimeError("distances failed")
 
         monkeypatch.setattr(metrics, "kmeans", slow_kmeans)
-        monkeypatch.setattr(metrics, "recall_at_k", failing_recall)
+        monkeypatch.setattr(metrics, "pairwise_distances", failing_distances)
         overlap(True)
         alive = threading.active_count()
         vectors, labels = random_batch(np.random.default_rng(3), 50)
-        with pytest.raises(RuntimeError, match="recall failed"):
+        with pytest.raises(RuntimeError, match="distances failed"):
             evaluate(vectors, EvalPlan(labels))
         assert len(finished) == 1
         assert threading.active_count() == alive
@@ -660,5 +692,5 @@ class TestOverlappedEvaluation:
         vectors, labels = random_batch(np.random.default_rng(3), 50)
         evaluate(vectors, EvalPlan(labels))
         assert len(thread_starts) == 1
-        assert len(callers) == 3  # pairwise distances, recall and class distances
+        assert len(callers) == 1  # the one block of distances; recall and class distances scan it
         assert all(caller is threading.main_thread() for caller in callers)

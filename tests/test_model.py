@@ -664,6 +664,21 @@ class TestAdam:
         with pytest.raises(ValueError, match="shape mismatch"):
             Adam().step(np.zeros(2), np.zeros(3))
 
+    @pytest.mark.parametrize(
+        "copier", [copy.deepcopy, lambda o: pickle.loads(pickle.dumps(o))], ids=["deepcopy", "pickle"]
+    )
+    def test_copies_leave_the_scratch_out_and_step_on_identically(self, copier):
+        rng = np.random.default_rng(4)
+        params, opt = rng.normal(size=100_000), Adam(lr=0.01)
+        opt.step(params, rng.normal(size=params.size))
+        assert len(pickle.dumps(opt)) < 1.7e6  # m and v are 1.6 MB; the scratch would add as much again
+        twin, twin_params = copier(opt), params.copy()
+        assert twin._scratch is None and twin.t == opt.t
+        grads = rng.normal(size=params.size)
+        opt.step(params, grads)
+        twin.step(twin_params, grads)
+        assert twin_params.tobytes() == params.tobytes() and twin.m.tobytes() == opt.m.tobytes()
+
 
 @settings(max_examples=50, deadline=None)
 @given(

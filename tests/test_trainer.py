@@ -786,6 +786,19 @@ def test_benchmark_tracer_targets_are_defined_on_their_owners():
     assert missing == []
 
 
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_training_steps_compute_distances_only_for_the_kinds_that_read_them(tmp_path, monkeypatch, kind):
+    calls = []
+    def counting(emb):
+        calls.append(emb)
+        return metrics.pairwise_distances(emb)
+
+    monkeypatch.setattr(trainer, "pairwise_distances", counting)
+    loop = TrainLoop(small_flat(**{"sampler.kind": kind}), tmp_path / "run")
+    loop.step_episode()
+    assert len(calls) == (0 if kind == "random" else loop.cfg.train.m)
+
+
 def test_benchmark_tracer_targets_in_trainer_are_called(tmp_path, monkeypatch):
     """A name the benchmark wraps in trainer's namespace but trainer no longer calls leaves its span empty."""
     names = [attr for owner, attr, _, _ in benchmark_tracer_targets() if owner is trainer]
