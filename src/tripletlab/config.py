@@ -4,9 +4,10 @@ A config file is plain `key = value` lines (# comments allowed). Every
 hyperparameter is a named key with a default; unknown keys are rejected.
 The section dataclasses below are the schema: each field is the key
 `<section>.<field>`, its default is the key's default and its type decides
-how the value is parsed. The resolved form written next to run artifacts
-echoes every key in sorted order and reproduces the run exactly when fed
-back in.
+how the value is parsed; a field made with `ranges.ranged` also declares the
+interval its value must lie in. The resolved form written next to run
+artifacts echoes every key in sorted order and reproduces the run exactly
+when fed back in.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass, fields, is_dataclass
 
 from .data import held_out, require_valid_spread, require_valid_split, require_valid_std
 from .model import LossConfig
+from .ranges import range_errors, ranged
 from .rl import require_valid_algorithm
 from .samplers import _check_bins, init_pmf, require_valid_kind
 
@@ -38,20 +40,20 @@ class DataConfig:
     input_dim: int = 20
     center_spread: float = 1.0
     within_std: float = 1.0
-    seed: int = 0
+    seed: int = ranged(0, "[0, inf)")
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     hidden: tuple = (64, 64)
-    embedding_dim: int = 32
-    lr: float = 1e-3
+    embedding_dim: int = ranged(32, "[2, inf)")
+    lr: float = ranged(1e-3, "[0, 1e6]")  # a default run overflows from about 1e50
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
     kind: str = "pads"
-    clip_lambda: float = 0.0  # 0 means automatic cap
+    clip_lambda: float = ranged(0.0, "[0, inf]", " (0 = auto)")  # inf means no cap
     self_reg: bool = False
 
 
@@ -61,36 +63,36 @@ class PMFConfig:
     lambda_max: float = 1.4
     k: int = 30
     init: str = "uniform"
-    alpha: float = 0.8
-    beta: float = 1.25
+    alpha: float = ranged(0.8, "(0, 1)")
+    beta: float = ranged(1.25, "(1, inf)")
 
 
 @dataclass(frozen=True)
 class RLConfig:
     algorithm: str = "ppo-a2c"
-    lr: float = 1e-4
-    ema_decay: float = 0.9
-    value_coef: float = 0.5
-    hidden: int = 128
+    lr: float = ranged(1e-4, "[0, inf)")
+    ema_decay: float = ranged(0.9, "[0, 1)")
+    value_coef: float = ranged(0.5, "[0, 1e6]")  # the value gradient overflows at 1.7e308
+    hidden: int = ranged(128, "[1, inf)")
     state_recalls: tuple = (1, 2, 4)
 
 
 @dataclass(frozen=True)
 class PPOConfig:
-    epsilon: float = 0.2
-    old_refresh: int = 5
+    epsilon: float = ranged(0.2, "(0, inf)")
+    old_refresh: int = ranged(5, "[1, inf)")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    m: int = 30
+    m: int = ranged(30, "[1, inf)")
     total_iterations: int = 4500
-    classes_per_batch: int = 4
-    samples_per_class: int = 4
+    classes_per_batch: int = ranged(4, "[2, inf)")
+    samples_per_class: int = ranged(4, "[2, inf)")
     val_fraction: float = 0.15
     split_mode: str = "per-class"
     running_averages: tuple = (2, 8, 16, 32)
-    history: int = 20
+    history: int = ranged(20, "[1, inf)")
     log_transitions: bool = True
 
 
@@ -103,7 +105,7 @@ class TransferConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = 0
+    seed: int = ranged(0, "[0, inf)")
     data: DataConfig = DataConfig()
     model: ModelConfig = ModelConfig()
     loss: LossConfig = LossConfig()
@@ -120,17 +122,17 @@ class RunConfig:
 
 
 def _leaves(obj, prefix=""):
-    """(flat key, value) for every field, sections walked in declaration order."""
+    """(flat key, field, value) for every field, sections walked in declaration order."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if is_dataclass(value):
             yield from _leaves(value, f"{prefix}{f.name}.")
         else:
-            yield prefix + f.name, value
+            yield prefix + f.name, f, value
 
 
 #: flat key -> default; the section dataclasses are the only schema
-SCHEMA = dict(_leaves(RunConfig()))
+SCHEMA = {key: default for key, _, default in _leaves(RunConfig())}
 
 
 def _parse_value(default, raw: str):
@@ -204,80 +206,38 @@ def _validate(values: dict) -> tuple[list, list]:
         if not cond:
             errors.append(msg)
 
-    # nan fails each key's own range check; inf passes the open-ended ones, so it is refused here.
-    # sampler.clip_lambda=inf means "no cap", which no finite cap equals at a large embedding_dim;
-    # synthetic data's std and spread have rules of their own that refuse inf.
-    own_rule = {"sampler.clip_lambda"}
-    if not values["data.path"]:
-        own_rule |= {"data.within_std", "data.center_spread"}
-    errors += [
-        f"{key} must be finite"
-        for key, value in values.items()
-        if isinstance(value, float) and math.isinf(value) and key not in own_rule
-    ]
-    errors += _raised(_build, LossConfig, values, "loss.")
+    # inf in a float key checked below is refused here first; synthetic std and spread refuse it themselves
+    in_code = ("pmf.lambda_min", "pmf.lambda_max", "train.val_fraction")
+    in_code += ("data.within_std", "data.center_spread") if values["data.path"] else ()
+    errors += [f"{key} must be finite" for key in in_code if math.isinf(values[key])]
+    refused = range_errors((k, f, values[k]) for k, f, _ in _leaves(RunConfig()) if not k.startswith("loss."))
+    errors += refused.values()
+    errors += _raised(_build, LossConfig, values, "loss.")  # LossConfig refuses its own keys' ranges
     errors += _raised(require_valid_kind, values["sampler.kind"])
     errors += _raised(require_valid_algorithm, values["rl.algorithm"])
-    need(values["sampler.clip_lambda"] >= 0, "sampler.clip_lambda must be nonnegative (0 = auto)")
     bins = (values["pmf.lambda_min"], values["pmf.lambda_max"], values["pmf.k"])
     bin_errors = _raised(_check_bins, *bins)
     errors += bin_errors
     if not bin_errors:
         errors += [f"pmf.init: {e}" for e in _raised(init_pmf, *bins, values["pmf.init"])]
-    need(0.0 < values["pmf.alpha"] < 1.0, "pmf.alpha must lie in (0, 1)")
-    need(values["pmf.beta"] > 1.0, "pmf.beta must exceed 1")
     # under renormalized multiplicative updates, one decrease and one increase cancel iff alpha*beta = 1
-    if (
-        0.0 < values["pmf.alpha"] < 1.0
-        and values["pmf.beta"] > 1.0
-        and abs(math.log(values["pmf.alpha"]) + math.log(values["pmf.beta"])) > 1e-12
-    ):
-        warnings_.append(
-            f"action multipliers multiply to {values['pmf.alpha'] * values['pmf.beta']:g}, not 1; "
-            "allowed, but a decrease and an increase of a bin do not cancel"
-        )
-    need(values["model.embedding_dim"] >= 2, "model.embedding_dim must be >= 2")
-    if values["sampler.kind"] in ("distweighted", "curriculum-nonlinear"):
-        need(
-            values["model.embedding_dim"] >= 3,
-            f"sampler.kind={values['sampler.kind']} needs model.embedding_dim >= 3 "
-            "(the distance density is undefined below)",
-        )
-    need(
-        len(values["model.hidden"]) >= 1 and all(h >= 1 for h in values["model.hidden"]),
-        "model.hidden must list positive layer widths",
-    )
-    need(values["model.lr"] >= 0, "model.lr must be nonnegative")
-    need(values["rl.lr"] >= 0, "rl.lr must be nonnegative")
-    need(0.0 <= values["rl.ema_decay"] < 1.0, "rl.ema_decay must lie in [0, 1)")
-    need(values["rl.value_coef"] >= 0, "rl.value_coef must be nonnegative")
-    need(values["rl.hidden"] >= 1, "rl.hidden must be >= 1")
-    need(
-        len(values["rl.state_recalls"]) >= 1
-        and set(values["rl.state_recalls"]) <= {1, 2, 4}
-        and len(set(values["rl.state_recalls"])) == len(values["rl.state_recalls"]),
-        "rl.state_recalls must be a nonempty subset of 1,2,4",
-    )
-    need(values["ppo.epsilon"] > 0, "ppo.epsilon must be positive")
-    need(values["ppo.old_refresh"] >= 1, "ppo.old_refresh must be >= 1")
-    need(values["train.m"] >= 1, "train.m must be >= 1")
-    need(
-        values["train.total_iterations"] >= values["train.m"],
-        "train.total_iterations must be >= train.m",
-    )
-    need(values["train.classes_per_batch"] >= 2, "train.classes_per_batch must be >= 2")
-    need(values["train.samples_per_class"] >= 2, "train.samples_per_class must be >= 2")
+    alpha, beta = values["pmf.alpha"], values["pmf.beta"]
+    if not {"pmf.alpha", "pmf.beta"} & refused.keys() and abs(math.log(alpha) + math.log(beta)) > 1e-12:
+        warnings_.append(f"action multipliers multiply to {alpha * beta:g}, not 1; "
+                         "allowed, but a decrease and an increase of a bin do not cancel")
+    kind = values["sampler.kind"]
+    if kind in ("distweighted", "curriculum-nonlinear") and values["model.embedding_dim"] < 3:
+        errors.append(f"sampler.kind={kind} needs model.embedding_dim >= 3 "
+                      "(the distance density is undefined below)")
+    need(min(values["model.hidden"], default=0) >= 1, "model.hidden must list positive layer widths")
+    recalls, averages = values["rl.state_recalls"], values["train.running_averages"]
+    recalls_ok = 0 < len(recalls) == len(set(recalls)) and set(recalls) <= {1, 2, 4}
+    need(recalls_ok, "rl.state_recalls must be a nonempty subset of 1,2,4")
+    need(values["train.total_iterations"] >= values["train.m"], "train.total_iterations must be >= train.m")
     split_errors = _raised(require_valid_split, values["train.val_fraction"], values["train.split_mode"])
     errors += split_errors
-    need(
-        len(values["train.running_averages"]) >= 1
-        and all(l >= 1 for l in values["train.running_averages"])
-        and len(set(values["train.running_averages"])) == len(values["train.running_averages"]),
-        "train.running_averages must list distinct positive lengths",
-    )
-    need(values["train.history"] >= 1, "train.history must be >= 1")
-    need(values["seed"] >= 0, "seed must be nonnegative")
-    need(values["data.seed"] >= 0, "data.seed must be nonnegative")
+    averages_ok = min(averages, default=0) >= 1 and len(averages) == len(set(averages))
+    need(averages_ok, "train.running_averages must list distinct positive lengths")
     if not values["data.path"]:
         sizes_ok = values["data.n_classes"] >= 2 and values["data.per_class"] >= 2
         need(values["data.n_classes"] >= 2, "data.n_classes must be >= 2 for synthetic data")
@@ -323,7 +283,7 @@ def config_from_flat(flat: dict) -> tuple["RunConfig", list]:
 
 
 def config_to_flat(cfg: RunConfig) -> dict:
-    return {key: _format_value(value) for key, value in _leaves(cfg)}
+    return {key: _format_value(value) for key, _, value in _leaves(cfg)}
 
 
 def resolved_lines(cfg: RunConfig) -> list:

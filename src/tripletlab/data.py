@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SPLIT_MODES = ("per-class", "by-class")
+MAX_SCALE = 1e100  # the largest center_spread and within_std; a run's forward pass overflows from 1e200
 
 
 @dataclass(frozen=True)
@@ -128,17 +129,19 @@ def generate_synthetic(
 
 
 def require_valid_spread(spread: float) -> None:
-    """Raise ValueError unless spread is positive and the centers' range, 2 * spread, is a finite float64."""
-    if not np.isfinite(2.0 * float(spread)):
-        raise ValueError(f"center_spread must be finite and at most half the largest float64, got {spread}")
+    """Raise ValueError unless 0 < spread <= MAX_SCALE."""
+    if not (np.isfinite(spread) and spread <= MAX_SCALE):
+        raise ValueError(f"center_spread must be finite and at most {MAX_SCALE:g}, got {spread}")
     if not spread > 0:
         raise ValueError("center_spread must be positive")
 
 
 def require_valid_std(std: float) -> None:
-    """Raise ValueError unless std is finite and nonnegative with a clear sign bit (-0.0 is refused)."""
+    """Raise ValueError unless std is finite, at most MAX_SCALE and nonnegative with a clear sign bit."""
     if not np.isfinite(std):
         raise ValueError(f"within_std must be finite, got {std}")
+    if std > MAX_SCALE:
+        raise ValueError(f"within_std must be at most {MAX_SCALE:g}, got {std}")
     if np.signbit(std):
         raise ValueError("within_std must be nonnegative and not -0.0")
 

@@ -9,9 +9,11 @@ numpy and checkable against finite differences.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+from .ranges import range_errors, ranged
 
 
 # -------------------------
@@ -34,21 +36,16 @@ class LossConfig:
     """
 
     kind: str = "triplet"
-    gamma: float = 0.2
-    beta_margin: float = 1.2
+    gamma: float = ranged(0.2, "(0, inf)")
+    beta_margin: float = ranged(1.2, "(0, inf)")
     learnable_beta: bool = False
-    beta_lr: float = 5e-4
+    beta_lr: float = ranged(5e-4, "[0, inf)")
 
     def __post_init__(self):
         problems = []
         if self.kind not in ("triplet", "margin"):
             problems.append(f"unknown loss kind {self.kind!r}; loss.kind must be triplet or margin")
-        if not self.gamma > 0:
-            problems.append("loss.gamma must be positive")
-        if not self.beta_margin > 0:
-            problems.append("loss.beta_margin must be positive")
-        if not self.beta_lr >= 0:
-            problems.append("loss.beta_lr must be nonnegative")
+        problems += range_errors((f"loss.{f.name}", f, getattr(self, f.name)) for f in fields(self)).values()
         if problems:
             raise ValueError("\n".join(problems))
 

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -8,8 +9,8 @@ import pytest
 
 import tripletlab.cli as cli
 from tripletlab.cli import main
-from tripletlab.config import SCHEMA
-from tripletlab.data import load_dataset
+from tripletlab.config import SCHEMA, RunConfig, _leaves
+from tripletlab.data import MAX_SCALE, load_dataset
 
 
 @pytest.fixture
@@ -129,11 +130,11 @@ class TestRun:
             ),
             (
                 ["data.center_spread=9e307"],
-                "data.center_spread must be finite and at most half the largest float64, got 9e+307",
+                "data.center_spread must be finite and at most 1e+100, got 9e+307",
             ),
             (
                 ["data.center_spread=1e308"],
-                "data.center_spread must be finite and at most half the largest float64, got 1e+308",
+                "data.center_spread must be finite and at most 1e+100, got 1e+308",
             ),
             (["data.center_spread=0"], "data.center_spread must be positive"),
         ],
@@ -151,9 +152,12 @@ class TestRun:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_diverged_run_exits_two_naming_nonfinite_embeddings(self, base_cfg, tmp_path, capsys):
-        # one Adam step moves each parameter by about lr, and the next forward pass overflows
+        # every key lies in its range, but features at the scale bound pass through eight layers
+        # whose weights each Adam step moves by about the bounded lr, and a forward pass overflows
         rc = main(["run", "--config", str(base_cfg), "--set", "sampler.kind=distweighted",
-                   "--set", "model.lr=1e300", "--out", str(tmp_path / "x")])
+                   "--set", "model.lr=1e6", "--set", "model.hidden=16,16,16,16,16,16,16,16",
+                   "--set", f"data.within_std={MAX_SCALE!r}", "--set", f"data.center_spread={MAX_SCALE!r}",
+                   "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "error: non-finite embeddings" in capsys.readouterr().err
 
@@ -427,12 +431,12 @@ class TestGenData:
     @pytest.mark.parametrize(
         "flag,value,message",
         [
-            ("--std", "1e300", "not finite at float32 precision"),
+            ("--std", "1e39", "not finite at float32 precision"),
             ("--spread", "1e39", "not finite at float32 precision"),
             ("--spread", "inf", "center_spread must be finite"),
             ("--spread", "nan", "center_spread must be finite"),
         ],
-        ids=["std-1e300", "spread-1e39", "spread-inf", "spread-nan"],
+        ids=["std-1e39", "spread-1e39", "spread-inf", "spread-nan"],
     )
     def test_values_a_float32_file_cannot_hold_exit_one(self, tmp_path, capsys, flag, value, message):
         rc = main(["gen-data", "--out", str(tmp_path / "ds.csv"), flag, value])
@@ -447,13 +451,24 @@ class TestGenData:
         assert "center_spread must be positive" in capsys.readouterr().err
         assert not (tmp_path / "ds.csv").exists()
 
-    @pytest.mark.parametrize("value", ["nan", "-1", "-0.0"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "-0.0", "1e300"])
     def test_a_std_is_refused_in_the_words_of_run(self, base_cfg, tmp_path, capsys, value):
         rc = main(["gen-data", "--out", str(tmp_path / "ds.csv"), "--std", value])
         assert rc == 1
         [refused] = capsys.readouterr().err.splitlines()[1:]
         assert refused.startswith("  - within_std must be ")
         rc = main(["run", "--config", str(base_cfg), "--set", f"data.within_std={value}",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines()[1:] == [refused.replace("  - ", "  - data.", 1)]
+
+    @pytest.mark.parametrize("value", ["nan", "0", "1e300"])
+    def test_a_spread_is_refused_in_the_words_of_run(self, base_cfg, tmp_path, capsys, value):
+        rc = main(["gen-data", "--out", str(tmp_path / "ds.csv"), "--spread", value])
+        assert rc == 1
+        [refused] = capsys.readouterr().err.splitlines()[1:]
+        assert refused.startswith("  - center_spread must be ")
+        rc = main(["run", "--config", str(base_cfg), "--set", f"data.center_spread={value}",
                    "--out", str(tmp_path / "x")])
         assert rc == 1
         assert capsys.readouterr().err.splitlines()[1:] == [refused.replace("  - ", "  - data.", 1)]
@@ -529,16 +544,52 @@ EDGE_VALUES = {
     str: ("", "x"),
     tuple: ("", "0", "1,1"),
 }
+
+
+def bound_cases(key, bounds, admits) -> dict:
+    """(key, value) -> admits(value), for each bound in bounds and the next value on either side of
+    it: the next float for a float key, the next integer for an int key."""
+    kind = type(SCHEMA[key])
+    cases = {}
+    for bound in bounds:
+        if kind is int:
+            values = (int(bound) - 1, int(bound), int(bound) + 1)
+        else:
+            values = (np.nextafter(bound, -np.inf), bound, np.nextafter(bound, np.inf))
+        cases.update({(key, repr(kind(v))): admits(kind(v)) for v in values})
+    return cases
+
+
+def ends(interval: str) -> tuple:
+    """(lo, hi, lo_open, hi_open) of an interval written like "(0, 1]"."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return lo, hi, interval[0] == "(", interval[-1] == ")"
+
+
+def declared_admits(interval: str):
+    """Whether interval admits a finite value, read from its ends alone."""
+    lo, hi, lo_open, hi_open = ends(interval)
+    return lambda v: lo < v < hi or (v == lo and not lo_open) or (v == hi and not hi_open)
+
+
+#: flat key -> declared interval
+RANGES = {key: f.metadata["range"].interval for key, f, _ in _leaves(RunConfig()) if "range" in f.metadata}
+#: (key, value) -> whether the run admits it, at and beside every finite bound; data.within_std and
+#: data.center_spread are bounded above by data.MAX_SCALE in code, not by a declaration
+BOUND_CASES = {
+    case: admitted
+    for key, interval in RANGES.items()
+    for case, admitted in bound_cases(
+        key, [b for b in ends(interval)[:2] if math.isfinite(b)], declared_admits(interval)
+    ).items()
+}
+for key in ("data.within_std", "data.center_spread"):
+    BOUND_CASES.update(bound_cases(key, [MAX_SCALE], lambda v: v <= MAX_SCALE))
+BOUND_CASES[("data.center_spread", "4e307")] = False  # its forward pass overflowed before the bound
 SWEEP_CASES = [(key, value) for key, default in SCHEMA.items() for value in EDGE_VALUES[type(default)]]
-OVERFLOW = "overflow: the features, the weights or the loss leave float64 while training"
+SWEEP_CASES += [case for case in BOUND_CASES if case not in SWEEP_CASES]
 #: the only cases that may pass validation and then fail at run time, with the reason
 RUNTIME_FAILURES = {
-    ("data.center_spread", "1e300"): OVERFLOW,
-    ("data.within_std", "1e300"): OVERFLOW,
-    ("data.within_std", "1.7e308"): OVERFLOW,
-    ("model.lr", "1e300"): OVERFLOW,
-    ("model.lr", "1.7e308"): OVERFLOW,
-    ("rl.value_coef", "1.7e308"): OVERFLOW,
     ("data.path", "x"): "a missing file: validation never reads the filesystem, and transfer "
     "validates its students before the teacher writes their files",
 }
@@ -549,9 +600,10 @@ NON_FINITE = re.compile(r"(?<![A-Za-z_])(NaN|Infinity|nan|inf)(?![A-Za-z_])")
 @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
 @pytest.mark.parametrize("key, value", SWEEP_CASES, ids=[f"{k}={v}" for k, v in SWEEP_CASES])
 def test_schema_sweep_exits_one_naming_the_key_or_trains_finite(tmp_path, monkeypatch, capsys, key, value):
-    """Every key at the edge values of its type on a 2-episode run: refused naming the key with no
-    run directory, or trained with finite artifacts; a run-time failure only where listed, and with
-    no run directory either."""
+    """Every key at the edge values of its type, and every bound with the values beside it, on a
+    2-episode run: refused naming the key with no run directory, or trained with finite artifacts; a
+    run-time failure only where listed, and with no run directory either. A bound case is refused
+    exactly when its range does not admit it."""
     monkeypatch.chdir(tmp_path)  # a relative data.path names nothing
     tiny = {
         "data.n_classes": "4", "data.per_class": "12", "data.input_dim": "6", "model.hidden": "16",
@@ -565,7 +617,10 @@ def test_schema_sweep_exits_one_naming_the_key_or_trains_finite(tmp_path, monkey
     if (key, value) in RUNTIME_FAILURES:
         assert rc == 2, "listed as a run-time failure, but it no longer fails at run time"
         assert not out.exists()
-    elif rc == 1:
+        return
+    if (key, value) in BOUND_CASES:
+        assert rc == (0 if BOUND_CASES[key, value] else 1), err
+    if rc == 1:
         assert re.search(rf"(?<![\w.]){re.escape(key)}\b", err), err  # "seed" is not "data.seed"
         assert not out.exists()
     else:

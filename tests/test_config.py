@@ -1,18 +1,21 @@
-import sys
+import math
 
+import numpy as np
 import pytest
 
 from tripletlab.config import (
     SCHEMA,
     ConfigError,
     RunConfig,
+    _leaves,
     config_from_flat,
     config_to_flat,
     load_config,
     parse_kv_lines,
     resolved_lines,
 )
-from tripletlab.data import generate_synthetic, require_valid_split, split_validation
+from tripletlab.data import MAX_SCALE, generate_synthetic, require_valid_split, split_validation
+from tripletlab.model import LossConfig
 from tripletlab.rl import require_valid_algorithm
 
 
@@ -177,7 +180,7 @@ class TestValidation:
         assert key == ("data.n_classes" if "by-class" in overrides.values() else "data.per_class")
         assert str(split.value).endswith(rule)
 
-    @pytest.mark.parametrize("value", ["9e307", "1e308", "1.7e308", "nan", "0", "-0.0", "-1"])
+    @pytest.mark.parametrize("value", ["1e300", "9e307", "1e308", "1.7e308", "nan", "0", "-0.0", "-1"])
     def test_center_spread_refused_as_generate_synthetic_refuses_it(self, value):
         with pytest.raises(ConfigError) as exc:
             build({"data.center_spread": value})
@@ -185,9 +188,9 @@ class TestValidation:
             generate_synthetic(2, 5, 3, center_spread=float(value))
         assert exc.value.errors == [f"data.{owner.value}"]
 
-    def test_center_spread_up_to_half_the_largest_float_is_accepted(self):
-        half = sys.float_info.max / 2
-        assert build({"data.center_spread": repr(half)}).data.center_spread == half
+    def test_center_spread_up_to_its_bound_is_accepted(self):
+        assert build({"data.center_spread": repr(MAX_SCALE)}).data.center_spread == MAX_SCALE
+        assert build({"data.within_std": repr(MAX_SCALE)}).data.within_std == MAX_SCALE
         # a CSV run generates nothing, so the spread is not its concern
         build({"data.center_spread": "1e308", "data.path": "features.csv"})
 
@@ -253,6 +256,100 @@ class TestValidation:
         with pytest.raises(ConfigError, match="distinct positive lengths"):
             build({"train.running_averages": "2,8,16,2"})
         build({"train.running_averages": "16,8"})
+
+
+#: flat key -> declared interval
+RANGES = {key: f.metadata["range"].interval for key, f, _ in _leaves(RunConfig()) if "range" in f.metadata}
+#: each declared key's refusal, as the hand-written checks worded it before the ranges were declared
+HAND_WRITTEN = {
+    "seed": "seed must be nonnegative",
+    "data.seed": "data.seed must be nonnegative",
+    "model.embedding_dim": "model.embedding_dim must be >= 2",
+    "model.lr": "model.lr must be nonnegative",
+    "loss.gamma": "loss.gamma must be positive",
+    "loss.beta_margin": "loss.beta_margin must be positive",
+    "loss.beta_lr": "loss.beta_lr must be nonnegative",
+    "sampler.clip_lambda": "sampler.clip_lambda must be nonnegative (0 = auto)",
+    "pmf.alpha": "pmf.alpha must lie in (0, 1)",
+    "pmf.beta": "pmf.beta must exceed 1",
+    "rl.lr": "rl.lr must be nonnegative",
+    "rl.ema_decay": "rl.ema_decay must lie in [0, 1)",
+    "rl.value_coef": "rl.value_coef must be nonnegative",
+    "rl.hidden": "rl.hidden must be >= 1",
+    "ppo.epsilon": "ppo.epsilon must be positive",
+    "ppo.old_refresh": "ppo.old_refresh must be >= 1",
+    "train.m": "train.m must be >= 1",
+    "train.classes_per_batch": "train.classes_per_batch must be >= 2",
+    "train.samples_per_class": "train.samples_per_class must be >= 2",
+    "train.history": "train.history must be >= 1",
+}
+#: the keys that gained an upper bound, so that a value which overflowed in training is refused; each
+#: now names its interval on either side
+NEWLY_BOUNDED = {
+    "model.lr": "model.lr must lie in [0, 1e6]",
+    "rl.value_coef": "rl.value_coef must lie in [0, 1e6]",
+}
+
+
+def just_outside(key) -> list:
+    """The values nearest each finite bound of key's interval that the interval refuses."""
+    interval, kind = RANGES[key], type(SCHEMA[key])
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    values = []
+    for bound, is_open, away in ((lo, interval[0] == "(", -math.inf), (hi, interval[-1] == ")", math.inf)):
+        if math.isfinite(bound):
+            values += [bound] if is_open else []
+            values.append(bound + (1 if away > 0 else -1) if kind is int else np.nextafter(bound, away))
+    return [kind(v) for v in values]
+
+
+OUTSIDE_CASES = [(key, value) for key in RANGES for value in just_outside(key)]
+#: int and float keys whose range code checks instead of a declaration, and why
+CODE_CHECKED = (
+    ("data.n_classes", "synthetic data only; a CSV run takes its classes from the file"),
+    ("data.per_class", "synthetic data only; a CSV run takes its class sizes from the file"),
+    ("data.input_dim", "synthetic data only; a CSV run takes its width from the file"),
+    ("data.center_spread", "synthetic data only, by data.require_valid_spread, which gen-data shares"),
+    ("data.within_std", "synthetic data only, by data.require_valid_std, which also refuses -0.0"),
+    ("pmf.k", "samplers._check_bins, which SamplingPMF shares"),
+    ("pmf.lambda_min", "samplers._check_bins: lambda_min < lambda_max relates two keys"),
+    ("pmf.lambda_max", "samplers._check_bins: lambda_min < lambda_max relates two keys"),
+    ("train.total_iterations", "must be >= train.m, which relates two keys"),
+    ("train.val_fraction", "data.require_valid_split, which split_validation shares"),
+)
+
+
+class TestDeclaredRanges:
+    @pytest.mark.parametrize("key, value", OUTSIDE_CASES, ids=[f"{k}={v!r}" for k, v in OUTSIDE_CASES])
+    def test_a_value_just_outside_a_bound_gets_the_hand_written_message(self, key, value):
+        expected = NEWLY_BOUNDED.get(key, HAND_WRITTEN[key])
+        with pytest.raises(ConfigError) as exc:
+            build({key: repr(value)})
+        assert exc.value.errors == [expected]
+        if key.startswith("loss."):
+            with pytest.raises(ValueError) as direct:
+                LossConfig(**{key.removeprefix("loss."): value})
+            assert str(direct.value) == expected
+
+    def test_every_declared_key_has_a_hand_written_message(self):
+        assert set(RANGES) == set(HAND_WRITTEN)
+        assert set(NEWLY_BOUNDED) <= set(HAND_WRITTEN)
+
+    def test_every_numeric_key_has_a_declared_range_or_a_reason_for_code(self):
+        numeric = {k for k, v in SCHEMA.items() if type(v) in (int, float)}
+        in_code = dict(CODE_CHECKED)
+        assert len(in_code) == len(CODE_CHECKED) and all(in_code.values())
+        assert not set(in_code) & set(RANGES)
+        assert set(RANGES) | set(in_code) == numeric
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["gamma", "beta_margin", "beta_lr"])
+    def test_loss_config_refuses_an_infinite_value_as_config_does(self, key, value):
+        with pytest.raises(ValueError, match=rf"^loss\.{key} must be finite$"):
+            LossConfig(**{key: value})
+        with pytest.raises(ConfigError) as exc:
+            build({f"loss.{key}": repr(value)})
+        assert exc.value.errors == [f"loss.{key} must be finite"]
 
 
 class TestRoundTrip:

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tripletlab.data import (
+    MAX_SCALE,
     LabeledDataset,
     generate_synthetic,
     group_by_label,
@@ -144,6 +145,16 @@ class TestGenerate:
     def test_refuses_a_non_finite_std(self, value):
         with pytest.raises(ValueError, match=rf"within_std must be finite, got {value}"):
             generate_synthetic(2, 5, 3, within_std=value)
+
+    def test_refuses_a_scale_above_max_scale_and_takes_max_scale(self):
+        above = float(np.nextafter(MAX_SCALE, np.inf))
+        got = re.escape(repr(above))
+        with pytest.raises(ValueError, match=rf"^within_std must be at most 1e\+100, got {got}$"):
+            generate_synthetic(2, 5, 3, within_std=above)
+        with pytest.raises(ValueError, match=rf"^center_spread must be finite and at most 1e\+100, got {got}$"):
+            generate_synthetic(2, 5, 3, center_spread=above)
+        ds = generate_synthetic(2, 5, 3, center_spread=MAX_SCALE, within_std=MAX_SCALE)
+        assert np.isfinite(ds.features).all()
 
 
 class TestRoundTrip:
